@@ -53,6 +53,10 @@ class CocharacterData:
     moved_rank: int
 
 
+class _NotAHomomorphism(ValueError):
+    """rho is the table of no homomorphism from any group into Out."""
+
+
 def quasisplit_cocharacter_data(brd, form, height=4):
     """Coinvariants of the Gamma-action on the cocharacter lattice given
     by a quasi-split form, plus the Gamma-orbits on the dominant coweights
@@ -61,11 +65,16 @@ def quasisplit_cocharacter_data(brd, form, height=4):
     rho = form.rho if isinstance(form, QuasiSplitForm) else tuple(form)
     if any(not 0 <= x < out_group.order for x in rho):
         raise ValueError("rho does not land in the outer automorphism group")
-    n = len(rho)
-    # rho must be a homomorphism from the implicit source group; verify
-    # closure under the images alone: every product of images is an image
-    # composed consistently is guaranteed by the caller passing a
-    # QuasiSplitForm; for raw tuples we at least require identity at 0
+    # The source group is implicit, so check what every homomorphism
+    # satisfies: element 0 (the identity) maps to the identity, the image
+    # is a subgroup, and the fibres, cosets of the kernel, have one size.
+    image = set(rho)
+    if not rho or rho[0] != out_group.identity:
+        raise _NotAHomomorphism("rho must map element 0 to the identity of Out")
+    if any(out_group.table[x][y] not in image for x in image for y in image):
+        raise _NotAHomomorphism("the image of rho is not closed under multiplication")
+    if len({rho.count(y) for y in image}) > 1:
+        raise _NotAHomomorphism("the fibres of rho have unequal sizes")
     matrices = [out_elements[x].cochar_matrix for x in rho]
     rank = brd.datum.rank
     lattice = Lattice(rank)

@@ -41,6 +41,7 @@ from .fields import (
 from .groups import FiniteGroup, cyclic, direct_product, symmetric
 from .classify import (
     QuasiSplitForm,
+    _NotAHomomorphism,
     build_inner_invariant,
     classify_quasisplit,
     quasisplit_cocharacter_data,
@@ -251,9 +252,12 @@ def cmd_coinvariants(args):
         rho = tuple(int(x) for x in args.rho.split(","))
     except ValueError:
         raise MalformedInput(f"bad rho {args.rho!r}") from None
-    data = quasisplit_cocharacter_data(
-        brd, QuasiSplitForm(rho, 0), height=args.height
-    )
+    try:
+        data = quasisplit_cocharacter_data(
+            brd, QuasiSplitForm(rho, 0), height=args.height
+        )
+    except _NotAHomomorphism as exc:
+        raise MalformedInput(f"bad rho {args.rho!r}: {exc}") from None
     emit(
         {
             "schema": "galforms/coinvariants/v1",
@@ -268,6 +272,14 @@ def cmd_coinvariants(args):
     )
 
 
+def _index_list(value, name, bound):
+    """value as a tuple of element indices of a group of order bound."""
+    if not (isinstance(value, list) and all(
+            isinstance(x, int) and not isinstance(x, bool) and 0 <= x < bound for x in value)):
+        raise MalformedInput(f"{name} must be a list of integers in [0, {bound})")
+    return tuple(value)
+
+
 def _parse_ggroup(doc):
     gamma = parse_group(doc.get("gamma", "C2"))
     coeff = parse_group(doc.get("coefficients", "C2"))
@@ -278,7 +290,8 @@ def _parse_ggroup(doc):
         raise MalformedInput("action must be one permutation per gamma element")
     perms = []
     for perm in action_doc:
-        if sorted(perm) != list(range(coeff.order)):
+        ints = isinstance(perm, list) and all(isinstance(x, int) for x in perm)
+        if not ints or sorted(perm) != list(range(coeff.order)):
             raise MalformedInput(f"bad permutation {perm!r}")
         perms.append(tuple(perm))
     return GGroup(gamma, coeff, tuple(perms))
@@ -346,10 +359,10 @@ def cmd_boundary(args):
         z=z,
         b=b,
         c=c,
-        inclusion=tuple(doc["inclusion"]),
-        projection=tuple(doc["projection"]),
+        inclusion=_index_list(doc["inclusion"], "inclusion", b.coeff.order),
+        projection=_index_list(doc["projection"], "projection", c.coeff.order),
     )
-    cocycle = tuple(doc["cocycle"])
+    cocycle = _index_list(doc["cocycle"], "cocycle", c.coeff.order)
     if len(cocycle) != gamma.order:
         raise MalformedInput("cocycle must list one value per gamma element")
     table = boundary_map(ext, cocycle)

@@ -14,16 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .exact_linalg import (
-    FiniteAbelianGroup,
-    IntMatrix,
-    kernel_basis,
-    smith_normal_form,
-    solve_integer,
-)
+from .exact_linalg import FiniteAbelianGroup, IntMatrix, _smith, solve_integer
 from .fields import FieldElement, GaloisField, galois_group, is_norm_quadratic
 from .groups import FiniteGroup
-from . import qlinalg
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +208,6 @@ class GModule:
             mats.append(-IntMatrix.identity(k) if g in inverting else IntMatrix.identity(k))
         return GModule(gamma, moduli, mats)
 
-    def to_ggroup(self):
-        """The same module as a GGroup (element tables)."""
-        elems = list(self.elements())
-        index = {e: i for i, e in enumerate(elems)}
-        table = [[index[self.add(x, y)] for y in elems] for x in elems]
-        coeff = FiniteGroup(table, check=False)
-        action = [
-            tuple(index[self.act(g, x)] for x in elems)
-            for g in range(self.gamma.order)
-        ]
-        return GGroup(self.gamma, coeff, action), elems
-
 
 # --- bar complex ---------------------------------------------------------
 
@@ -280,26 +261,10 @@ def _d2_matrix(module):
     return IntMatrix(entries)
 
 
-def _cocycle_lattice_basis(d2, moduli_c2, moduli_c3):
-    """Basis (as an IntMatrix of columns) of {x in Z^N2 : d2 x = 0 mod
-    the C^3 moduli}.  Fast path when the module is homocyclic."""
-    n2 = d2.cols
-    if len(set(moduli_c3)) == 1:
-        m = moduli_c3[0]
-        s, _u, v = smith_normal_form(d2)
-        r = min(s.rows, s.cols)
-        scales = []
-        for t in range(n2):
-            st = s[t, t] if t < r else 0
-            scales.append(m // gcd(st, m) if st else 1)
-        cols = [
-            [v[i, t] * scales[t] for i in range(n2)] for t in range(n2)
-        ]
-        return IntMatrix(cols).transpose()
-    diag = IntMatrix.diagonal(list(moduli_c3))
-    stacked = d2.hcat(diag)
-    basis = kernel_basis(stacked)
-    return basis.submatrix(range(n2), range(basis.cols))
+def _divide_exactly(row, d):
+    if any(x % d for x in row):
+        raise ArithmeticError(f"cochain coordinates are not divisible by {abs(d)}")
+    return [x // d for x in row]
 
 
 def h2_bar(module):
@@ -307,34 +272,47 @@ def h2_bar(module):
 
     Representatives are dicts {(a, b): element tuple}, one per invariant
     factor of H^2, in the same order.
+
+    H^2 = K / (im d1 + moduli lattice of C^2), K the integer 2-cochains x
+    with d2 x = 0 mod the C^3 moduli.  A Smith normal form gives K a basis
+    bk and, by its inverse transform, integer coordinates in bk.
     """
     gamma, k = module.gamma, module.rank
     n = gamma.order
-    n1, n2 = n * k, n * n * k
+    n2 = n * n * k
     d1 = _d1_matrix(module)
     d2 = _d2_matrix(module)
     moduli_c2 = [module.moduli[i % k] for i in range(n2)]
     moduli_c3 = [module.moduli[i % k] for i in range(n * n * n * k)]
-    bk = _cocycle_lattice_basis(d2, moduli_c2, moduli_c3)
-    # generators of im(d1) + (moduli lattice of C^2), in K-coordinates
+    # generators of im(d1) + (moduli lattice of C^2), one per column
     gens = d1.hcat(IntMatrix.diagonal(moduli_c2))
-    bk_rat = [[Fraction(bk[i, j]) for j in range(n2)] for i in range(n2)]
-    bk_inv = qlinalg.mat_inv(bk_rat)
-    coords = qlinalg.mat_mul(bk_inv, [[Fraction(gens[i, j]) for j in range(gens.cols)] for i in range(n2)])
-    assert all(x.denominator == 1 for row in coords for x in row)
-    x = IntMatrix([[int(v) for v in row] for row in coords])
-    s, u, _v = smith_normal_form(x)
-    diag = [s[t, t] for t in range(min(s.rows, s.cols))] + [0] * (s.rows - min(s.rows, s.cols))
-    u_rat = [[Fraction(u[i, j]) for j in range(u.cols)] for i in range(u.rows)]
-    u_inv = qlinalg.mat_inv(u_rat)
+    if len(set(moduli_c3)) == 1:
+        # x = V y lies in K iff s_t y_t = 0 mod m for every t, so
+        # bk = V diag(scales) and bk^-1 gens = diag(scales)^-1 V^-1 gens.
+        m = moduli_c3[0]
+        s, _u, v, _u_inv, v_inv = _smith(d2, v=True, v_inv=True)
+        scales = [m // gcd(s[t, t], m) if s[t, t] else 1 for t in range(n2)]
+        bk = v * IntMatrix.diagonal(scales)
+        coords = IntMatrix(_divide_exactly(row, d) for row, d in zip((v_inv * gens)._data, scales))
+    else:
+        # K projects from the kernel of [d2 | D], D = diag(C^3 moduli) of
+        # full row rank r, with basis the columns r.. of V; a cocycle w
+        # lifts to (w, -D^-1 d2 w), with coordinates the rows r.. of V^-1.
+        stacked = d2.hcat(IntMatrix.diagonal(moduli_c3))
+        _s, _u, v, _u_inv, v_inv = _smith(stacked, v=True, v_inv=True)
+        r = len(moduli_c3)
+        bk = v.submatrix(range(n2), range(r, stacked.cols))
+        lifts = [_divide_exactly(row, -d) for row, d in zip((d2 * gens)._data, moduli_c3)]
+        coords = v_inv.submatrix(range(r, v.cols), range(v.cols)) * gens.stack(IntMatrix(lifts))
+    s, _u, _v, u_inv, _v_inv = _smith(coords, u_inv=True)
     factors = []
     reps = []
-    for t, d in enumerate(diag):
+    for t in range(n2):  # coords has n2 rows and more columns
+        d = s[t, t]
         if d in (0, 1):
             continue
         factors.append(d)
-        gen_k = [int(u_inv[i][t]) for i in range(n2)]
-        vec = bk.apply(gen_k)
+        vec = bk.apply(u_inv.column(t))
         table = {}
         for a in range(n):
             for b in range(n):
@@ -887,43 +865,3 @@ def boundary_map(ext, cocycle, lift_choices=None):
                 raise ValueError("boundary value escaped the center")
             table[(a, b)] = inc_index[val]
     return table
-
-
-def is_group_cocycle(ggroup, table):
-    """2-cocycle test for a table valued in an abelian GGroup."""
-    gamma, coeff = ggroup.gamma, ggroup.coeff
-    n = gamma.order
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = coeff.table[ggroup.act(a, table[(b, c)])][table[(a, gamma.table[b][c])]]
-                rhs = coeff.table[table[(gamma.table[a][b], c)]][table[(a, b)]]
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def is_group_coboundary(ggroup, table):
-    """Search f: Gamma -> A with d f = table (abelian A, enumeration)."""
-    gamma, coeff = ggroup.gamma, ggroup.coeff
-    n = gamma.order
-    e = gamma.identity
-    others = [g for g in range(n) if g != e]
-    for values in product(range(coeff.order), repeat=len(others)):
-        f = {e: coeff.identity}
-        for g, v in zip(others, values):
-            f[g] = v
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                d = coeff.table[
-                    coeff.table[ggroup.act(a, f[b])][f[a]]
-                ][coeff.inverse[f[gamma.table[a][b]]]]
-                if d != table[(a, b)]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return f
-    return None

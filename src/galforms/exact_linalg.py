@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 
 class IntMatrix:
@@ -64,13 +65,17 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            ot = other._data
-            return IntMatrix(
-                [
-                    [sum(a * ot[k][j] for k, a in enumerate(row)) for j in range(other.cols)]
-                    for row in self._data
-                ]
-            )
+            # skip zeros on both sides: bar complexes and transforms are sparse
+            sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other._data]
+            product = []
+            for row in self._data:
+                acc = [0] * other.cols
+                for x, pairs in zip(row, sparse):
+                    if x:
+                        for j, y in pairs:
+                            acc[j] += x * y
+                product.append(acc)
+            return IntMatrix(product)
         return NotImplemented
 
     def __add__(self, other):
@@ -203,41 +208,77 @@ def smith_normal_form(matrix):
     by lowest row index, then lowest column index, so results are
     reproducible.
     """
+    return _smith(matrix, u=True, v=True)[:3]
+
+
+def _smith(matrix, u=False, v=False, u_inv=False, v_inv=False):
+    """The elimination behind smith_normal_form: (S, U, V, U^-1, V^-1),
+    updating only the transforms asked for and None for the others.  On
+    the inverses, row_i -= q*row_j on U is col_j += q*col_i on U^-1, and
+    col_i -= q*col_j on V is row_j += q*row_i on V^-1."""
     m, n = matrix.rows, matrix.cols
     s = [list(row) for row in matrix._data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # U and V^-1 are kept as lists of rows, V and U^-1 as lists of
+    # columns, so that every update is a whole-list operation
+    u_rows, v_cols, u_inv_cols, v_inv_rows = (
+        [[int(i == j) for j in range(k)] for i in range(k)] if wanted else None
+        for k, wanted in ((m, u), (n, v), (m, u_inv), (n, v_inv))
+    )
+
+    def axpy(rows, i, j, q):  # rows[i] += q * rows[j], skipping zeros of rows[j]
+        if rows is not None:
+            dst, src = rows[i], rows[j]
+            for k in compress(range(len(src)), src):
+                dst[k] += q * src[k]
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        axpy(s, i, j, -q)
+        axpy(u_rows, i, j, -q)
+        axpy(u_inv_cols, j, i, q)
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in s:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+            if row[j]:
+                row[i] -= q * row[j]
+        axpy(v_cols, i, j, -q)
+        axpy(v_inv_rows, j, i, q)
+
+    def swap(i, j, *lists):
+        for x in lists:
+            if x is not None:
+                x[i], x[j] = x[j], x[i]
 
     def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+        swap(i, j, s, u_rows, u_inv_cols)
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        swap(i, j, v_cols, v_inv_rows)
+
+    def negate_row(t):
+        for x in (s, u_rows, u_inv_cols):
+            if x is not None:
+                x[t] = [-a for a in x[t]]
+
+    def find_pivot(t):
+        # scanning in tie-break order, an entry of absolute value 1 is final
+        pivot, best = None, 0
+        for i in range(t, m):
+            row = s[i][t:]
+            if not any(row):
+                continue
+            a = min(map(abs, filter(None, row)))
+            if not best or a < best:
+                j = next(j for j, x in enumerate(row) if x == a or x == -a)
+                pivot, best = (i, t + j), a
+                if a == 1:
+                    break
+        return pivot
 
     for t in range(min(m, n)):
         while True:
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    a = abs(s[i][j])
-                    if a and (best is None or a < best):
-                        best = a
-                        pivot = (i, j)
+            pivot = find_pivot(t)
             if pivot is None:
                 break
             pi, pj = pivot
@@ -265,8 +306,7 @@ def smith_normal_form(matrix):
     # normalize signs
     for t in range(min(m, n)):
         if s[t][t] < 0:
-            s[t] = [-a for a in s[t]]
-            u[t] = [-a for a in u[t]]
+            negate_row(t)
 
     # enforce divisibility chain d_t | d_{t+1}
     changed = True
@@ -294,13 +334,15 @@ def smith_normal_form(matrix):
                             q = s[t][t + 1] // s[t][t]
                             col_op(t + 1, t, q)
                 if s[t][t] < 0:
-                    s[t] = [-x for x in s[t]]
-                    u[t] = [-x for x in u[t]]
+                    negate_row(t)
                 if s[t + 1][t + 1] < 0:
-                    s[t + 1] = [-x for x in s[t + 1]]
-                    u[t + 1] = [-x for x in u[t + 1]]
+                    negate_row(t + 1)
                 changed = True
-    return IntMatrix(s), IntMatrix(u), IntMatrix(v)
+
+    return (IntMatrix(s),) + tuple(
+        None if x is None else IntMatrix(zip(*x) if as_columns else x)
+        for x, as_columns in ((u_rows, False), (v_cols, True), (u_inv_cols, True), (v_inv_rows, False))
+    )
 
 
 def solve_integer(matrix, b):
@@ -327,12 +369,6 @@ def kernel_basis(matrix):
     r = sum(1 for t in range(min(s.rows, s.cols)) if s[t, t] != 0)
     cols = list(range(r, matrix.cols))
     return v.submatrix(range(matrix.cols), cols)
-
-
-def _group_from_diagonal(diag, extra_free):
-    factors = [d for d in diag if d not in (0, 1)]
-    free = sum(1 for d in diag if d == 0) + extra_free
-    return FiniteAbelianGroup(tuple(factors), free)
 
 
 def cokernel(matrix):

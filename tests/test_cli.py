@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,19 @@ def test_h2_job(capsys, tmp_path):
     assert doc["invariant_factors"] == [2]
     # one generator representative per invariant factor
     assert len(doc["representatives"]) == 1
+
+
+GOLDEN_H2 = json.loads((Path(__file__).parent / "data" / "h2_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_H2, ids=[c["name"] for c in GOLDEN_H2])
+def test_h2_golden_stdout(capsys, tmp_path, case):
+    """The representatives are pinned byte for byte: golden stdout of
+    `galforms h2 --job`, recorded before h2_bar went integer-only."""
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(case["job"]))
+    assert run(["h2", "--job", str(job)]) == 0
+    assert capsys.readouterr().out == json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n"
 
 
 def test_boundary_job(capsys, tmp_path):
@@ -257,6 +271,47 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     assert doc["kind"] == "malformed-input"
     code, doc = invoke(capsys, "classify-quasisplit", "--gamma", "Q8")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("inclusion", "ab"), ("inclusion", [0, 4]), ("projection", [0, 1, 0, -1]),
+     ("cocycle", [0, "1"]), ("cocycle", [0, True])],
+)
+def test_boundary_rejects_malformed_fields(capsys, tmp_path, key, value):
+    doc = {"gamma": "C2", "z": "C2", "b": "C4", "c": "C2", "inclusion": [0, 2],
+           "projection": [0, 1, 0, 1], "cocycle": [0, 1]}
+    doc[key] = value
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    code, out = invoke(capsys, "boundary", "--job", str(job))
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+    assert out["error"].startswith(key)
+
+
+@pytest.mark.parametrize("action", [[5, 6], [[0, 1, 2], [0, 2, "1"]]])
+def test_h1_rejects_action_entries_that_are_not_lists_of_ints(capsys, tmp_path, action):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"gamma": "C2", "coefficients": "C3", "action": action}))
+    code, out = invoke(capsys, "h1", "--job", str(job))
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+
+
+@pytest.mark.parametrize(
+    "label, rho, reason",
+    [("A2", "1,1", "identity"), ("A2", "0,1,1", "unequal sizes"),
+     ("D4", "0,1,2", "not closed")],
+)
+def test_coinvariants_rejects_rho_that_is_no_homomorphism(capsys, label, rho, reason):
+    code, out = invoke(
+        capsys, "coinvariants", "--type", label, "--isogeny", "adjoint",
+        "--rho", rho, "--height", "1",
+    )
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+    assert reason in out["error"]
 
 
 def test_argparse_errors_exit_2():

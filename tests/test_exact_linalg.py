@@ -12,6 +12,7 @@ from galforms.exact_linalg import (
     FiniteAbelianGroup,
     IntMatrix,
     Lattice,
+    _smith,
     coinvariants,
     cokernel,
     fixed_sublattice,
@@ -48,6 +49,13 @@ def test_snf_properties(m):
     s, u, v = smith_normal_form(m)
     assert (u * m) * v == s
     assert is_unimodular(u) and is_unimodular(v)
+    # the inverse transforms, tracked with U and V and without them
+    assert _smith(m, u=True, v=True) == (s, u, v, None, None)
+    s2, u2, v2, u_inv, v_inv = _smith(m, u=True, v=True, u_inv=True, v_inv=True)
+    assert (s2, u2, v2) == (s, u, v)
+    assert u * u_inv == IntMatrix.identity(m.rows)
+    assert v * v_inv == IntMatrix.identity(m.cols)
+    assert _smith(m, u_inv=True, v_inv=True) == (s, None, None, u_inv, v_inv)
     diag = [s[t, t] for t in range(min(s.rows, s.cols))]
     for i in range(s.rows):
         for j in range(s.cols):
