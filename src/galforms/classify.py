@@ -64,7 +64,7 @@ def quasisplit_cocharacter_data(brd, form, height=4):
     out_group, out_elements = outer_automorphisms(brd)
     rho = form.rho if isinstance(form, QuasiSplitForm) else tuple(form)
     if any(not 0 <= x < out_group.order for x in rho):
-        raise ValueError("rho does not land in the outer automorphism group")
+        raise _NotAHomomorphism("rho does not land in the outer automorphism group")
     # The source group is implicit, so check what every homomorphism
     # satisfies: element 0 (the identity) maps to the identity, the image
     # is a subgroup, and the fibres, cosets of the kernel, have one size.

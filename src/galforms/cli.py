@@ -23,7 +23,6 @@ from .cohomology import (
     boundary_map,
     h1_nonabelian,
     h2_bar,
-    is_two_cocycle_kx,
     quadratic_cocycle,
     trivial_kx_cocycle,
 )
@@ -413,9 +412,6 @@ def _algebra_from_args(args):
         field = quadratic_field(int(args.d))
         action = GaloisAction.of(field)
         cocycle = quadratic_cocycle(action, parse_rational(args.c))
-    ok, witness = is_two_cocycle_kx(cocycle, report=True)
-    if not ok:
-        raise ValueError(f"not a 2-cocycle: associativity fails at triple {witness}")
     return CrossedProductAlgebra(action, cocycle)
 
 

@@ -9,7 +9,6 @@ e_a act as the a^-1-semilinear descent map on right modules.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import qlinalg
 from .cohomology import (
@@ -40,15 +39,10 @@ class CrossedProductAlgebra:
         self.group = action.group
         self.deg = self.field.degree
         self.dim = self.group.order * self.deg
-        self._check_associativity_on_basis()
-
-    def _check_associativity_on_basis(self):
-        basis = [self.basis_element(a) for a in self.group.elements()]
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    if self.multiply(self.multiply(x, y), z) != self.multiply(x, self.multiply(y, z)):
-                        raise ValueError("associativity failure on basis triples")
+        # Plain lists of Fractions, never AlgebraElements: an element points
+        # back at its algebra, and that cycle would keep dead algebras alive.
+        self._table = None
+        self._center = None
 
     # --- elements ---------------------------------------------------------
 
@@ -120,40 +114,56 @@ class CrossedProductAlgebra:
         cols = [self.multiply(x, b).k_coords() for b in self.k_basis()]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
+    def _products(self):
+        """t[i][j] = k-coordinates of b_i * b_j, for k-basis elements b."""
+        if self._table is None:
+            basis = self.k_basis()
+            self._table = [[self.multiply(x, y).k_coords() for y in basis] for x in basis]
+        return self._table
+
+    def _generators(self):
+        """k-basis indices of theta (sqrt(d) or zeta_n) and of e_a for
+        a != 1; with 1 they generate the algebra."""
+        return [1] + [a * self.deg for a in self.group.elements() if a != self.group.identity]
+
     # --- structure --------------------------------------------------------
 
     def center_basis(self):
-        """k-basis of the center, as AlgebraElements."""
-        basis = self.k_basis()
-        rows = []
-        for b in basis:
-            lb = self.left_multiplication_matrix(b)
-            rb_cols = [self.multiply(c, b).k_coords() for c in basis]
-            rb = [[rb_cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-            for i in range(self.dim):
-                rows.append([lb[i][j] - rb[i][j] for j in range(self.dim)])
-        ker = qlinalg.kernel(rows)
-        return [self.from_k_coords(vec) for vec in ker]
+        """k-basis of the center, as AlgebraElements: the commutant of the
+        generators theta and e_a."""
+        if self._center is None:
+            t = self._products()
+            self._center = qlinalg.kernel([
+                [t[g][j][i] - t[j][g][i] for j in range(self.dim)]
+                for g in self._generators()
+                for i in range(self.dim)
+            ])
+        return [self.from_k_coords(vec) for vec in self._center]
+
+    def _basis_traces(self):
+        t = self._products()
+        return [sum(t[k][i][i] for i in range(self.dim)) for k in range(self.dim)]
 
     def trace(self, x):
-        mat = self.left_multiplication_matrix(x)
-        return sum(mat[i][i] for i in range(self.dim))
+        if x.algebra is not self:
+            raise ValueError("element of a different algebra")
+        return sum(c * tr for c, tr in zip(x.k_coords(), self._basis_traces()))
 
     def trace_form_gram(self):
-        basis = self.k_basis()
+        t, traces = self._products(), self._basis_traces()
         return [
-            [self.trace(self.multiply(bi, bj)) for bj in basis]
-            for bi in basis
+            [sum(c * tr for c, tr in zip(tij, traces)) for tij in ti]
+            for ti in t
         ]
 
     def is_central_simple(self):
         """Center = k and trace form nondegenerate (semisimplicity in
         characteristic 0); for crossed products of field extensions this
-        certifies central simplicity."""
+        certifies central simplicity.  Both are read from the table of
+        basis products."""
         if len(self.center_basis()) != 1:
             return False
-        gram = self.trace_form_gram()
-        return qlinalg.rank(gram) == self.dim
+        return qlinalg.rank(self.trace_form_gram()) == self.dim
 
     def is_quaternion(self):
         return self.field.kind == "quadratic" and self.group.order == 2
@@ -293,22 +303,18 @@ def cocycle_sum_class_check(zeta_a, zeta_b, zeta_sum):
 
 def find_zero_divisor(algebra, bound=3):
     """Bounded search for a zero divisor in a quaternion crossed product:
-    looks for an isotropic vector of the reduced norm form."""
+    looks for an isotropic vector of the reduced norm form, in integers:
+    with c = p/q, x0^2 - d x1^2 - c(x2^2 - d x3^2) = 0 iff
+    q(x0^2 - d x1^2) = p(x2^2 - d x3^2)."""
     d, c = algebra.presenting_pair()
+    p, q = c.numerator, c.denominator
     from itertools import product as _prod
 
     rng = range(-bound, bound + 1)
     for x0, x1, x2, x3 in _prod(rng, repeat=4):
         if not (x0 or x1 or x2 or x3):
             continue
-        norm = (
-            Fraction(x0) ** 2
-            - d * Fraction(x1) ** 2
-            - c * Fraction(x2) ** 2
-            + d * c * Fraction(x3) ** 2
-        )
-        if norm == 0:
-            sigma = 1 - algebra.group.identity
+        if q * (x0 * x0 - d * x1 * x1) == p * (x2 * x2 - d * x3 * x3):
             x = algebra.element(
                 [algebra.field.element([x0, x1]), algebra.field.element([x2, x3])]
             )

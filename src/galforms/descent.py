@@ -183,23 +183,27 @@ class AModule:
         return [tuple(row) for row in out]
 
     def _check_axioms(self):
+        """R_1 = I and R_{xg} = R_g R_x for every k-basis x and every
+        generator g (theta and the e_a).  This is the all-pairs axiom: the
+        y with R_{ay} = R_y R_a for all a form a unital subalgebra, and
+        with 1 the g generate A."""
         algebra = self.algebra
-        basis = algebra.k_basis()
+        table = algebra._products()
         eye = [
             tuple(Fraction(i == j) for j in range(self.dim)) for i in range(self.dim)
         ]
         if self.action_of(algebra.one()) != eye:
             raise ValueError("unit does not act as the identity")
-        for x_idx, x in enumerate(basis):
+        gens = [(g, [list(r) for r in self.actions[g]]) for g in algebra._generators()]
+        for x_idx in range(algebra.dim):
             rx = [list(r) for r in self.actions[x_idx]]
-            for y_idx, y in enumerate(basis):
-                ry = [list(r) for r in self.actions[y_idx]]
-                # right modules: v.(xy) = (v.x).y, so R_{xy} = R_y R_x
-                lhs = self.action_of(algebra.multiply(x, y))
-                rhs = [tuple(row) for row in qlinalg.mat_mul(ry, rx)]
+            for g, rg in gens:
+                # right modules: v.(xg) = (v.x).g, so R_{xg} = R_g R_x
+                lhs = self.action_of(algebra.from_k_coords(table[x_idx][g]))
+                rhs = [tuple(row) for row in qlinalg.mat_mul(rg, rx)]
                 if lhs != rhs:
                     raise ValueError(
-                        f"module axiom fails on basis pair ({x_idx}, {y_idx})"
+                        f"module axiom fails on basis pair ({x_idx}, {g})"
                     )
 
     def apply(self, vec, x):
@@ -216,14 +220,11 @@ class AModule:
 
 def regular_module(algebra):
     """The algebra as a right module over itself."""
-    actions = []
-    basis = algebra.k_basis()
-    for x in basis:
-        cols = [algebra.multiply(b, x).k_coords() for b in basis]
-        actions.append(
-            [[cols[j][i] for j in range(algebra.dim)] for i in range(algebra.dim)]
-        )
-    return AModule(algebra, algebra.dim, actions)
+    t = algebra._products()
+    n = algebra.dim
+    # column j of R_x is b_j * x
+    actions = [[[t[j][x][i] for j in range(n)] for i in range(n)] for x in range(n)]
+    return AModule(algebra, n, actions)
 
 
 # --- the equivalence ------------------------------------------------------

@@ -195,6 +195,73 @@ def test_crossed_product_cyclotomic_job(capsys, tmp_path):
     assert doc["split"] is None or doc["split"] is True
 
 
+GOLDEN_CROSSED = json.loads((Path(__file__).parent / "data" / "crossed_golden.json").read_text())
+SCHEMAS = Path(__file__).parents[1] / "schemas"
+RESULT_DEFINITIONS = {
+    "galforms/crossed-product/v1": "crossedProduct",
+    "galforms/descend/v1": "descend",
+    "galforms/error/v1": "error",
+}
+
+
+def validate_result(doc):
+    """Validate an output document against its definition in
+    schemas/results.schema.json."""
+    from jsonschema import Draft7Validator
+    from referencing import Registry, Resource
+
+    results = json.loads((SCHEMAS / "results.schema.json").read_text())
+    common = Resource.from_contents(json.loads((SCHEMAS / "common.schema.json").read_text()))
+    registry = Registry().with_resources([
+        ("galforms/results", Resource.from_contents(results)),
+        ("galforms/common.schema.json", common),
+    ])
+    ref = f"galforms/results#/definitions/{RESULT_DEFINITIONS[doc['schema']]}"
+    Draft7Validator({"$ref": ref}, registry=registry).validate(doc)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CROSSED, ids=[c["name"] for c in GOLDEN_CROSSED])
+def test_crossed_golden_stdout(capsys, tmp_path, case):
+    """Golden stdout of `crossed-product` and `descend`, recorded before
+    the structure checks read the table of basis products."""
+    argv = list(case["argv"])
+    if case["job"] is not None:
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(case["job"]))
+        argv += ["--job", str(job)]
+    assert run(argv) == case["exit"]
+    out = capsys.readouterr().out
+    assert out == case["stdout"]
+    validate_result(json.loads(out))
+
+
+def test_schema_validation_rejects_a_wrong_document():
+    from jsonschema import ValidationError
+
+    doc = json.loads(GOLDEN_CROSSED[0]["stdout"])
+    doc["center_dimension"] = 0
+    with pytest.raises(ValidationError):
+        validate_result(doc)
+    doc = json.loads(GOLDEN_CROSSED[0]["stdout"])
+    doc["field"]["kind"] = "p-adic"
+    with pytest.raises(ValidationError):
+        validate_result(doc)
+
+
+def test_crossed_product_rejects_a_non_cocycle(capsys, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "field": {"kind": "quadratic", "d": -1},
+        "cocycle": [[0, 0, ["1/1", "0/1"]], [0, 1, ["1/1", "0/1"]],
+                    [1, 0, ["2/1", "0/1"]], [1, 1, ["-1/1", "0/1"]]],
+    }))
+    code, doc = invoke(capsys, "crossed-product", "--job", str(job))
+    assert code == 1
+    assert doc["kind"] == "domain-error"
+    assert doc["error"] == "not a 2-cocycle: associativity fails at triple (1, 0, 0)"
+    validate_result(doc)
+
+
 def test_descend_valid(capsys, tmp_path):
     job = tmp_path / "job.json"
     # 1x1 matrices: rows of field-element coordinate arrays
@@ -302,7 +369,7 @@ def test_h1_rejects_action_entries_that_are_not_lists_of_ints(capsys, tmp_path, 
 @pytest.mark.parametrize(
     "label, rho, reason",
     [("A2", "1,1", "identity"), ("A2", "0,1,1", "unequal sizes"),
-     ("D4", "0,1,2", "not closed")],
+     ("D4", "0,1,2", "not closed"), ("A2", "0,5", "does not land in the outer")],
 )
 def test_coinvariants_rejects_rho_that_is_no_homomorphism(capsys, label, rho, reason):
     code, out = invoke(

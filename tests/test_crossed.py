@@ -3,12 +3,15 @@ central simplicity, splitting, coboundary isomorphisms."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from galforms import qlinalg
 from galforms.cohomology import (
     GaloisAction,
     KxCocycle,
+    is_two_cocycle_kx,
     kx_coboundary_of,
     quadratic_cocycle,
     trivial_kx_cocycle,
@@ -134,8 +137,6 @@ def test_random_invalid_tables_rejected_with_witness():
             rng.choice([1, 2, 5])
         )
         bad = KxCocycle(action, values)
-        from galforms.cohomology import is_two_cocycle_kx
-
         if is_two_cocycle_kx(bad):
             continue  # extremely unlikely; perturbation landed on a cocycle
         with pytest.raises(ValueError) as err:
@@ -241,3 +242,124 @@ def test_builder_alias():
     action = GaloisAction.of(quadratic_field(-1))
     a = build_crossed_product(action, quadratic_cocycle(action, -1))
     assert isinstance(a, CrossedProductAlgebra)
+
+
+# --- the product table against the dim^3 definitions ----------------------
+#
+# Reference definitions from fresh products: the center from commutators
+# with every k-basis element, the trace from the left-multiplication matrix.
+
+def center_reference(alg):
+    basis = alg.k_basis()
+    rows = []
+    for b in basis:
+        lb = alg.left_multiplication_matrix(b)
+        rb_cols = [alg.multiply(c, b).k_coords() for c in basis]
+        for i in range(alg.dim):
+            rows.append([lb[i][j] - rb_cols[j][i] for j in range(alg.dim)])
+    return qlinalg.kernel(rows)
+
+
+def trace_reference(alg, x):
+    mat = alg.left_multiplication_matrix(x)
+    return sum(mat[i][i] for i in range(alg.dim))
+
+
+def trace_form_reference(alg):
+    basis = alg.k_basis()
+    return [[trace_reference(alg, alg.multiply(bi, bj)) for bj in basis] for bi in basis]
+
+
+def cyclic_cocycle(action, c):
+    """zeta(g^i, g^j) = c if i + j >= m else 1, for a generator g of a
+    cyclic Gamma of order m; the trivial cocycle when Gamma is not cyclic."""
+    group = action.group
+    m = group.order
+    g = next((x for x in group.elements() if group.element_order(x) == m), None)
+    if g is None:
+        return trivial_kx_cocycle(action)
+    exps, x = {}, group.identity
+    for e in range(m):
+        exps[x] = e
+        x = group.table[x][g]
+    values = {
+        (a, b): action.field.from_rational(c if exps[a] + exps[b] >= m else 1)
+        for a in group.elements()
+        for b in group.elements()
+    }
+    return KxCocycle(action, values)
+
+
+def random_algebra(rng, field):
+    action = GaloisAction.of(field)
+    base = cyclic_cocycle(action, rng.choice([-3, -1, 2, 5, Fraction(3, 2)]))
+    b = random_primitive(rng, field, action.group)
+    return CrossedProductAlgebra(action, base * kx_coboundary_of(action, b))
+
+
+@pytest.mark.parametrize(
+    "field, count",
+    [(quadratic_field(-1), 2), (quadratic_field(5), 2), (cyclotomic_field(3), 2),
+     (cyclotomic_field(4), 2), (cyclotomic_field(5), 1), (cyclotomic_field(8), 1)],
+    ids=repr,
+)
+def test_structure_matches_reference_definitions(field, count):
+    rng = random.Random(f"structure-{field!r}")
+    for _ in range(count):
+        alg = random_algebra(rng, field)
+        assert [z.k_coords() for z in alg.center_basis()] == center_reference(alg)
+        assert alg.trace_form_gram() == trace_form_reference(alg)
+        x = alg.from_k_coords([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(alg.dim)])
+        for y in [x, alg.one()] + alg.k_basis():
+            assert alg.trace(y) == trace_reference(alg, y)
+        assert alg.is_central_simple()
+
+
+def test_normalized_cocycles_stay_cocycles():
+    rng = random.Random(29)
+    for field in (quadratic_field(-1), quadratic_field(3), cyclotomic_field(5), cyclotomic_field(8)):
+        action = GaloisAction.of(field)
+        for _ in range(3):
+            base = cyclic_cocycle(action, rng.choice([-1, 2, Fraction(-5, 3)]))
+            b = random_primitive(rng, field, action.group)
+            b[action.group.identity] = field.from_rational(rng.choice([2, -3, Fraction(1, 2)]))
+            zeta = base * kx_coboundary_of(action, b)
+            assert is_two_cocycle_kx(zeta)
+            assert not zeta.is_normalized()
+            normal = zeta.normalized()
+            assert normal.is_normalized()
+            assert is_two_cocycle_kx(normal)
+
+
+# --- the zero-divisor search against a Fraction reference -----------------
+
+def find_zero_divisor_reference(algebra, bound):
+    d, c = algebra.presenting_pair()
+    rng = range(-bound, bound + 1)
+    for x0, x1, x2, x3 in product(rng, repeat=4):
+        if not (x0 or x1 or x2 or x3):
+            continue
+        norm = (
+            Fraction(x0) ** 2 - d * Fraction(x1) ** 2
+            - c * Fraction(x2) ** 2 + d * c * Fraction(x3) ** 2
+        )
+        if norm == 0:
+            x = algebra.element(
+                [algebra.field.element([x0, x1]), algebra.field.element([x2, x3])]
+            )
+            conj = algebra.element(
+                [algebra.field.element([x0, -x1]), algebra.field.element([-x2, -x3])]
+            )
+            if x and conj and not algebra.multiply(x, conj):
+                return x, conj
+    return None
+
+
+@pytest.mark.parametrize(
+    "d, c",
+    [(2, Fraction(1, 2)), (-1, Fraction(3, 2)), (-1, Fraction(5, 2)), (2, 2), (3, Fraction(-2, 3)), (-1, -1)],
+)
+def test_zero_divisor_search_matches_fraction_reference(d, c):
+    alg = quaternion_algebra(d, c)
+    for bound in (3, 4, 6):
+        assert find_zero_divisor(alg, bound) == find_zero_divisor_reference(alg, bound)

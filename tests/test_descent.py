@@ -13,6 +13,7 @@ from galforms.cohomology import (
 )
 from galforms.crossed import CrossedProductAlgebra
 from galforms.descent import (
+    AModule,
     conjugate_datum,
     datum_morphism_k_matrix,
     datum_morphisms,
@@ -151,6 +152,34 @@ def test_regular_module_of_quaternions():
     assert datum.dim == 2
     ok, why = validate_datum(datum)
     assert ok, why
+
+
+def perturbation_cases():
+    rng = random.Random(11)
+    hamilton = CrossedProductAlgebra(gaussian_action(), quadratic_cocycle(gaussian_action(), -1))
+    zeta3 = GaloisAction.of(cyclotomic_field(3))
+    zeta5 = GaloisAction.of(cyclotomic_field(5))
+    yield "regular Q(i), c=-1", regular_module(hamilton)
+    yield "regular Q(zeta_3)", regular_module(CrossedProductAlgebra(zeta3, trivial_kx_cocycle(zeta3)))
+    yield "to_module Q(i) dim 2 twisted", to_module(random_datum(gaussian_action(), 2, rng))
+    yield "to_module Q(zeta_5) dim 1", to_module(random_datum(zeta5, 1, rng, twisted=False))
+
+
+PERTURBATION_CASES = list(perturbation_cases())
+
+
+@pytest.mark.parametrize(
+    "module", [m for _, m in PERTURBATION_CASES], ids=[label for label, _ in PERTURBATION_CASES]
+)
+def test_module_axioms_reject_every_perturbed_action(module):
+    """The axioms are checked on generators only; a change to the action
+    of any basis element, generator or not, is still caught."""
+    AModule(module.algebra, module.dim, module.actions)
+    for z in range(module.algebra.dim):
+        actions = [[list(row) for row in m] for m in module.actions]
+        actions[z][z % module.dim][0] += 1
+        with pytest.raises(ValueError):
+            AModule(module.algebra, module.dim, actions)
 
 
 def test_dimension_one_obstruction():
