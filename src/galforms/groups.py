@@ -12,9 +12,9 @@ class FiniteGroup:
     index satisfies the axioms.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse", "labels")
+    __slots__ = ("order", "table", "identity", "inverse")
 
-    def __init__(self, table, labels=None, check=True):
+    def __init__(self, table, check=True):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         n = self.order
@@ -43,10 +43,6 @@ class FiniteGroup:
                     for c in range(n):
                         if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                             raise ValueError(f"not associative at ({a},{b},{c})")
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-
-    def mul(self, a, b):
-        return self.table[a][b]
 
     def inv(self, a):
         return self.inverse[a]
@@ -98,7 +94,7 @@ def symmetric(n):
         [index[tuple(p[q[i]] for i in range(n))] for q in perms]
         for p in perms
     ]
-    return FiniteGroup(table, labels=[str(p) for p in perms], check=False)
+    return FiniteGroup(table, check=False)
 
 
 def direct_product(g, h):
@@ -121,24 +117,46 @@ def direct_product(g, h):
 
 def homomorphisms(g, h):
     """All group homomorphisms g -> h, each as a tuple indexed by g's
-    elements.  Brute-force over generator images with consistency checks;
-    fine at desk scale."""
-    homs = []
+    elements, in lexicographic order.  Tries every image in h of a greedy
+    generating set of g (|h|^#gens candidates), extends it along the
+    Cayley graph and keeps the maps that respect the full table.  Each
+    element is a generator or lies in the subgroup of the generators
+    before it, which fixes its image; so generator images tried in
+    lexicographic order give the maps in lexicographic order."""
+    gens = []
+    for x in g.elements():
+        if x not in subgroup_closure(g, gens):
+            gens.append(x)
     n = g.order
-    for images in product(range(h.order), repeat=n):
-        if images[g.identity] != h.identity:
-            continue
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if images[g.table[a][b]] != h.table[images[a]][images[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    homs = []
+    for gen_images in product(range(h.order), repeat=len(gens)):
+        images = _extend(g, h, gens, gen_images)
+        if images is not None and all(
+            images[g.table[a][b]] == h.table[images[a]][images[b]]
+            for a in range(n)
+            for b in range(n)
+        ):
             homs.append(tuple(images))
     return homs
+
+
+def _extend(g, h, gens, gen_images):
+    """The map x*s -> image(x)*image(s) from the identity along the
+    generators, or None where two paths disagree."""
+    images = [None] * g.order
+    images[g.identity] = h.identity
+    frontier = [g.identity]
+    while frontier:
+        x = frontier.pop()
+        for s, t in zip(gens, gen_images):
+            y = g.table[x][s]
+            z = h.table[images[x]][t]
+            if images[y] is None:
+                images[y] = z
+                frontier.append(y)
+            elif images[y] != z:
+                return None
+    return images
 
 
 def subgroup_closure(g, generators):
@@ -154,20 +172,3 @@ def subgroup_closure(g, generators):
                 seen.add(y)
                 frontier.append(y)
     return seen
-
-
-def group_from_elements(elements, mul, eq=None):
-    """Build a FiniteGroup from abstract elements and a multiplication
-    callable.  Elements must be hashable (or provide eq via a key)."""
-    elems = list(elements)
-    index = {e: i for i, e in enumerate(elems)}
-    table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            c = mul(a, b)
-            if c not in index:
-                raise ValueError("elements not closed under multiplication")
-            row.append(index[c])
-        table.append(row)
-    return FiniteGroup(table), elems

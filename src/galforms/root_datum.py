@@ -3,9 +3,11 @@
 Root data are stored with explicit finite root/coroot lists in coordinates
 on the character lattice X and cocharacter lattice X^vee (the pairing is
 the standard dot product).  Supports the classical and exceptional types
-up to rank 8, both isogeny types, torus factors and direct sums, duality,
-the fundamental group, and the group of based-datum (diagram)
-automorphisms together with its action on coweights.
+up to rank 8, both isogeny types, tori, duality, the fundamental group,
+and the group of based-datum (diagram) automorphisms together with its
+action on coweights.  The public constructors validate their input; the
+builders here check the coordinates their reflection closure carries and
+construct through `_trusted`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import FiniteAbelianGroup, IntMatrix, Lattice, cokernel
+from .exact_linalg import IntMatrix, cokernel
 from .groups import FiniteGroup
 from . import qlinalg
 
@@ -88,30 +90,39 @@ class RootDatum:
     coroots: tuple        # tuple of X^vee-coordinate tuples, in bijection
 
     def __post_init__(self):
+        """Check <alpha, alpha^vee> = 2, s_alpha(R) = R and
+        s_alpha^vee(R^vee) = R^vee for every pair."""
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots must be in bijection")
         for a, av in zip(self.roots, self.coroots):
             if pairing(a, av) != 2:
                 raise ValueError(f"<alpha, alpha^vee> != 2 for {a}, {av}")
         root_set = set(self.roots)
+        coroot_set = set(self.coroots)
         for a, av in zip(self.roots, self.coroots):
-            for x in self.roots:
-                y = reflect(x, a, av)
-                if y not in root_set:
-                    raise ValueError(f"reflection in {a} does not preserve roots")
-
-    @property
-    def character_lattice(self):
-        return Lattice(self.rank)
-
-    @property
-    def cocharacter_lattice(self):
-        return Lattice(self.rank)
+            if any(reflect(x, a, av) not in root_set for x in self.roots):
+                raise ValueError(f"reflection in {a} does not preserve roots")
+            if any(coreflect(y, a, av) not in coroot_set for y in self.coroots):
+                raise ValueError(f"reflection in {av} does not preserve coroots")
 
     def is_semisimple(self):
         if not self.roots:
             return self.rank == 0
-        return qlinalg.rank([[Fraction(x) for x in r] for r in self.roots]) == self.rank
+        return _rank(self.roots) == self.rank
+
+
+def _rank(vectors):
+    """Rank over Q of integer vectors, by fraction-free elimination."""
+    rows = [list(v) for v in vectors if any(v)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next(j for j, x in enumerate(pivot) if x)
+        a = pivot[col]
+        rows = [[a * x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
+        rows = [r for r in rows if any(r)]
+        rank += 1
+    return rank
 
 
 def pairing(x, y):
@@ -139,17 +150,16 @@ class BasedRootDatum:
         self._check_positivity()
 
     def _check_positivity(self):
-        simple = [self.datum.roots[i] for i in self.simple_indices]
-        if not simple:
-            return
-        mat = [[Fraction(x) for x in col] for col in zip(*simple)]
-        for root in self.datum.roots:
-            coeffs = _express(mat, root)
-            if coeffs is None:
-                raise ValueError("root outside span of simple roots")
-            signs = {c > 0 for c in coeffs if c != 0}
-            if len(signs) > 1 or any(c.denominator != 1 for c in coeffs):
-                raise ValueError(f"root {root} is not +/- integral combination of simple roots")
+        """The simple roots are independent, simple reflections reach every
+        pair from a simple pair, and the coordinates have one sign each."""
+        datum = self.datum
+        simple = [(datum.roots[i], datum.coroots[i]) for i in self.simple_indices]
+        if _rank(self.simple_roots) != len(simple):
+            raise ValueError("simple roots are linearly dependent")
+        coords = _closure(simple)
+        if set(coords) != set(zip(datum.roots, datum.coroots)):
+            raise ValueError("simple reflections do not carry the simple roots onto every root")
+        _check_signs(coords)
 
     @property
     def simple_roots(self):
@@ -169,52 +179,44 @@ class BasedRootDatum:
         return all(pairing(a, coweight) >= 0 for a in self.simple_roots)
 
 
-def _express(col_matrix, vector):
-    """Solve col_matrix * c = vector over Q (least-squares not needed:
-    consistent systems only); returns None if inconsistent."""
-    nrows = len(col_matrix)
-    ncols = len(col_matrix[0]) if col_matrix else 0
-    aug = [list(map(Fraction, col_matrix[i])) + [Fraction(vector[i])] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][col]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for row, col in enumerate(pivots):
-        coeffs[col] = aug[row][ncols]
-    return coeffs
-
-
 def _closure(simple_pairs):
-    """Reflection closure of the simple (root, coroot) pairs."""
-    pairs = set(simple_pairs)
-    frontier = list(pairs)
-    simple = list(simple_pairs)
+    """Closure of the simple (root, coroot) pairs under the simple
+    reflections, as a dict from each pair to its coordinates on the simple
+    roots and on the simple coroots; s_i changes only coordinate i."""
+    k = len(simple_pairs)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    coords = {pair: (unit, unit) for pair, unit in zip(simple_pairs, units)}
+    frontier = list(coords)
     while frontier:
-        root, coroot = frontier.pop()
-        for s_root, s_coroot in simple:
-            new = (
-                reflect(root, s_root, s_coroot),
-                coreflect(coroot, s_root, s_coroot),
-            )
-            if new not in pairs:
-                pairs.add(new)
+        root, coroot = pair = frontier.pop()
+        c, d = coords[pair]
+        for i, (s_root, s_coroot) in enumerate(simple_pairs):
+            new = (reflect(root, s_root, s_coroot), coreflect(coroot, s_root, s_coroot))
+            if new not in coords:
+                new_c, new_d = list(c), list(d)
+                new_c[i] -= pairing(root, s_coroot)
+                new_d[i] -= pairing(s_root, coroot)
+                coords[new] = (tuple(new_c), tuple(new_d))
                 frontier.append(new)
-    return sorted(pairs)
+    return coords
+
+
+def _check_signs(coords):
+    for (root, coroot), (c, d) in coords.items():
+        if min(c) < 0 < max(c):
+            raise ValueError(f"root {root} is not +/- integral combination of simple roots")
+        if min(d) < 0 < max(d):
+            raise ValueError(f"coroot {coroot} is not +/- integral combination of simple coroots")
+
+
+def _trusted(rank, roots, coroots, simple_indices):
+    """BasedRootDatum from data known to be valid, without the checks of
+    the public constructors."""
+    datum = object.__new__(RootDatum)
+    vars(datum).update(rank=rank, roots=roots, coroots=coroots)
+    brd = object.__new__(BasedRootDatum)
+    vars(brd).update(datum=datum, simple_indices=simple_indices)
+    return brd
 
 
 def build_root_datum(label, isogeny="simply_connected"):
@@ -257,47 +259,31 @@ def _datum_from_cartan(c, isogeny):
         ]
     else:
         raise ValueError(f"unknown isogeny {isogeny!r}")
-    all_pairs = _closure(simple_pairs)
-    roots = tuple(p[0] for p in all_pairs)
-    coroots = tuple(p[1] for p in all_pairs)
-    datum = RootDatum(n, roots, coroots)
+    # The closure is stable under every s_beta: beta = w(alpha_i) gives
+    # s_beta = w s_i w^-1, and dually on the coroots (Bourbaki VI.1.5), so
+    # only <alpha, alpha^vee> = 2 and the signs remain to check.
+    coords = _closure(simple_pairs)
+    all_pairs = sorted(coords)
+    for root, coroot in all_pairs:
+        if pairing(root, coroot) != 2:
+            raise ValueError(f"<alpha, alpha^vee> != 2 for {root}, {coroot}")
+    _check_signs(coords)
     simple_set = set(simple_pairs)
     simple_indices = tuple(i for i, p in enumerate(all_pairs) if p in simple_set)
-    return BasedRootDatum(datum, simple_indices)
+    roots, coroots = zip(*all_pairs)
+    return _trusted(n, roots, coroots, simple_indices)
 
 
 def torus(rank):
     return BasedRootDatum(RootDatum(rank, (), ()), ())
 
 
-def direct_sum(a, b):
-    """Direct sum of two based root data (block coordinates)."""
-    ra, rb = a.datum.rank, b.datum.rank
-
-    def padl(v):
-        return tuple(v) + (0,) * rb
-
-    def padr(v):
-        return (0,) * ra + tuple(v)
-
-    pairs = [(padl(r), padl(c)) for r, c in zip(a.datum.roots, a.datum.coroots)]
-    pairs += [(padr(r), padr(c)) for r, c in zip(b.datum.roots, b.datum.coroots)]
-    simple = {
-        (padl(a.datum.roots[i]), padl(a.datum.coroots[i])) for i in a.simple_indices
-    } | {
-        (padr(b.datum.roots[i]), padr(b.datum.coroots[i])) for i in b.simple_indices
-    }
-    pairs = sorted(set(pairs))
-    datum = RootDatum(ra + rb, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-    simple_indices = tuple(i for i, p in enumerate(pairs) if p in simple)
-    return BasedRootDatum(datum, simple_indices)
-
-
 def dual(brd):
     """Langlands duality: swap X with X^vee and roots with coroots.
-    An exact involution."""
-    datum = RootDatum(brd.datum.rank, brd.datum.coroots, brd.datum.roots)
-    return BasedRootDatum(datum, brd.simple_indices)
+    An exact involution; the axioms are symmetric in the two halves, so
+    the dual of a valid datum needs no checks."""
+    datum = brd.datum
+    return _trusted(datum.rank, datum.coroots, datum.roots, brd.simple_indices)
 
 
 def fundamental_group(brd):
@@ -335,43 +321,35 @@ def outer_automorphisms(brd):
 
     Returns (group, elements): a FiniteGroup whose element i multiplies as
     composition of elements[i].  Computed by enumerating Cartan-matrix
-    preserving permutations of the simple roots and keeping the ones that
-    extend to automorphisms of both lattices.  Requires a semisimple
-    datum (roots of full rank)."""
+    preserving permutations of the simple roots, in lexicographic order,
+    and keeping the ones that extend to automorphisms of both lattices.
+    Requires a semisimple datum (roots of full rank)."""
     datum = brd.datum
     if not datum.is_semisimple():
         raise ValueError("outer automorphism enumeration requires a semisimple datum")
-    simple = list(brd.simple_roots)
     n = datum.rank
-    c = brd.cartan_matrix()
-    k = len(simple)
-    from itertools import permutations as _perms
-
+    # The map of X sending alpha_j to alpha_perm(j) has the inverse
+    # transpose sending alpha_j^vee to alpha_perm(j)^vee, as the Cartan
+    # matrix is preserved; so it is invertible over Z iff both are integral.
+    bases = [(basis, qlinalg.mat_inv([[Fraction(v[i]) for v in basis] for i in range(n)]))
+             for basis in (brd.simple_roots, brd.simple_coroots)]
     root_set = set(datum.roots)
     coroot_set = set(datum.coroots)
     valid = []
-    a_cols = [[Fraction(simple[j][i]) for j in range(k)] for i in range(n)]
-    for perm in _perms(range(k)):
-        if any(c[perm[i]][perm[j]] != c[i][j] for i in range(k) for j in range(k)):
-            continue
-        # solve M * alpha_j = alpha_{perm(j)} for the action on X
-        target = [[Fraction(simple[perm[j]][i]) for j in range(k)] for i in range(n)]
-        a_inv = qlinalg.mat_inv(a_cols)
-        m_rat = qlinalg.mat_mul(target, a_inv)
-        if any(x.denominator != 1 for row in m_rat for x in row):
-            continue
-        m = IntMatrix([[int(x) for x in row] for row in m_rat])
-        if abs(m.determinant()) != 1:
-            continue
-        mt_inv = qlinalg.mat_inv([[Fraction(m[j, i]) for j in range(n)] for i in range(n)])
-        if any(x.denominator != 1 for row in mt_inv for x in row):
-            continue
-        mv = IntMatrix([[int(x) for x in row] for row in mt_inv])
-        if any(tuple(m.apply(r)) not in root_set for r in datum.roots):
-            continue
-        if any(tuple(mv.apply(cr)) not in coroot_set for cr in datum.coroots):
-            continue
-        valid.append(OuterAutomorphism(m, mv, tuple(perm)))
+    for perm in _cartan_permutations(brd.cartan_matrix()):
+        maps = []
+        for basis, inverse in bases:
+            target = [[Fraction(basis[p][i]) for p in perm] for i in range(n)]
+            m = qlinalg.mat_mul(target, inverse)
+            if any(x.denominator != 1 for row in m for x in row):
+                break
+            maps.append(IntMatrix(m))
+        else:
+            m, mv = maps
+            if all(m.apply(r) in root_set for r in datum.roots) and all(
+                mv.apply(cr) in coroot_set for cr in datum.coroots
+            ):
+                valid.append(OuterAutomorphism(m, mv, perm))
 
     perms = [aut.simple_permutation for aut in valid]
     index = {p: i for i, p in enumerate(perms)}
@@ -379,13 +357,23 @@ def outer_automorphisms(brd):
     for a in valid:
         row = []
         for b in valid:
-            composed = tuple(a.simple_permutation[b.simple_permutation[i]] for i in range(k))
+            composed = tuple(a.simple_permutation[i] for i in b.simple_permutation)
             row.append(index[composed])
         table.append(row)
     group = FiniteGroup(table)
-    # put identity first for convenience
     return group, valid
 
 
-def act_on_coweight(aut, coweight):
-    return aut.act_on_coweight(coweight)
+def _cartan_permutations(c, perm=()):
+    """Permutations p with c[p[i]][p[j]] == c[i][j], in lexicographic
+    order, by backtracking: a prefix is extended only by a value whose row
+    and column agree with the positions already placed."""
+    i = len(perm)
+    if i == len(c):
+        yield perm
+        return
+    for v in range(len(c)):
+        if v not in perm and c[v][v] == c[i][i] and all(
+            c[v][p] == c[i][j] and c[p][v] == c[j][i] for j, p in enumerate(perm)
+        ):
+            yield from _cartan_permutations(c, perm + (v,))

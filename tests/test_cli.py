@@ -198,6 +198,11 @@ def test_crossed_product_cyclotomic_job(capsys, tmp_path):
 GOLDEN_CROSSED = json.loads((Path(__file__).parent / "data" / "crossed_golden.json").read_text())
 SCHEMAS = Path(__file__).parents[1] / "schemas"
 RESULT_DEFINITIONS = {
+    "galforms/root-datum/v1": "rootDatum",
+    "galforms/outer/v1": "outer",
+    "galforms/abelian-group/v1": "abelianGroup",
+    "galforms/quasisplit/v1": "quasisplit",
+    "galforms/coinvariants/v1": "coinvariants",
     "galforms/crossed-product/v1": "crossedProduct",
     "galforms/descend/v1": "descend",
     "galforms/error/v1": "error",
@@ -235,6 +240,21 @@ def test_crossed_golden_stdout(capsys, tmp_path, case):
     validate_result(json.loads(out))
 
 
+GOLDEN_LIE = json.loads((Path(__file__).parent / "data" / "lie_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_LIE, ids=[c["name"] for c in GOLDEN_LIE])
+def test_lie_golden_stdout(capsys, case):
+    """Golden stdout of `dual`, `outer`, `pi1`, `classify-quasisplit` and
+    `coinvariants`, recorded before root data were built from the
+    coordinates of the reflection closure and Hom(Gamma, Out) from
+    generator images."""
+    assert run(case["argv"]) == case["exit"]
+    out = capsys.readouterr().out
+    assert out == json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n"
+    validate_result(case["stdout"])
+
+
 def test_schema_validation_rejects_a_wrong_document():
     from jsonschema import ValidationError
 
@@ -246,6 +266,9 @@ def test_schema_validation_rejects_a_wrong_document():
     doc["field"]["kind"] = "p-adic"
     with pytest.raises(ValidationError):
         validate_result(doc)
+    outer = next(c["stdout"] for c in GOLDEN_LIE if c["argv"][0] == "outer")
+    with pytest.raises(ValidationError):
+        validate_result(dict(outer, order=0))
 
 
 def test_crossed_product_rejects_a_non_cocycle(capsys, tmp_path):

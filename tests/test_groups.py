@@ -1,5 +1,8 @@
 """Finite groups by multiplication table."""
 
+import time
+from itertools import product
+
 import pytest
 
 from galforms.groups import (
@@ -56,6 +59,47 @@ def test_homomorphism_counts():
         for a in s3.elements():
             for b in s3.elements():
                 assert h[s3.table[a][b]] == s3.table[h[a]][h[b]]
+
+
+def _homomorphisms_by_definition(g, h):
+    """Every tuple of |h|^|g| images, in lexicographic order, that
+    respects the multiplication tables."""
+    n = g.order
+    return [
+        images
+        for images in product(range(h.order), repeat=n)
+        if all(images[g.table[a][b]] == h.table[images[a]][images[b]]
+               for a in range(n) for b in range(n))
+    ]
+
+
+SMALL_GROUPS = {
+    **{f"C{n}": cyclic(n) for n in range(1, 7)},
+    "S3": symmetric(3),
+    "C2xC2": direct_product(cyclic(2), cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("source", SMALL_GROUPS)
+def test_homomorphisms_match_the_definition(source):
+    g = SMALL_GROUPS[source]
+    for target, h in SMALL_GROUPS.items():
+        assert homomorphisms(g, h) == _homomorphisms_by_definition(g, h), (source, target)
+
+
+def test_homomorphisms_from_order_12_and_24():
+    """Generator images make sources of order 12 and 24 cheap: the
+    definition would try 6^12 and 6^24 tuples."""
+    s3 = symmetric(3)
+    for g, count in ((symmetric(4), 10), (direct_product(cyclic(2), cyclic(6)), 12)):
+        start = time.perf_counter()
+        homs = homomorphisms(g, s3)
+        assert time.perf_counter() - start < 1
+        assert len(homs) == count
+        assert homs == sorted(set(homs))
+        for images in homs:
+            assert all(images[g.table[a][b]] == s3.table[images[a]][images[b]]
+                       for a in g.elements() for b in g.elements())
 
 
 def test_subgroup_closure():

@@ -6,6 +6,10 @@ import pytest
 
 from galforms.exact_linalg import IntMatrix, smith_normal_form
 from galforms.root_datum import (
+    BasedRootDatum,
+    RootDatum,
+    _cartan_permutations,
+    _closure,
     build_root_datum,
     cartan_matrix,
     dual,
@@ -65,6 +69,52 @@ def test_duality_involution_all_types():
         assert dual(dual(brd)) == brd
 
 
+def test_built_and_dual_data_pass_the_public_constructors():
+    """build_root_datum and dual skip the constructors' checks; the data
+    they make pass them."""
+    for label in SMALL_LABELS + ["B5", "D6", "E6"]:
+        for iso in ("simply_connected", "adjoint"):
+            for brd in (build_root_datum(label, iso), dual(build_root_datum(label, iso))):
+                d = brd.datum
+                checked = BasedRootDatum(RootDatum(d.rank, d.roots, d.coroots), brd.simple_indices)
+                assert checked == brd, (label, iso)
+
+
+def test_closure_coordinates():
+    """Each root is the combination of the simple roots, and each coroot
+    of the simple coroots, with the coordinates the closure carries."""
+    for label in SMALL_LABELS + ["E8"]:
+        for iso in ("simply_connected", "adjoint"):
+            brd = build_root_datum(label, iso)
+            simple = list(zip(brd.simple_roots, brd.simple_coroots))
+            coords = _closure(simple)
+            assert set(coords) == set(zip(brd.datum.roots, brd.datum.coroots))
+            for (root, coroot), (c, d) in coords.items():
+                assert root == tuple(sum(x * a[i] for x, (a, _) in zip(c, simple)) for i in range(len(root)))
+                assert coroot == tuple(sum(x * av[i] for x, (_, av) in zip(d, simple)) for i in range(len(root)))
+
+
+def test_root_datum_checks_the_coroot_half():
+    """s_alpha(R) = R holds here but s_alpha^vee(R^vee) = R^vee fails:
+    the reflection in (1, 0) sends the coroot (-2, 1) to (2, 1)."""
+    with pytest.raises(ValueError, match="coroots"):
+        RootDatum(2, ((1, 0), (-1, 0)), ((2, 0), (-2, 1)))
+    with pytest.raises(ValueError, match="preserve roots"):
+        RootDatum(2, ((2, 0), (-2, 1)), ((1, 0), (-1, 0)))
+
+
+def test_public_based_datum_rejects_a_non_base():
+    brd = build_root_datum("A2", "simply_connected")
+    roots = brd.datum.roots
+    a1, a2 = brd.simple_roots
+    a12 = tuple(x + y for x, y in zip(a1, a2))
+    minus_a1 = tuple(-x for x in a1)
+    assert BasedRootDatum(brd.datum, brd.simple_indices) == brd
+    for simple in ((a1, a12), (a1, minus_a1), (a1,)):
+        with pytest.raises(ValueError):
+            BasedRootDatum(brd.datum, tuple(roots.index(r) for r in simple))
+
+
 def test_dual_swaps_pi1_direction():
     # dual of sc is adjoint-like: pi1(dual(sc)) is trivial iff pi1(adjoint) is
     sc = build_root_datum("A2", "simply_connected")
@@ -99,17 +149,14 @@ def test_torus_pi1():
     assert group.free_rank == 2
 
 
-def _cartan_permutation_count(fam, n):
+def _cartan_filter(c):
     """Oracle: permutations of the simple roots preserving the Cartan
-    matrix, counted exhaustively."""
-    c = cartan_matrix(fam, n)
-    count = 0
-    for perm in permutations(range(n)):
-        if all(
-            c[perm[i]][perm[j]] == c[i][j] for i in range(n) for j in range(n)
-        ):
-            count += 1
-    return count
+    matrix, filtered from all of them."""
+    n = len(c)
+    return [
+        p for p in permutations(range(n))
+        if all(c[p[i]][p[j]] == c[i][j] for i in range(n) for j in range(n))
+    ]
 
 
 def test_outer_orders():
@@ -122,7 +169,22 @@ def test_outer_orders():
         for iso in ("simply_connected", "adjoint"):
             group, elements = outer_automorphisms(build_root_datum(label, iso))
             assert group.order == order, (label, iso)
-        assert _cartan_permutation_count(fam, n) == order, label
+        assert len(_cartan_filter(cartan_matrix(fam, n))) == order, label
+
+
+def test_cartan_permutations_match_the_filter():
+    """Backtracking gives exactly the Cartan-preserving permutations, in
+    the order of itertools.permutations; in both isogenies each of them
+    is an outer automorphism."""
+    for label in ALL_LABELS:
+        c = cartan_matrix(label[0], int(label[1:]))
+        assert list(_cartan_permutations(c)) == _cartan_filter(c), label
+        for iso in ("simply_connected", "adjoint"):
+            brd = build_root_datum(label, iso)
+            expected = _cartan_filter(brd.cartan_matrix())
+            assert list(_cartan_permutations(brd.cartan_matrix())) == expected, (label, iso)
+            _, elements = outer_automorphisms(brd)
+            assert [e.simple_permutation for e in elements] == expected, (label, iso)
 
 
 def test_outer_elements_act_correctly():
