@@ -60,7 +60,6 @@ from .cohomology import (
     h0,
     h1_nonabelian,
     h2_bar,
-    h2_enumerate,
     hom_module,
     is_two_cocycle_kx,
     kx_coboundary_of,

@@ -27,7 +27,14 @@ from .cohomology import (
     trivial_kx_cocycle,
 )
 from .crossed import CrossedProductAlgebra, find_zero_divisor
-from .descent import SemilinearDatum, fixed_space, kmat, to_module, validate_datum
+from .descent import (
+    SemilinearDatum,
+    _fixed_space_of_valid,
+    _module_of_valid,
+    _semilinear_k_matrices,
+    kmat,
+    validate_datum,
+)
 from .exact_linalg import IntMatrix
 from .fields import (
     INFINITE_PLACE,
@@ -103,12 +110,19 @@ def parse_field(doc):
     if kind == "quadratic":
         if "d" not in doc:
             raise MalformedInput("quadratic field needs 'd'")
-        return quadratic_field(int(doc["d"]))
+        return quadratic_field(_field_int(doc, "d"))
     if kind == "cyclotomic":
         if "n" not in doc:
             raise MalformedInput("cyclotomic field needs 'n'")
-        return cyclotomic_field(int(doc["n"]))
+        return cyclotomic_field(_field_int(doc, "n"))
     raise MalformedInput(f"unknown field kind {kind!r}")
+
+
+def _field_int(doc, key):
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedInput(f"field.{key} must be an integer, got {value!r}")
+    return value
 
 
 def ser_field(field):
@@ -452,7 +466,7 @@ def cmd_descend(args):
         raise MalformedInput("need one matrix per Galois group element")
     matrices = []
     for m in mats_doc:
-        if not isinstance(m, list):
+        if not (isinstance(m, list) and all(isinstance(row, list) for row in m)):
             raise MalformedInput("matrices must be lists of rows")
         matrices.append(
             kmat(field, [[parse_field_element(field, x) for x in row] for row in m])
@@ -466,11 +480,14 @@ def cmd_descend(args):
         "violation": why,
     }
     if ok:
-        module = to_module(datum)
+        # validated above: build the module and the fixed space from the
+        # same semilinear k-matrices, without validating again
+        semi = _semilinear_k_matrices(datum)
+        module = _module_of_valid(datum, semi)
         out["module_dimension"] = module.dim
         one = field.one()
         if all(v == one for v in cocycle.values.values()):
-            basis = fixed_space(datum)
+            basis = _fixed_space_of_valid(datum, semi)
             out["fixed_space"] = [[ser_rational(x) for x in vec] for vec in basis]
             out["fixed_dimension"] = len(basis)
     emit(out)

@@ -9,6 +9,7 @@ e_a act as the a^-1-semilinear descent map on right modules.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import qlinalg
 from .cohomology import (
@@ -115,10 +116,29 @@ class CrossedProductAlgebra:
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def _products(self):
-        """t[i][j] = k-coordinates of b_i * b_j, for k-basis elements b."""
+        """t[i][j] = k-coordinates of b_i * b_j, for k-basis elements b.
+
+        With b_(a,s) = theta^s e_a, b_(a,s) b_(b,t) = theta^s a(theta^t)
+        zeta(a, b) e_ab: the |Gamma|^2 deg products a(theta^t) zeta(a, b)
+        are formed once, then multiplied by each power theta^s.  Only
+        block ab of the product is nonzero."""
         if self._table is None:
-            basis = self.k_basis()
-            self._table = [[self.multiply(x, y).k_coords() for y in basis] for x in basis]
+            field, group, deg, dim = self.field, self.group, self.deg, self.dim
+            zero = Fraction(0)
+            powers = field.power_basis()
+            table = [[None] * dim for _ in range(dim)]
+            for a in group.elements():
+                images = [self.action.apply(a, power) for power in powers]
+                for b in group.elements():
+                    start = group.table[a][b] * deg
+                    zeta = self.cocycle.value(a, b)
+                    for t, image in enumerate(images):
+                        y = (image * zeta).coords
+                        for s, power in enumerate(powers):
+                            row = [zero] * dim
+                            row[start: start + deg] = field._mul_coords(power.coords, y) if s else y
+                            table[a * deg + s][b * deg + t] = row
+            self._table = table
         return self._table
 
     def _generators(self):
@@ -141,8 +161,18 @@ class CrossedProductAlgebra:
         return [self.from_k_coords(vec) for vec in self._center]
 
     def _basis_traces(self):
+        """Traces of the k-basis elements.  Left multiplication by
+        b_(a,s) sends block b to block ab, so only the e_1 block, a = 1,
+        has diagonal entries."""
         t = self._products()
-        return [sum(t[k][i][i] for i in range(self.dim)) for k in range(self.dim)]
+        traces = [Fraction(0)] * self.dim
+        for k in self._unit_block():
+            traces[k] = sum(t[k][i][i] for i in range(self.dim))
+        return traces
+
+    def _unit_block(self):
+        start = self.group.identity * self.deg
+        return range(start, start + self.deg)
 
     def trace(self, x):
         if x.algebra is not self:
@@ -151,8 +181,9 @@ class CrossedProductAlgebra:
 
     def trace_form_gram(self):
         t, traces = self._products(), self._basis_traces()
+        block = [(k, traces[k]) for k in self._unit_block()]
         return [
-            [sum(c * tr for c, tr in zip(tij, traces)) for tij in ti]
+            [sum(tij[k] * tr for k, tr in block) for tij in ti]
             for ti in t
         ]
 

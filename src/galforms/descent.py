@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 
 from . import qlinalg
 from .cohomology import kx_coboundary_of, trivial_kx_cocycle
 from .crossed import CrossedProductAlgebra
-from .fields import FieldElement
+from .exact_linalg import int_rank
+from .fields import FieldElement, _integral, _rationals
 
 
 # --- K-matrix helpers -----------------------------------------------------
@@ -121,8 +123,10 @@ def validate_datum(datum):
         return False, f"identity component is not the identity map (witness {group.identity})"
     if not datum.cocycle.is_normalized():
         return False, "cocycle is not normalized"
+    # a K-linear map is bijective iff its rational k-matrix is
     for a in group.elements():
-        if n and kmat_inv(datum.matrices[a]) is None:
+        kmatrix, _den = _scaled_matrix(_k_linear_matrix(field, datum.matrices[a]))
+        if n and int_rank(kmatrix) != n * field.degree:
             return False, f"component {a} is not bijective"
     # semilinearity is structural (matrix o twist); spot-check it anyway
     # on basis scalars and vectors
@@ -186,25 +190,38 @@ class AModule:
         """R_1 = I and R_{xg} = R_g R_x for every k-basis x and every
         generator g (theta and the e_a).  This is the all-pairs axiom: the
         y with R_{ay} = R_y R_a for all a form a unital subalgebra, and
-        with 1 the g generate A."""
+        with 1 the g generate A.  Each R_x is N_x / D_x with N_x integral
+        and D_x the lcm of its denominators; both sides are compared as
+        integer matrices."""
         algebra = self.algebra
         table = algebra._products()
-        eye = [
-            tuple(Fraction(i == j) for j in range(self.dim)) for i in range(self.dim)
-        ]
-        if self.action_of(algebra.one()) != eye:
+        scaled = [_scaled_matrix(m) for m in self.actions]
+        unit, den = scaled[algebra.group.identity * algebra.deg]
+        if any(x != den * (i == j) for i, row in enumerate(unit) for j, x in enumerate(row)):
             raise ValueError("unit does not act as the identity")
-        gens = [(g, [list(r) for r in self.actions[g]]) for g in algebra._generators()]
+        columns = [list(zip(*n_x)) for n_x, _ in scaled]
         for x_idx in range(algebra.dim):
-            rx = [list(r) for r in self.actions[x_idx]]
-            for g, rg in gens:
-                # right modules: v.(xg) = (v.x).g, so R_{xg} = R_g R_x
-                lhs = self.action_of(algebra.from_k_coords(table[x_idx][g]))
-                rhs = [tuple(row) for row in qlinalg.mat_mul(rg, rx)]
-                if lhs != rhs:
-                    raise ValueError(
-                        f"module axiom fails on basis pair ({x_idx}, {g})"
-                    )
+            cols_x, d_x = columns[x_idx], scaled[x_idx][1]
+            for g in algebra._generators():
+                n_g, d_g = scaled[g]
+                # right modules: v.(xg) = (v.x).g, so R_{xg} = R_g R_x.
+                # b_x b_g = sum_z (C_z / L) b_z; with delta the lcm of the
+                # D_z, L delta R_{xg} = sum_z C_z (delta / D_z) N_z
+                coeffs, lden = _integral(table[x_idx][g])
+                terms = [(c, scaled[z]) for z, c in enumerate(coeffs) if c]
+                delta = 1
+                for _c, (_n, d_z) in terms:
+                    delta = delta * d_z // gcd(delta, d_z)
+                terms = [(c * (delta // d_z), n_z) for c, (n_z, d_z) in terms]
+                lhs_scale, rhs_scale = d_g * d_x, lden * delta
+                for i, row_g in enumerate(n_g):
+                    for j, col in enumerate(cols_x):
+                        lhs = sum(c * n_z[i][j] for c, n_z in terms)
+                        rhs = sum(a * b for a, b in zip(row_g, col))
+                        if lhs * lhs_scale != rhs * rhs_scale:
+                            raise ValueError(
+                                f"module axiom fails on basis pair ({x_idx}, {g})"
+                            )
 
     def apply(self, vec, x):
         return qlinalg.mat_vec([list(r) for r in self.action_of(x)], list(vec))
@@ -244,37 +261,38 @@ def _unflatten(field, coords):
     ]
 
 
-def _scalar_k_matrix(field, lam, n):
-    """k-matrix of v -> lam*v on K^n, flattened coordinates."""
-    deg = field.degree
-    dim = n * deg
-    cols = []
-    for j in range(n):
-        for t in range(deg):
-            basis = [Fraction(0)] * deg
-            basis[t] = Fraction(1)
-            prod = field._mul_coords(lam.coords, tuple(basis))
-            col = [Fraction(0)] * dim
-            for s in range(deg):
-                col[j * deg + s] = prod[s]
-            cols.append(col)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
-
-
 def _semilinear_k_matrix(datum, a):
-    """k-matrix of a_V on flattened coordinates."""
+    """k-matrix of a_V on flattened coordinates: a_V(theta^t e_j) =
+    a^-1(theta^t) M_a e_j, so column (j, t) holds the entries of column j
+    of M_a times a^-1(theta^t)."""
     field = datum.field
     deg = field.degree
-    dim = datum.dim * deg
-    cols = []
-    for j in range(datum.dim):
-        for t in range(deg):
-            coords = [Fraction(0)] * deg
-            coords[t] = Fraction(1)
-            vec = [field.zero()] * datum.dim
-            vec[j] = field.element(coords)
-            cols.append(_flatten(field, datum.apply(a, vec)))
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    n = datum.dim
+    ainv = datum.action.group.inv(a)
+    twists = [datum.action.apply(ainv, power) for power in field.power_basis()]
+    rows = [[None] * (n * deg) for _ in range(n * deg)]
+    for i, mrow in enumerate(datum.matrices[a]):
+        for j, x in enumerate(mrow):
+            for t, twist in enumerate(twists):
+                for s, c in enumerate((x * twist).coords):
+                    rows[i * deg + s][j * deg + t] = c
+    return rows
+
+
+def _k_linear_matrix(field, kmatrix):
+    """Rational matrix of the K-linear map v -> M v on flattened
+    coordinates: block (i, j) is multiplication by M[i][j]."""
+    deg = field.degree
+    blocks = [[_mult_matrix(field, x) for x in row] for row in kmatrix]
+    return [
+        [x for block in brow for x in block[s]]
+        for brow in blocks
+        for s in range(deg)
+    ]
+
+
+def _semilinear_k_matrices(datum):
+    return [_semilinear_k_matrix(datum, a) for a in datum.action.group.elements()]
 
 
 def to_module(datum, algebra=None, check=True):
@@ -283,23 +301,35 @@ def to_module(datum, algebra=None, check=True):
     ok, why = validate_datum(datum)
     if not ok:
         raise ValueError(f"invalid datum: {why}")
+    if algebra is not None and (
+        algebra.cocycle.values != datum.cocycle.values or algebra.action != datum.action
+    ):
+        raise ValueError("algebra does not match the datum's twist")
+    return _module_of_valid(datum, _semilinear_k_matrices(datum), algebra, check)
+
+
+def _module_of_valid(datum, semi, algebra=None, check=True):
+    """to_module for a datum already validated, with its semilinear
+    k-matrices semi[a] = N_a / D_a: v . (theta^t e_a) = a_V(theta^t v) has
+    matrix N_a S_t / D_a, with S_t block diagonal, each block the integer
+    matrix B_t of multiplication by theta^t."""
     if algebra is None:
         algebra = CrossedProductAlgebra(datum.action, datum.cocycle)
-    elif algebra.cocycle.values != datum.cocycle.values or algebra.action != datum.action:
-        raise ValueError("algebra does not match the datum's twist")
     field = datum.field
     deg = field.degree
-    semi = {a: _semilinear_k_matrix(datum, a) for a in datum.action.group.elements()}
+    blocks = [list(zip(*_mult_matrix(field, power))) for power in field.power_basis()]
     actions = []
-    for a in datum.action.group.elements():
-        for t in range(deg):
-            coords = [Fraction(0)] * deg
-            coords[t] = Fraction(1)
-            lam = field.element(coords)
-            # v . (lam e_a) = a_V(lam v)
-            actions.append(
-                qlinalg.mat_mul(semi[a], _scalar_k_matrix(field, lam, datum.dim))
-            )
+    for m in semi:
+        n_a, d_a = _scaled_matrix(m)
+        for columns in blocks:
+            actions.append([
+                _rationals([
+                    sum(x * int(y) for x, y in zip(row[j: j + deg], col))
+                    for j in range(0, len(row), deg)
+                    for col in columns
+                ], d_a)
+                for row in n_a
+            ])
     return AModule(algebra, datum.dim * deg, actions, check=check)
 
 
@@ -379,16 +409,21 @@ def fixed_space(datum):
     ok, why = validate_datum(datum)
     if not ok:
         raise ValueError(f"invalid datum: {why}")
+    return _fixed_space_of_valid(datum, _semilinear_k_matrices(datum))
+
+
+def _fixed_space_of_valid(datum, semi):
+    """fixed_space for an untwisted datum already validated, with its
+    semilinear k-matrices semi[a]."""
     field = datum.field
     deg = field.degree
     big = datum.dim * deg
     if big == 0:
         return []
     rows = []
-    for a in datum.action.group.elements():
-        m = _semilinear_k_matrix(datum, a)
+    for m in semi:
         for i in range(big):
-            rows.append([m[i][j] - Fraction(i == j) for j in range(big)])
+            rows.append([m[i][j] - (i == j) for j in range(big)])
     if all(not x for row in rows for x in row):
         basis = [
             [Fraction(i == j) for i in range(big)] for j in range(big)
@@ -398,16 +433,12 @@ def fixed_space(datum):
     if len(basis) != datum.dim:
         raise ValueError("descent dimension count failed")
     # K-span of the fixed vectors must be everything
-    span_cols = []
+    span = []
     for vec in basis:
         kvec = _unflatten(field, vec)
-        for t in range(deg):
-            coords = [Fraction(0)] * deg
-            coords[t] = Fraction(1)
-            lam = field.element(coords)
-            span_cols.append(_flatten(field, [lam * x for x in kvec]))
-    mat = [[span_cols[c][r] for c in range(len(span_cols))] for r in range(big)]
-    if qlinalg.rank(mat) != big:
+        for power in field.power_basis():
+            span.append(_flatten(field, [power * x for x in kvec]))
+    if int_rank(_scaled_matrix(span)[0]) != big:
         raise ValueError("K-span of the fixed space is not all of V")
     return basis
 
@@ -517,6 +548,13 @@ def _mult_matrix(field, c):
         basis[t] = Fraction(1)
         cols.append(field._mul_coords(c.coords, tuple(basis)))
     return [[cols[t][s] for t in range(deg)] for s in range(deg)]
+
+
+def _scaled_matrix(m):
+    """(N, D) with m = N / D: D the lcm of m's denominators, N integral."""
+    width = len(m[0]) if m else 0
+    ints, den = _integral([x for row in m for x in row])
+    return [ints[i * width: (i + 1) * width] for i in range(len(m))], den
 
 
 def module_morphisms(src, dst):

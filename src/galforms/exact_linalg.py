@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 
 
 class IntMatrix:
@@ -149,6 +150,31 @@ class IntMatrix:
         return det.numerator
 
 
+def int_rank(vectors):
+    """Rank over Q of integer vectors, by fraction-free elimination; each
+    reduced row is divided by the gcd of its entries."""
+    rows = [list(v) for v in vectors if any(v)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next(j for j, x in enumerate(pivot) if x)
+        a = pivot[col]
+        reduced = []
+        for r in rows:
+            c = r[col]
+            if c:
+                r = [a * x - c * y for x, y in zip(r, pivot)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                if g > 1:
+                    r = [x // g for x in r]
+            reduced.append(r)
+        rows = reduced
+        rank += 1
+    return rank
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Free Z-module of a given rank with its distinguished basis."""
@@ -191,9 +217,6 @@ class FiniteAbelianGroup:
 
     def is_trivial(self):
         return not self.invariant_factors and self.free_rank == 0
-
-    def is_finite(self):
-        return self.free_rank == 0
 
     def __str__(self):
         parts = [f"Z/{d}" for d in self.invariant_factors] + ["Z"] * self.free_rank

@@ -8,7 +8,7 @@ ramified places.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
@@ -49,49 +49,22 @@ def euler_phi(n):
     return result
 
 
-def _poly_divmod(num, den):
-    """Quotient and remainder of integer/fraction polynomials
-    (coefficient lists, low degree first)."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    r = list(num)
-    while len(r) >= len(den) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(den):
-            break
-        coeff = r[-1] / den[-1]
-        shift = len(r) - len(den)
-        q[shift] += coeff
-        for i, c in enumerate(den):
-            r[shift + i] -= coeff * c
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
 def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, low degree first, as ints."""
-    if n == 1:
-        return [-1, 1]
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
+    """Coefficients of Phi_n, low degree first, as ints: x^n - 1 divided
+    exactly by the monic Phi_d of every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            # multiply den by phi_d
-            new = [Fraction(0)] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                for j, b in enumerate(phi_d):
-                    new[i + j] += a * b
-            den = new
-    q, r = _poly_divmod(num, den)
-    assert not r
-    return [int(c) for c in q]
+            divisor = cyclotomic_polynomial(d)
+            k = len(divisor) - 1
+            quotient = [0] * (len(poly) - k)
+            for i in reversed(range(len(quotient))):
+                c = quotient[i] = poly[i + k]
+                for j, b in enumerate(divisor):
+                    poly[i + j] -= c * b
+            assert not any(poly)
+            poly = quotient
+    return poly
 
 
 class GaloisField:
@@ -117,21 +90,17 @@ class GaloisField:
             m = euler_phi(n)
             self.degree = m
             phi = cyclotomic_polynomial(n)
-            # x^m = -(phi[0] + phi[1] x + ... + phi[m-1] x^{m-1})
-            reduction = [None] * (2 * m - 1)
-            for k in range(m):
-                vec = [Fraction(0)] * m
-                vec[k] = Fraction(1)
-                reduction[k] = vec
-            for k in range(m, 2 * m - 1):
-                prev = reduction[k - 1]
-                shifted = [Fraction(0)] + prev[:-1]
-                overflow = prev[-1]
-                if overflow:
-                    for i in range(m):
-                        shifted[i] -= overflow * phi[i]
-                reduction[k] = shifted
-            self._reduction = tuple(tuple(v) for v in reduction)
+            # x^k for m <= k < 2m - 1 on the power basis, as sparse integer
+            # rows (i, coefficient): x^m = -(phi[0] + ... + phi[m-1] x^{m-1})
+            reduction = []
+            row = [-c for c in phi[:m]]
+            for _ in range(m - 1):
+                reduction.append(tuple((i, c) for i, c in enumerate(row) if c))
+                top = row[-1]
+                row = [0] + row[:-1]
+                if top:
+                    row = [r - top * c for r, c in zip(row, phi)]
+            self._reduction = tuple(reduction)
         else:
             raise ValueError(f"unknown field kind {kind!r}")
 
@@ -167,6 +136,10 @@ class GaloisField:
     def from_rational(self, q):
         return self.element([Fraction(q)] + [0] * (self.degree - 1))
 
+    def power_basis(self):
+        """theta^t for t < degree."""
+        return [self.element([int(s == t) for s in range(self.degree)]) for t in range(self.degree)]
+
     def generator(self):
         """sqrt(d) or zeta_n (the identity for Q)."""
         if self.degree == 1:
@@ -176,24 +149,43 @@ class GaloisField:
     def _mul_coords(self, x, y):
         if self.kind == "rationals":
             return (x[0] * y[0],)
+        xs, dx = _integral(x)
+        ys, dy = _integral(y)
         if self.kind == "quadratic":
-            d = self.param
-            return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+            (a0, a1), (b0, b1) = xs, ys
+            return _rationals((a0 * b0 + self.param * a1 * b1, a0 * b1 + a1 * b0), dx * dy)
         m = self.degree
-        conv = [Fraction(0)] * (2 * m - 1)
-        for i, a in enumerate(x):
+        conv = [0] * (2 * m - 1)
+        for i, a in enumerate(xs):
             if a:
-                for j, b in enumerate(y):
+                for j, b in enumerate(ys):
                     if b:
                         conv[i + j] += a * b
-        out = [Fraction(0)] * m
-        for k, c in enumerate(conv):
+        out = conv[:m]
+        for c, red in zip(conv[m:], self._reduction):
             if c:
-                red = self._reduction[k]
-                for i in range(m):
-                    if red[i]:
-                        out[i] += c * red[i]
-        return tuple(out)
+                for i, r in red:
+                    out[i] += c * r
+        return _rationals(out, dx * dy)
+
+
+def _integral(coords):
+    """(integer numerators, common denominator) of rational coordinates."""
+    den = 1
+    for c in coords:
+        d = c.denominator
+        if den % d:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [c.numerator for c in coords], 1
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _rationals(ints, den):
+    """Coordinates ints / den as Fractions."""
+    if den == 1:
+        return tuple(Fraction(v) for v in ints)
+    return tuple(Fraction(v, den) for v in ints)
 
 
 RATIONALS = GaloisField("rationals")
@@ -214,7 +206,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         return self.field.from_rational(other)
@@ -311,26 +303,29 @@ class GaloisGroupElement:
     field: GaloisField
     matrix: tuple  # rows of Fractions
     unit: int = None
+    # the matrix as den and sparse integer rows ((j, entry * den), ...)
+    _den: int = dc_field(init=False, repr=False, compare=False)
+    _rows: tuple = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = len(self.matrix)
+        ints, den = _integral([x for row in self.matrix for x in row])
+        rows = tuple(
+            tuple((j, v) for j, v in enumerate(ints[i * m: (i + 1) * m]) if v)
+            for i in range(m)
+        )
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", rows)
 
     def apply(self, x):
-        if x.field != self.field:
+        if x.field is not self.field and x.field != self.field:
             raise ValueError("element of a different field")
-        coords = tuple(
-            sum(row[j] * x.coords[j] for j in range(len(row)))
-            for row in self.matrix
-        )
-        return FieldElement(self.field, coords)
+        xs, dx = _integral(x.coords)
+        coords = [sum(v * xs[j] for j, v in row) for row in self._rows]
+        return FieldElement(self.field, _rationals(coords, self._den * dx))
 
     def __call__(self, x):
         return self.apply(x)
-
-    def is_identity(self):
-        m = self.field.degree
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(m)
-            for j in range(m)
-        )
 
 
 def _automorphism_from_generator_image(field, image):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import IntMatrix, cokernel
+from .exact_linalg import IntMatrix, cokernel, int_rank
 from .groups import FiniteGroup
 from . import qlinalg
 
@@ -108,21 +108,7 @@ class RootDatum:
     def is_semisimple(self):
         if not self.roots:
             return self.rank == 0
-        return _rank(self.roots) == self.rank
-
-
-def _rank(vectors):
-    """Rank over Q of integer vectors, by fraction-free elimination."""
-    rows = [list(v) for v in vectors if any(v)]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        col = next(j for j, x in enumerate(pivot) if x)
-        a = pivot[col]
-        rows = [[a * x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
-        rows = [r for r in rows if any(r)]
-        rank += 1
-    return rank
+        return int_rank(self.roots) == self.rank
 
 
 def pairing(x, y):
@@ -154,7 +140,7 @@ class BasedRootDatum:
         pair from a simple pair, and the coordinates have one sign each."""
         datum = self.datum
         simple = [(datum.roots[i], datum.coroots[i]) for i in self.simple_indices]
-        if _rank(self.simple_roots) != len(simple):
+        if int_rank(self.simple_roots) != len(simple):
             raise ValueError("simple roots are linearly dependent")
         coords = _closure(simple)
         if set(coords) != set(zip(datum.roots, datum.coroots)):

@@ -25,7 +25,6 @@ from galforms.cohomology import (
     boundary_map,
     family_to_transport,
     h2_bar,
-    h2_enumerate,
     hom_module,
     is_module_coboundary,
     is_module_cocycle,
@@ -72,6 +71,7 @@ from galforms.root_datum import (
     outer_automorphisms,
 )
 from galforms import qlinalg
+from oracles import h2_enumerate
 
 ALL_LABELS = (
     ["A%d" % n for n in range(1, 9)]

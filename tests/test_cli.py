@@ -11,9 +11,12 @@ from galforms.cli import run
 
 
 def invoke(capsys, *argv):
+    """Run the CLI; the output document must validate against its schema."""
     code = run(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    doc = json.loads(out)
+    validate_result(doc)
+    return code, doc
 
 
 # --- root-datum commands --------------------------------------------------
@@ -116,6 +119,7 @@ def test_h2_golden_stdout(capsys, tmp_path, case):
     job.write_text(json.dumps(case["job"]))
     assert run(["h2", "--job", str(job)]) == 0
     assert capsys.readouterr().out == json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n"
+    validate_result(case["stdout"])
 
 
 def test_boundary_job(capsys, tmp_path):
@@ -205,6 +209,12 @@ RESULT_DEFINITIONS = {
     "galforms/coinvariants/v1": "coinvariants",
     "galforms/crossed-product/v1": "crossedProduct",
     "galforms/descend/v1": "descend",
+    "galforms/h1/v1": "h1",
+    "galforms/h2/v1": "h2",
+    "galforms/boundary/v1": "boundary",
+    "galforms/hilbert/v1": "hilbert",
+    "galforms/brauer-class/v1": "brauerClass",
+    "galforms/inner-invariant/v1": "innerInvariant",
     "galforms/error/v1": "error",
 }
 
@@ -402,6 +412,78 @@ def test_coinvariants_rejects_rho_that_is_no_homomorphism(capsys, label, rho, re
     assert code == 2
     assert out["kind"] == "malformed-input"
     assert reason in out["error"]
+
+
+BOUNDARY_JOB = {"gamma": "C2", "z": "C2", "b": "C4", "c": "C2", "inclusion": [0, 2],
+                "projection": [0, 1, 0, 1], "cocycle": [0, 1]}
+SCHEMA_CASES = [
+    ("h1 trivial action", ["h1"], {"gamma": "C2", "coefficients": "C4"}, 0),
+    ("h1 C2 inverting C3", ["h1"],
+     {"gamma": "C2", "coefficients": "C3", "action": [[0, 1, 2], [0, 2, 1]]}, 0),
+    ("h2 C2xC2 on Z/2", ["h2"], {"gamma": "C2xC2", "moduli": [2]}, 0),
+    ("h2 C4 on Z/4 x Z/2", ["h2"], {"gamma": "C4", "moduli": [4, 2]}, 0),
+    ("boundary", ["boundary"], BOUNDARY_JOB, 0),
+    ("hilbert at 2", ["hilbert", "-a", "-1", "-b", "-1", "-p", "2"], None, 0),
+    ("hilbert at inf", ["hilbert", "-a", "3/2", "-b", "-5", "-p", "inf"], None, 0),
+    ("brauer-class ramified", ["brauer-class", "-d", "-1", "-c", "-1"], None, 0),
+    ("brauer-class trivial", ["brauer-class", "-d", "2", "-c", "7"], None, 0),
+    ("inner-invariant A1 adjoint", ["inner-invariant", "--type", "A1", "--isogeny", "adjoint",
+                                    "-d", "-1", "--assign", "-1"], None, 0),
+    ("inner-invariant A3 sc", ["inner-invariant", "--type", "A3", "-d", "5"], None, 0),
+    ("error domain", ["brauer-class", "-d", "3", "-c", "0"], None, 1),
+    ("error malformed job", ["h2"], {"gamma": "C2", "moduli": []}, 2),
+    ("error malformed field", ["descend"], {"field": {"kind": "quadratic", "d": 2.5},
+                                            "cocycle": "trivial", "matrices": []}, 2),
+]
+
+
+@pytest.mark.parametrize("argv, job, code", [c[1:] for c in SCHEMA_CASES],
+                         ids=[c[0] for c in SCHEMA_CASES])
+def test_outputs_validate_against_schema(capsys, tmp_path, argv, job, code):
+    argv = list(argv)
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv += ["--job", str(path)]
+    got, doc = invoke(capsys, *argv)
+    assert got == code
+    assert doc["schema"] == "galforms/error/v1" if code else doc["schema"] != "galforms/error/v1"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d", 2.5), ("d", True), ("d", "x"), ("d", "-1"), ("d", None),
+    ("n", 5.0), ("n", False), ("n", "8"), ("n", [5]),
+])
+def test_field_parameters_must_be_json_integers(capsys, tmp_path, key, value):
+    """field.d and field.n are JSON integers (common.schema.json): a float,
+    a bool or a string is malformed input, not a different field."""
+    kind = "quadratic" if key == "d" else "cyclotomic"
+    field = {"kind": kind, key: value}
+    one = ["1/1", "0/1"]
+    jobs = [
+        ["descend", {"field": field, "cocycle": "trivial", "matrices": [[[one]], [[one]]]}],
+        ["crossed-product", {"field": field, "cocycle": "trivial"}],
+    ]
+    for command, doc in jobs:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        code, out = invoke(capsys, command, "--job", str(path))
+        assert code == 2
+        assert out["kind"] == "malformed-input"
+        assert f"field.{key}" in out["error"]
+
+
+def test_descend_rejects_a_row_that_is_no_list(capsys, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "field": {"kind": "quadratic", "d": -1},
+        "cocycle": "trivial",
+        "matrices": [[["1"]], ["1"]],
+    }))
+    code, out = invoke(capsys, "descend", "--job", str(job))
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+    assert out["error"] == "matrices must be lists of rows"
 
 
 def test_argparse_errors_exit_2():

@@ -15,20 +15,16 @@ from galforms.cohomology import (
     GModule,
     GaloisAction,
     boundary_map,
-    cohomologous_module_cocycles,
-    enumerate_cocycles,
     family_to_transport,
     h0,
     h1_nonabelian,
     h2_bar,
-    h2_enumerate,
     hom_module,
     is_module_coboundary,
     is_module_cocycle,
     is_one_cocycle,
     is_two_cocycle_kx,
     kx_coboundary_of,
-    kx_is_coboundary,
     one_cocycles,
     quadratic_cocycle,
     transport_to_family,
@@ -37,6 +33,12 @@ from galforms.cohomology import (
 from galforms.exact_linalg import IntMatrix
 from galforms.fields import cyclotomic_field, quadratic_field
 from galforms.groups import cyclic, direct_product
+from oracles import (
+    cohomologous_module_cocycles,
+    enumerate_cocycles,
+    h2_enumerate,
+    kx_is_coboundary,
+)
 
 
 # --- H^0 and H^1 ----------------------------------------------------------

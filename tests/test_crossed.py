@@ -315,6 +315,29 @@ def test_structure_matches_reference_definitions(field, count):
         assert alg.is_central_simple()
 
 
+def products_reference(alg):
+    """The table by its definition: multiply every pair of k-basis
+    elements."""
+    basis = alg.k_basis()
+    return [[alg.multiply(x, y).k_coords() for y in basis] for x in basis]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [quadratic_field(-1), quadratic_field(7), cyclotomic_field(3), cyclotomic_field(4),
+     cyclotomic_field(5), cyclotomic_field(8), cyclotomic_field(12)],
+    ids=repr,
+)
+def test_products_match_multiplication(field):
+    """b_(a,s) b_(b,t) = theta^s a(theta^t) zeta(a, b) e_ab against
+    multiply() over the k-basis, on random cohomologous cocycles (n = 12
+    has the non-cyclic group C2 x C2)."""
+    rng = random.Random(f"products-{field!r}")
+    for _ in range(2):
+        alg = random_algebra(rng, field)
+        assert alg._products() == products_reference(alg)
+
+
 def test_normalized_cocycles_stay_cocycles():
     rng = random.Random(29)
     for field in (quadratic_field(-1), quadratic_field(3), cyclotomic_field(5), cyclotomic_field(8)):

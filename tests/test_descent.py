@@ -21,6 +21,8 @@ from galforms.descent import (
     fixed_space,
     from_module,
     identity_datum,
+    kmat,
+    kmat_inv,
     make_datum,
     module_morphisms,
     random_datum,
@@ -30,6 +32,7 @@ from galforms.descent import (
     validate_datum,
 )
 from galforms.fields import cyclotomic_field, quadratic_field
+from galforms import qlinalg
 
 
 def gaussian_action():
@@ -71,6 +74,54 @@ def test_singular_component_rejected():
     )
     ok, why = validate_datum(datum)
     assert not ok and "bijective" in why
+
+
+def test_bijectivity_verdict_matches_inversion_over_k():
+    """The bijectivity test takes the rank of the flattened rational
+    matrix; it must agree with Gaussian elimination over K, also for
+    matrices that are singular over K with irrational entries."""
+    rng = random.Random(3)
+    for field in (quadratic_field(-7), cyclotomic_field(5), cyclotomic_field(8)):
+        action = GaloisAction.of(field)
+        eye = [[1, 0], [0, 1]]
+        for _ in range(6):
+            x = field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+            y = field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+            lam = field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+            singular = rng.random() < 0.5
+            second = [lam * x, lam * y] if singular else [lam * x + field.one(), lam * y]
+            m = [[x, y], second]
+            datum = make_datum(action, trivial_kx_cocycle(action), [eye] + [m] * (action.group.order - 1))
+            ok, why = validate_datum(datum)
+            invertible = kmat_inv(kmat(field, m)) is not None
+            assert (why != "component 1 is not bijective") == invertible, (field, m)
+
+
+def test_to_module_matches_the_definitions():
+    """Action matrices of to_module against their definition: the
+    k-matrix of a_V from datum.apply on k-basis vectors, times the
+    k-matrix of multiplication by theta^t, in Fractions."""
+    rng = random.Random(13)
+    for field, dim, twisted in ((quadratic_field(-1), 2, True), (quadratic_field(3), 3, False),
+                                (cyclotomic_field(5), 2, False), (cyclotomic_field(8), 1, False)):
+        datum = random_datum(GaloisAction.of(field), dim, rng, twisted=twisted)
+        deg = field.degree
+        big = dim * deg
+        basis = [field.element([int(s == t) for s in range(deg)]) for t in range(deg)]
+
+        def k_matrix(images):
+            cols = [[c for x in image for c in x.coords] for image in images]
+            return [[cols[j][i] for j in range(big)] for i in range(big)]
+
+        unit_vectors = [[basis[t] if k == j else field.zero() for k in range(dim)]
+                        for j in range(dim) for t in range(deg)]
+        want = []
+        for a in datum.action.group.elements():
+            semi = k_matrix([datum.apply(a, v) for v in unit_vectors])
+            for lam in basis:
+                scalar = k_matrix([[lam * x for x in v] for v in unit_vectors])
+                want.append(tuple(tuple(row) for row in qlinalg.mat_mul(semi, scalar)))
+        assert list(to_module(datum).actions) == want
 
 
 def test_conjugation_by_i_is_valid():
@@ -163,6 +214,14 @@ def perturbation_cases():
     yield "regular Q(zeta_3)", regular_module(CrossedProductAlgebra(zeta3, trivial_kx_cocycle(zeta3)))
     yield "to_module Q(i) dim 2 twisted", to_module(random_datum(gaussian_action(), 2, rng))
     yield "to_module Q(zeta_5) dim 1", to_module(random_datum(zeta5, 1, rng, twisted=False))
+    # rational entries with denominators, so the integer checks scale
+    quaternion = GaloisAction.of(quadratic_field(2))
+    yield "regular Q(sqrt 2), c=3/2", regular_module(
+        CrossedProductAlgebra(quaternion, quadratic_cocycle(quaternion, Fraction(3, 2)))
+    )
+    yield "to_module Q(zeta_5) dim 2, conjugated by det 6", to_module(
+        conjugate_datum(random_datum(zeta5, 2, rng, twisted=False), [[2, 1], [0, 3]])
+    )
 
 
 PERTURBATION_CASES = list(perturbation_cases())

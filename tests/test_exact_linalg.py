@@ -3,6 +3,7 @@ coinvariants.  The SNF properties here are the oracle layer everything
 else leans on."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,12 @@ from galforms.exact_linalg import (
     coinvariants,
     cokernel,
     fixed_sublattice,
+    int_rank,
     kernel_basis,
     smith_normal_form,
     solve_integer,
 )
+from galforms import qlinalg
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -189,3 +192,18 @@ def test_rank_additivity_random_involutions(n, data):
     moved_rank = n - group.free_rank
     assert fixed.rank + moved_rank == n
     assert fixed.rank == group.free_rank
+
+
+def test_int_rank_matches_rational_rank():
+    """Fraction-free rank against Gaussian elimination over Q, on random
+    integer matrices built with a known rank."""
+    rng = random.Random(5)
+    for _ in range(60):
+        rows, cols, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
+        left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(r)]
+        m = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(cols)]
+             for i in range(rows)]
+        want = qlinalg.rank([[Fraction(x) for x in row] for row in m])
+        assert int_rank(m) == want <= r
+

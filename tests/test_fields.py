@@ -50,6 +50,58 @@ def test_cyclotomic_arithmetic():
         assert x * x.inverse() == k.one()
 
 
+def dense_product(field, x, y):
+    """x * y by Fraction convolution and reduction by the powers of the
+    generator, every product Fraction by Fraction."""
+    m = field.degree
+    conv = [Fraction(0)] * (2 * m - 1)
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            conv[i + j] += a * b
+    if field.kind == "quadratic":
+        return (conv[0] + field.param * conv[2], conv[1])
+    phi = [Fraction(c) for c in cyclotomic_polynomial(field.param)]
+    for k in range(2 * m - 2, m - 1, -1):
+        top, conv[k] = conv[k], Fraction(0)
+        for i in range(m):
+            conv[k - m + i] -= top * phi[i]
+    return tuple(conv[:m])
+
+
+def random_element(rng, field):
+    return field.element(
+        [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for _ in range(field.degree)]
+    )
+
+
+@pytest.mark.parametrize(
+    "field",
+    [quadratic_field(-1), quadratic_field(-15), quadratic_field(10), cyclotomic_field(3),
+     cyclotomic_field(5), cyclotomic_field(7), cyclotomic_field(8), cyclotomic_field(9),
+     cyclotomic_field(12), cyclotomic_field(15)],
+    ids=repr,
+)
+def test_sparse_kernels_match_dense_fraction_formulas(field):
+    """The integer kernels (products, Galois action) agree with the dense
+    Fraction formulas, zero coordinates and denominators included."""
+    rng = random.Random(f"kernels-{field!r}")
+    _group, elems = galois_group(field)
+    samples = [random_element(rng, field) for _ in range(12)]
+    samples += [field.zero(), field.one(), field.generator()]
+    for x in samples:
+        for y in samples[:6]:
+            product = x * y
+            assert product.coords == dense_product(field, x, y)
+            assert all(type(c) is Fraction for c in product.coords)
+        for g in elems:
+            image = g.apply(x)
+            assert image.coords == tuple(
+                sum((row[j] * x.coords[j] for j in range(field.degree)), Fraction(0))
+                for row in g.matrix
+            )
+            assert all(type(c) is Fraction for c in image.coords)
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == [-1, 1]
     assert cyclotomic_polynomial(2) == [1, 1]
