@@ -118,9 +118,14 @@ def parse_field(doc):
     raise MalformedInput(f"unknown field kind {kind!r}")
 
 
+def _is_int(x):
+    """A JSON integer: bools are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _field_int(doc, key):
     value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise MalformedInput(f"field.{key} must be an integer, got {value!r}")
     return value
 
@@ -158,7 +163,7 @@ def parse_cocycle(action, doc):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise MalformedInput("cocycle table entries are [a, b, value]")
         a, b, val = entry
-        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
+        if not (_is_int(a) and _is_int(b) and 0 <= a < n and 0 <= b < n):
             raise MalformedInput(f"bad group element pair ({a}, {b})")
         values[(a, b)] = parse_field_element(action.field, val)
     missing = [(a, b) for a in range(n) for b in range(n) if (a, b) not in values]
@@ -287,8 +292,7 @@ def cmd_coinvariants(args):
 
 def _index_list(value, name, bound):
     """value as a tuple of element indices of a group of order bound."""
-    if not (isinstance(value, list) and all(
-            isinstance(x, int) and not isinstance(x, bool) and 0 <= x < bound for x in value)):
+    if not (isinstance(value, list) and all(_is_int(x) and 0 <= x < bound for x in value)):
         raise MalformedInput(f"{name} must be a list of integers in [0, {bound})")
     return tuple(value)
 
@@ -303,7 +307,7 @@ def _parse_ggroup(doc):
         raise MalformedInput("action must be one permutation per gamma element")
     perms = []
     for perm in action_doc:
-        ints = isinstance(perm, list) and all(isinstance(x, int) for x in perm)
+        ints = isinstance(perm, list) and all(map(_is_int, perm))
         if not ints or sorted(perm) != list(range(coeff.order)):
             raise MalformedInput(f"bad permutation {perm!r}")
         perms.append(tuple(perm))
@@ -326,7 +330,7 @@ def cmd_h1(args):
 def _parse_gmodule(doc):
     gamma = parse_group(doc.get("gamma", "C2"))
     moduli = doc.get("moduli")
-    if not (isinstance(moduli, list) and moduli and all(isinstance(m, int) and m >= 1 for m in moduli)):
+    if not (isinstance(moduli, list) and moduli and all(_is_int(m) and m >= 1 for m in moduli)):
         raise MalformedInput("moduli must be a nonempty list of positive integers")
     action_doc = doc.get("action")
     if action_doc in (None, "trivial"):
@@ -335,9 +339,11 @@ def _parse_gmodule(doc):
         raise MalformedInput("action must be one integer matrix per gamma element")
     mats = []
     for m in action_doc:
+        if not (isinstance(m, list) and all(isinstance(row, list) and all(map(_is_int, row)) for row in m)):
+            raise MalformedInput(f"action matrices must be lists of rows of integers, got {m!r}")
         try:
             mats.append(IntMatrix(m))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedInput(f"bad action matrix: {exc}") from exc
     return GModule(gamma, tuple(moduli), tuple(mats))
 
@@ -542,7 +548,6 @@ def build_parser():
         prog="galforms",
         description="Exact classification of forms of reductive groups.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dual", help="Langlands dual of a based root datum")

@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .exact_linalg import FiniteAbelianGroup, IntMatrix, _smith, solve_integer
+from .exact_linalg import FiniteAbelianGroup, IntMatrix, _dense, _mul, _sparse_smith, solve_integer
 from .fields import FieldElement, GaloisField, galois_group, is_norm_quadratic
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _extend, generators
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +76,21 @@ def is_one_cocycle(ggroup, f):
 
 
 def one_cocycles(ggroup, budget=10**7):
-    """All 1-cocycles Gamma -> A, each a tuple indexed by Gamma."""
+    """All 1-cocycles Gamma -> A, each a tuple indexed by Gamma, sorted.
+    Tries every image in A of a greedy generating set of Gamma, extends it
+    along the Cayley graph by f(x s) = f(x) x(f(s)) and keeps the maps
+    that satisfy the cocycle condition everywhere."""
     gamma, coeff = ggroup.gamma, ggroup.coeff
     n, m = gamma.order, coeff.order
-    others = [g for g in range(n) if g != gamma.identity]
-    if m ** len(others) > budget:
-        raise ValueError(f"enumeration budget exceeded: {m}^{len(others)} candidates")
+    if m ** (n - 1) > budget:
+        raise ValueError(f"enumeration budget exceeded: {m}^{n - 1} candidates")
+    gens = generators(gamma)
     cocycles = []
-    for values in product(range(m), repeat=len(others)):
-        f = [None] * n
-        f[gamma.identity] = coeff.identity
-        for g, v in zip(others, values):
-            f[g] = v
-        f = tuple(f)
-        if is_one_cocycle(ggroup, f):
-            cocycles.append(f)
-    return cocycles
+    for values in product(range(m), repeat=len(gens)):
+        f = _extend(gamma, coeff, gens, values, ggroup.action)
+        if f is not None and is_one_cocycle(ggroup, f):
+            cocycles.append(tuple(f))
+    return sorted(cocycles)
 
 
 def h1_nonabelian(ggroup, budget=10**7):
@@ -211,60 +210,50 @@ class GModule:
 
 # --- bar complex ---------------------------------------------------------
 
-def _pair_index(n, a, b):
-    return a * n + b
-
-
-def _d1_matrix(module):
-    """C^1 -> C^2: (d f)(a,b) = a f(b) - f(ab) + f(a)."""
+def _bar_rows(module, p):
+    """The bar differential C^p -> C^(p+1) as sparse rows, one per
+    (g_0, ..., g_p, coordinate) in lexicographic order: (d f)(g_0..g_p) =
+    g_0 f(g_1..g_p) + sum_i (-1)^i f(..g_(i-1) g_i..) + (-1)^(p+1)
+    f(g_0..g_(p-1)).  A cochain's coordinate (g_1..g_p, i) is column
+    index(g_1..g_p) * k + i, the index read in base |Gamma|."""
     gamma, k = module.gamma, module.rank
-    n = gamma.order
-    rows = n * n * k
-    cols = n * k
-    entries = [[0] * cols for _ in range(rows)]
-    for a in range(n):
-        for b in range(n):
-            base = _pair_index(n, a, b) * k
-            mat = module.action[a]
-            for i in range(k):
-                for j in range(k):
-                    entries[base + i][b * k + j] += mat[i, j]
-            ab = gamma.table[a][b]
-            for i in range(k):
-                entries[base + i][ab * k + i] -= 1
-                entries[base + i][a * k + i] += 1
-    return IntMatrix(entries)
+    n, table = gamma.order, gamma.table
+    acts = [[{j: x for j, x in enumerate(row) if x} for row in mat._data] for mat in module.action]
+
+    def index(gs):
+        c = 0
+        for g in gs:
+            c = c * n + g
+        return c * k
+
+    rows = []
+    for g in product(range(n), repeat=p + 1):
+        faces = [(-1 if i % 2 else 1, index(g[:i - 1] + (table[g[i - 1]][g[i]],) + g[i + 1:]))
+                 for i in range(1, p + 1)]
+        faces.append((-1 if p % 2 == 0 else 1, index(g[:p])))
+        first = index(g[1:])
+        for i in range(k):
+            row = {first + j: x for j, x in acts[g[0]][i].items()}
+            for sign, c in faces:
+                row[c + i] = row.get(c + i, 0) + sign
+            rows.append({c: x for c, x in row.items() if x})
+    return rows
 
 
-def _d2_matrix(module):
-    """C^2 -> C^3: (d z)(a,b,c) = a z(b,c) - z(ab,c) + z(a,bc) - z(a,b)."""
-    gamma, k = module.gamma, module.rank
-    n = gamma.order
-    rows = n * n * n * k
-    cols = n * n * k
-    entries = [[0] * cols for _ in range(rows)]
-    for a in range(n):
-        mat = module.action[a]
-        for b in range(n):
-            ab = gamma.table[a][b]
-            for c in range(n):
-                base = ((a * n + b) * n + c) * k
-                bc = gamma.table[b][c]
-                col_bc = _pair_index(n, b, c) * k
-                for i in range(k):
-                    for j in range(k):
-                        entries[base + i][col_bc + j] += mat[i, j]
-                for i in range(k):
-                    entries[base + i][_pair_index(n, ab, c) * k + i] -= 1
-                    entries[base + i][_pair_index(n, a, bc) * k + i] += 1
-                    entries[base + i][_pair_index(n, a, b) * k + i] -= 1
-    return IntMatrix(entries)
+def _c2_generators(module):
+    """Sparse rows of [d1 | diag(C^2 moduli)], whose columns generate
+    im(d1) + (moduli lattice of C^2)."""
+    rows = _bar_rows(module, 1)
+    n1, k = module.gamma.order * module.rank, module.rank
+    for i, row in enumerate(rows):
+        row[n1 + i] = module.moduli[i % k]
+    return rows
 
 
 def _divide_exactly(row, d):
-    if any(x % d for x in row):
+    if any(x % d for x in row.values()):
         raise ArithmeticError(f"cochain coordinates are not divisible by {abs(d)}")
-    return [x // d for x in row]
+    return {j: x // d for j, x in row.items()}
 
 
 def h2_bar(module):
@@ -275,49 +264,46 @@ def h2_bar(module):
 
     H^2 = K / (im d1 + moduli lattice of C^2), K the integer 2-cochains x
     with d2 x = 0 mod the C^3 moduli.  A Smith normal form gives K a basis
-    bk and, by its inverse transform, integer coordinates in bk.
+    bk and, by its inverse transform, integer coordinates in bk.  All
+    matrices are sparse rows; bk is kept by columns.
     """
     gamma, k = module.gamma, module.rank
     n = gamma.order
-    n2 = n * n * k
-    d1 = _d1_matrix(module)
-    d2 = _d2_matrix(module)
-    moduli_c2 = [module.moduli[i % k] for i in range(n2)]
-    moduli_c3 = [module.moduli[i % k] for i in range(n * n * n * k)]
-    # generators of im(d1) + (moduli lattice of C^2), one per column
-    gens = d1.hcat(IntMatrix.diagonal(moduli_c2))
+    n1, n2, n3 = n * k, n * n * k, n * n * n * k
+    moduli_c3 = [module.moduli[i % k] for i in range(n3)]
+    gens = _c2_generators(module)
+    d2 = _bar_rows(module, 2)
     if len(set(moduli_c3)) == 1:
         # x = V y lies in K iff s_t y_t = 0 mod m for every t, so
         # bk = V diag(scales) and bk^-1 gens = diag(scales)^-1 V^-1 gens.
         m = moduli_c3[0]
-        s, _u, v, _u_inv, v_inv = _smith(d2, v=True, v_inv=True)
-        scales = [m // gcd(s[t, t], m) if s[t, t] else 1 for t in range(n2)]
-        bk = v * IntMatrix.diagonal(scales)
-        coords = IntMatrix(_divide_exactly(row, d) for row, d in zip((v_inv * gens)._data, scales))
+        s, _u, v, _u_inv, v_inv = _sparse_smith(d2, n2, v=True, v_inv=True)
+        scales = [m // gcd(s[t].get(t, 0), m) for t in range(n2)]
+        bk = [{i: c * x for i, x in col.items()} for col, c in zip(v, scales)]
+        coords = [_divide_exactly(row, d) for row, d in zip(_mul(v_inv, gens), scales)]
     else:
         # K projects from the kernel of [d2 | D], D = diag(C^3 moduli) of
         # full row rank r, with basis the columns r.. of V; a cocycle w
         # lifts to (w, -D^-1 d2 w), with coordinates the rows r.. of V^-1.
-        stacked = d2.hcat(IntMatrix.diagonal(moduli_c3))
-        _s, _u, v, _u_inv, v_inv = _smith(stacked, v=True, v_inv=True)
-        r = len(moduli_c3)
-        bk = v.submatrix(range(n2), range(r, stacked.cols))
-        lifts = [_divide_exactly(row, -d) for row, d in zip((d2 * gens)._data, moduli_c3)]
-        coords = v_inv.submatrix(range(r, v.cols), range(v.cols)) * gens.stack(IntMatrix(lifts))
-    s, _u, _v, u_inv, _v_inv = _smith(coords, u_inv=True)
+        stacked = [{**row, n2 + i: d} for i, (row, d) in enumerate(zip(d2, moduli_c3))]
+        lifts = [_divide_exactly(row, -d) for row, d in zip(_mul(d2, gens), moduli_c3)]
+        _s, _u, v, _u_inv, v_inv = _sparse_smith(stacked, n2 + n3, v=True, v_inv=True)
+        bk = [{i: x for i, x in col.items() if i < n2} for col in v[n3:]]
+        coords = _mul(v_inv[n3:], gens + lifts)
+    s, _u, _v, u_inv, _v_inv = _sparse_smith(coords, n1 + n2, u_inv=True)
     factors = []
     reps = []
     for t in range(n2):  # coords has n2 rows and more columns
-        d = s[t, t]
+        d = s[t].get(t, 0)
         if d in (0, 1):
             continue
         factors.append(d)
-        vec = bk.apply(u_inv.column(t))
+        vec = _mul([u_inv[t]], bk)[0]
         table = {}
         for a in range(n):
             for b in range(n):
-                base = _pair_index(n, a, b) * k
-                table[(a, b)] = module.reduce(vec[base: base + k])
+                base = (a * n + b) * k
+                table[(a, b)] = module.reduce(vec.get(base + i, 0) for i in range(k))
         reps.append(normalize_module_cocycle(module, table))
     order = sorted(range(len(factors)), key=lambda i: factors[i])
     group = FiniteAbelianGroup(tuple(factors[i] for i in order), 0)
@@ -356,10 +342,8 @@ def is_module_coboundary(module, table):
     algebra, no enumeration)."""
     gamma, k = module.gamma, module.rank
     n = gamma.order
-    d1 = _d1_matrix(module)
     n1, n2 = n * k, n * n * k
-    moduli_c2 = [module.moduli[i % k] for i in range(n2)]
-    a = d1.hcat(IntMatrix.diagonal(moduli_c2))
+    a = _dense(_c2_generators(module), n1 + n2)
     target = []
     for idx in range(n2):
         pair = idx // k

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major.  The public constructor checks
+    its entries; results computed here are built unchecked by _trusted."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -30,28 +30,24 @@ class IntMatrix:
         self.cols = ncols
         self._data = data
 
+    @classmethod
+    def _trusted(cls, data, cols):
+        """The matrix of a tuple of int tuples, each of length cols."""
+        matrix = object.__new__(cls)
+        matrix._data, matrix.rows, matrix.cols = data, len(data), cols
+        return matrix
+
     @staticmethod
     def zero(rows, cols):
-        return IntMatrix([[0] * cols for _ in range(rows)])
+        return IntMatrix._trusted(((0,) * cols,) * rows, cols)
 
     @staticmethod
     def identity(n):
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diagonal(diag):
-        n = len(diag)
-        return IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return _dense([{i: 1} for i in range(n)], n)
 
     def __getitem__(self, ij):
         i, j = ij
         return self._data[i][j]
-
-    def row(self, i):
-        return self._data[i]
-
-    def column(self, j):
-        return tuple(self._data[i][j] for i in range(self.rows))
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self._data == other._data
@@ -66,44 +62,21 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            # skip zeros on both sides: bar complexes and transforms are sparse
-            sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other._data]
-            product = []
-            for row in self._data:
-                acc = [0] * other.cols
-                for x, pairs in zip(row, sparse):
-                    if x:
-                        for j, y in pairs:
-                            acc[j] += x * y
-                product.append(acc)
-            return IntMatrix(product)
+            return _dense(_mul(_rows(self), _rows(other)), other.cols)
         return NotImplemented
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
-            ]
-        )
 
     def __sub__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("dimension mismatch")
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
-            ]
-        )
+        data = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self._data, other._data))
+        return IntMatrix._trusted(data, self.cols)
 
     def __neg__(self):
-        return IntMatrix([[-a for a in row] for row in self._data])
+        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self._data), self.cols)
 
     def transpose(self):
-        return IntMatrix([self.column(j) for j in range(self.cols)])
+        data = tuple(zip(*self._data)) if self.rows else ((),) * self.cols
+        return IntMatrix._trusted(data, self.rows)
 
     def apply(self, vector):
         """Matrix-vector product, vector as a sequence of ints."""
@@ -115,16 +88,19 @@ class IntMatrix:
         """Vertical concatenation."""
         if self.cols != other.cols:
             raise ValueError("dimension mismatch")
-        return IntMatrix(list(self._data) + list(other._data))
+        return IntMatrix._trusted(self._data + other._data, self.cols)
 
     def hcat(self, other):
         """Horizontal concatenation."""
         if self.rows != other.rows:
             raise ValueError("dimension mismatch")
-        return IntMatrix([list(r1) + list(r2) for r1, r2 in zip(self._data, other._data)])
+        data = tuple(r1 + r2 for r1, r2 in zip(self._data, other._data))
+        return IntMatrix._trusted(data, self.cols + other.cols)
 
     def submatrix(self, row_indices, col_indices):
-        return IntMatrix([[self._data[i][j] for j in col_indices] for i in row_indices])
+        """The entries in the given rows and columns (sequences of indices)."""
+        data = tuple(tuple(self._data[i][j] for j in col_indices) for i in row_indices)
+        return IntMatrix._trusted(data, len(col_indices))
 
     def determinant(self):
         """Exact determinant via fraction-valued Gaussian elimination."""
@@ -173,6 +149,34 @@ def int_rank(vectors):
         rows = reduced
         rank += 1
     return rank
+
+
+def _rows(matrix):
+    """The rows of an IntMatrix as sparse rows: dicts of column to nonzero
+    value."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix._data]
+
+
+def _dense(rows, ncols, columns=False):
+    """The IntMatrix of sparse rows of length ncols, or with columns, of the
+    sparse columns of a square matrix."""
+    data = [[0] * ncols for _ in rows]
+    for line, row in zip(data, rows):
+        for j, x in row.items():
+            line[j] = x
+    return IntMatrix._trusted(tuple(zip(*data)) if columns else tuple(map(tuple, data)), ncols)
+
+
+def _mul(a, b):
+    """The product of two matrices given as sparse rows."""
+    product = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        product.append({j: x for j, x in acc.items() if x})
+    return product
 
 
 @dataclass(frozen=True)
@@ -236,136 +240,176 @@ def smith_normal_form(matrix):
 
 def _smith(matrix, u=False, v=False, u_inv=False, v_inv=False):
     """The elimination behind smith_normal_form: (S, U, V, U^-1, V^-1),
-    updating only the transforms asked for and None for the others.  On
-    the inverses, row_i -= q*row_j on U is col_j += q*col_i on U^-1, and
-    col_i -= q*col_j on V is row_j += q*row_i on V^-1."""
+    with None for the transforms not asked for."""
     m, n = matrix.rows, matrix.cols
-    s = [list(row) for row in matrix._data]
-    # U and V^-1 are kept as lists of rows, V and U^-1 as lists of
-    # columns, so that every update is a whole-list operation
+    s, *transforms = _sparse_smith(_rows(matrix), n, u, v, u_inv, v_inv)
+    return (_dense(s, n),) + tuple(
+        None if x is None else _dense(x, k, columns)
+        for x, k, columns in zip(transforms, (m, n, m, n), (False, True, True, False))
+    )
+
+
+def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False):
+    """Smith normal form of the matrix with sparse rows s, eliminated in
+    place: (S, U, V, U^-1, V^-1), S, U and V^-1 as sparse rows, V and U^-1
+    as sparse columns, None for the transforms not asked for.  Pivot:
+    smallest nonzero absolute value, then lowest row, then lowest column;
+    the scan stops at the first entry of absolute value 1.  On the
+    inverses, row_i -= q*row_j on U is col_j += q*col_i on U^-1, and
+    col_i -= q*col_j on V is row_j += q*row_i on V^-1."""
+    m, n = len(s), ncols
+    # the rows keep the input's column keys: column j is key at[j], and
+    # key c is column pos[c], so a column swap touches no row
+    at, pos = list(range(n)), list(range(n))
+    holding = [set() for _ in range(n)]  # by key: the rows that may hold it
+    for i, row in enumerate(s):
+        for k in row:
+            holding[k].add(i)
     u_rows, v_cols, u_inv_cols, v_inv_rows = (
-        [[int(i == j) for j in range(k)] for i in range(k)] if wanted else None
+        [{i: 1} for i in range(k)] if wanted else None
         for k, wanted in ((m, u), (n, v), (m, u_inv), (n, v_inv))
     )
 
-    def axpy(rows, i, j, q):  # rows[i] += q * rows[j], skipping zeros of rows[j]
-        if rows is not None:
-            dst, src = rows[i], rows[j]
-            for k in compress(range(len(src)), src):
-                dst[k] += q * src[k]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        axpy(s, i, j, -q)
-        axpy(u_rows, i, j, -q)
-        axpy(u_inv_cols, j, i, q)
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in s:
-            if row[j]:
-                row[i] -= q * row[j]
-        axpy(v_cols, i, j, -q)
-        axpy(v_inv_rows, j, i, q)
+    def axpy(lines, i, j, q):  # lines[i] += q * lines[j]
+        dst = lines[i]
+        for k, x in lines[j].items():
+            y = dst.get(k, 0) + q * x
+            if y:
+                dst[k] = y
+            else:
+                del dst[k]
 
     def swap(i, j, *lists):
         for x in lists:
             if x is not None:
                 x[i], x[j] = x[j], x[i]
 
-    def swap_rows(i, j):
-        swap(i, j, s, u_rows, u_inv_cols)
-
     def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        swap(i, j, v_cols, v_inv_rows)
+        swap(i, j, at, v_cols, v_inv_rows)
+        pos[at[i]], pos[at[j]] = i, j
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        dst = s[i]
+        for k, x in s[j].items():
+            if k in dst:
+                y = dst[k] - q * x
+                if y:
+                    dst[k] = y
+                else:
+                    del dst[k]
+            else:
+                dst[k] = -q * x
+                holding[k].add(i)
+        if u_rows:
+            axpy(u_rows, i, j, -q)
+        if u_inv_cols:
+            axpy(u_inv_cols, j, i, q)
+
+    def col_op(i, j, q, rows):  # col_i -= q * col_j, whose nonzero entries lie in rows
+        ci, cj = at[i], at[j]
+        for r in rows:
+            row = s[r]
+            if cj in row:
+                y = row.get(ci, 0) - q * row[cj]
+                if y:
+                    row[ci] = y
+                    holding[ci].add(r)
+                else:
+                    del row[ci]
+        if v_cols:
+            axpy(v_cols, i, j, -q)
+        if v_inv_rows:
+            axpy(v_inv_rows, j, i, q)
 
     def negate_row(t):
         for x in (s, u_rows, u_inv_cols):
             if x is not None:
-                x[t] = [-a for a in x[t]]
+                x[t] = {k: -y for k, y in x[t].items()}
 
-    def find_pivot(t):
-        # scanning in tie-break order, an entry of absolute value 1 is final
-        pivot, best = None, 0
-        for i in range(t, m):
-            row = s[i][t:]
-            if not any(row):
-                continue
-            a = min(map(abs, filter(None, row)))
-            if not best or a < best:
-                j = next(j for j, x in enumerate(row) if x == a or x == -a)
-                pivot, best = (i, t + j), a
-                if a == 1:
-                    break
-        return pivot
+    def entry(i, j):
+        return s[i].get(at[j], 0)
 
+    # Rows from the pivot row t on are zero left of column t, so the scan
+    # reads whole rows.  live holds, in order, the rows from t on that may
+    # be nonzero; zero rows stay zero, so the scan drops them.
+    live = [i for i in range(m) if s[i]]
     for t in range(min(m, n)):
         while True:
-            pivot = find_pivot(t)
+            pivot, best, kept, rest = None, 0, [], []
+            for k, i in enumerate(live):
+                if s[i]:
+                    kept.append(i)
+                    a = min(map(abs, s[i].values()))
+                    if not best or a < best:
+                        pivot, best = i, a
+                        if a == 1:
+                            rest = live[k + 1:]
+                            break
+            live = kept + rest
             if pivot is None:
                 break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
+            pj = min(pos[c] for c, x in s[pivot].items() if x == best or x == -best)
+            if pivot != t:
+                swap(t, pivot, s, u_rows, u_inv_cols)
+                for i in (t, pivot):
+                    for k in s[i]:
+                        holding[k].add(i)
+                if live[0] != t:
+                    live.insert(0, t)
             if pj != t:
                 swap_cols(t, pj)
-            done = True
-            for i in range(t + 1, m):
-                q = s[i][t] // s[t][t]
-                if q:
-                    row_op(i, t, q)
-                if s[i][t]:
-                    done = False
-            for j in range(t + 1, n):
-                q = s[t][j] // s[t][t]
-                if q:
-                    col_op(j, t, q)
-                if s[t][j]:
-                    done = False
-            if done:
+            c = at[t]
+            p = s[t][c]
+            column = [i for i in holding[c] if c in s[i]]
+            for i in column:
+                if i != t and s[i][c] // p:
+                    row_op(i, t, s[i][c] // p)
+            column = [i for i in column if c in s[i]]  # row t and the remainders
+            holding[c] = set(column)
+            for key, x in list(s[t].items()):
+                if key != c and x // p:
+                    col_op(pos[key], t, x // p, column)
+            if len(column) == 1 and len(s[t]) == 1:
                 break
-        # pivot clean; move on (divisibility fixed below)
+        if pivot is None:
+            break
+        del live[0]
 
     # normalize signs
-    for t in range(min(m, n)):
-        if s[t][t] < 0:
+    r = min(m, n)
+    for t in range(r):
+        if entry(t, t) < 0:
             negate_row(t)
 
     # enforce divisibility chain d_t | d_{t+1}
     changed = True
     while changed:
         changed = False
-        for t in range(min(m, n) - 1):
-            a, b = s[t][t], s[t + 1][t + 1]
+        for t in range(r - 1):
+            a, b = entry(t, t), entry(t + 1, t + 1)
             if a and b % a != 0:
                 # fold entry (t+1, t+1) into the pivot position and rediagonalize
-                col_op(t, t + 1, -1)  # col_t += col_{t+1}
+                col_op(t, t + 1, -1, (t, t + 1))  # col_t += col_{t+1}
                 # now s[t+1][t] = b; clear the 2x2 block by euclidean steps
-                while s[t + 1][t] or s[t][t + 1]:
-                    if s[t + 1][t]:
-                        if s[t][t] == 0 or (
-                            s[t + 1][t] and abs(s[t + 1][t]) < abs(s[t][t])
-                        ):
-                            swap_rows(t, t + 1)
-                        if s[t + 1][t]:
-                            q = s[t + 1][t] // s[t][t]
-                            row_op(t + 1, t, q)
-                    if s[t][t + 1]:
-                        if s[t][t] == 0 or abs(s[t][t + 1]) < abs(s[t][t]):
+                while entry(t + 1, t) or entry(t, t + 1):
+                    if entry(t + 1, t):
+                        if entry(t, t) == 0 or abs(entry(t + 1, t)) < abs(entry(t, t)):
+                            swap(t, t + 1, s, u_rows, u_inv_cols)
+                        if entry(t + 1, t):
+                            row_op(t + 1, t, entry(t + 1, t) // entry(t, t))
+                    if entry(t, t + 1):
+                        if entry(t, t) == 0 or abs(entry(t, t + 1)) < abs(entry(t, t)):
                             swap_cols(t, t + 1)
-                        if s[t][t + 1]:
-                            q = s[t][t + 1] // s[t][t]
-                            col_op(t + 1, t, q)
-                if s[t][t] < 0:
+                        if entry(t, t + 1):
+                            col_op(t + 1, t, entry(t, t + 1) // entry(t, t), (t, t + 1))
+                if entry(t, t) < 0:
                     negate_row(t)
-                if s[t + 1][t + 1] < 0:
+                if entry(t + 1, t + 1) < 0:
                     negate_row(t + 1)
                 changed = True
 
-    return (IntMatrix(s),) + tuple(
-        None if x is None else IntMatrix(zip(*x) if as_columns else x)
-        for x, as_columns in ((u_rows, False), (v_cols, True), (u_inv_cols, True), (v_inv_rows, False))
-    )
+    s = [{pos[c]: x for c, x in row.items()} for row in s]
+    return s, u_rows, v_cols, u_inv_cols, v_inv_rows
 
 
 def solve_integer(matrix, b):
@@ -424,17 +468,12 @@ def _check_actions(lattice, action):
 
 
 def _moved_span_matrix(lattice, action):
-    """Matrix whose columns generate span{ g*x - x }."""
-    n = lattice.rank
-    cols = []
-    identity = IntMatrix.identity(n)
+    """Matrix whose columns generate span{ g*x - x }: the g - I side by side."""
+    identity = IntMatrix.identity(lattice.rank)
+    moved = IntMatrix.zero(lattice.rank, 0)
     for g in action:
-        d = g - identity
-        for j in range(n):
-            cols.append(d.column(j))
-    if not cols:
-        return IntMatrix.zero(n, 0)
-    return IntMatrix(cols).transpose()
+        moved = moved.hcat(g - identity)
+    return moved
 
 
 def coinvariants(lattice, action):

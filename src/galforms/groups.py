@@ -123,10 +123,7 @@ def homomorphisms(g, h):
     element is a generator or lies in the subgroup of the generators
     before it, which fixes its image; so generator images tried in
     lexicographic order give the maps in lexicographic order."""
-    gens = []
-    for x in g.elements():
-        if x not in subgroup_closure(g, gens):
-            gens.append(x)
+    gens = generators(g)
     n = g.order
     homs = []
     for gen_images in product(range(h.order), repeat=len(gens)):
@@ -140,17 +137,31 @@ def homomorphisms(g, h):
     return homs
 
 
-def _extend(g, h, gens, gen_images):
-    """The map x*s -> image(x)*image(s) from the identity along the
-    generators, or None where two paths disagree."""
+def generators(g):
+    """A greedy generating set: each element not in the subgroup of the
+    ones taken before it."""
+    gens = []
+    for x in g.elements():
+        if x not in subgroup_closure(g, gens):
+            gens.append(x)
+    return gens
+
+
+def _extend(g, h, gens, gen_images, action=None):
+    """The map x*s -> image(x) * x(image(s)) from the identity along the
+    generators, or None where two paths disagree.  x acts on h by the
+    permutation action[x], or trivially when action is None: then a
+    homomorphism extends this way, otherwise a 1-cocycle."""
     images = [None] * g.order
     images[g.identity] = h.identity
     frontier = [g.identity]
+    trivial = range(h.order)
     while frontier:
         x = frontier.pop()
+        row, act = h.table[images[x]], action[x] if action else trivial
         for s, t in zip(gens, gen_images):
             y = g.table[x][s]
-            z = h.table[images[x]][t]
+            z = row[act[t]]
             if images[y] is None:
                 images[y] = z
                 frontier.append(y)

@@ -1,15 +1,18 @@
-"""Brute-force oracles for the cohomology tests: full enumeration of
-cocycles and coboundaries, and bounded searches.  Desk scale only; they
-check the library's exact algorithms and are not part of it."""
+"""Brute-force oracles for the cohomology and linear-algebra tests: full
+enumeration of cocycles and coboundaries, bounded searches, and the dense
+Smith normal form elimination.  Desk scale only; they check the library's
+exact algorithms and are not part of it."""
 
-from itertools import product
+from itertools import compress, product
 
 from galforms.cohomology import (
     is_module_coboundary,
+    is_one_cocycle,
     kx_coboundary_of,
     module_coboundary,
     normalize_module_cocycle,
 )
+from galforms.exact_linalg import IntMatrix
 
 
 def cohomologous_module_cocycles(module, t1, t2):
@@ -105,3 +108,170 @@ def kx_is_coboundary(cocycle, candidates):
         if all(db.values[key] == cocycle.values[key] for key in cocycle.values):
             return b
     return None
+
+
+def one_cocycles_brute(ggroup):
+    """All 1-cocycles Gamma -> A, in lexicographic order: every map with
+    f(1) = 1, its values tried in element order and a prefix cut off as
+    soon as some f(st) = f(s) s(f(t)) with s, t and st assigned fails.
+    Exhaustive, and blind to generators of Gamma."""
+    gamma, coeff = ggroup.gamma, ggroup.coeff
+    n = gamma.order
+    f = [None] * n
+    f[gamma.identity] = coeff.identity
+    others = [g for g in range(n) if g != gamma.identity]
+    pairs = {g: [(s, t, gamma.table[s][t]) for s in range(n) for t in range(n)
+                 if g in (s, t, gamma.table[s][t])] for g in others}
+    cocycles = []
+
+    def extend(pos):
+        if pos == len(others):
+            assert is_one_cocycle(ggroup, f)
+            cocycles.append(tuple(f))
+            return
+        g = others[pos]
+        for value in range(coeff.order):
+            f[g] = value
+            if all(None in (f[s], f[t], f[st]) or f[st] == coeff.table[f[s]][ggroup.act(s, f[t])]
+                   for s, t, st in pairs[g]):
+                extend(pos + 1)
+        f[g] = None
+
+    extend(0)
+    return cocycles
+
+
+def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False):
+    """The Smith normal form elimination on dense rows, as galforms ran it
+    before the sparse one: (S, U, V, U^-1, V^-1), with None for the
+    transforms not asked for.  The reference for galforms'
+    exact_linalg._smith, which must take the same pivots.  On the
+    inverses, row_i -= q*row_j on U is col_j += q*col_i on U^-1, and
+    col_i -= q*col_j on V is row_j += q*row_i on V^-1."""
+    m, n = matrix.rows, matrix.cols
+    s = [list(row) for row in matrix._data]
+    # U and V^-1 are kept as lists of rows, V and U^-1 as lists of
+    # columns, so that every update is a whole-list operation
+    u_rows, v_cols, u_inv_cols, v_inv_rows = (
+        [[int(i == j) for j in range(k)] for i in range(k)] if wanted else None
+        for k, wanted in ((m, u), (n, v), (m, u_inv), (n, v_inv))
+    )
+
+    def axpy(rows, i, j, q):  # rows[i] += q * rows[j], skipping zeros of rows[j]
+        if rows is not None:
+            dst, src = rows[i], rows[j]
+            for k in compress(range(len(src)), src):
+                dst[k] += q * src[k]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        axpy(s, i, j, -q)
+        axpy(u_rows, i, j, -q)
+        axpy(u_inv_cols, j, i, q)
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in s:
+            if row[j]:
+                row[i] -= q * row[j]
+        axpy(v_cols, i, j, -q)
+        axpy(v_inv_rows, j, i, q)
+
+    def swap(i, j, *lists):
+        for x in lists:
+            if x is not None:
+                x[i], x[j] = x[j], x[i]
+
+    def swap_rows(i, j):
+        swap(i, j, s, u_rows, u_inv_cols)
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        swap(i, j, v_cols, v_inv_rows)
+
+    def negate_row(t):
+        for x in (s, u_rows, u_inv_cols):
+            if x is not None:
+                x[t] = [-a for a in x[t]]
+
+    def find_pivot(t):
+        # scanning in tie-break order, an entry of absolute value 1 is final
+        pivot, best = None, 0
+        for i in range(t, m):
+            row = s[i][t:]
+            if not any(row):
+                continue
+            a = min(map(abs, filter(None, row)))
+            if not best or a < best:
+                j = next(j for j, x in enumerate(row) if x == a or x == -a)
+                pivot, best = (i, t + j), a
+                if a == 1:
+                    break
+        return pivot
+
+    for t in range(min(m, n)):
+        while True:
+            pivot = find_pivot(t)
+            if pivot is None:
+                break
+            pi, pj = pivot
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            done = True
+            for i in range(t + 1, m):
+                q = s[i][t] // s[t][t]
+                if q:
+                    row_op(i, t, q)
+                if s[i][t]:
+                    done = False
+            for j in range(t + 1, n):
+                q = s[t][j] // s[t][t]
+                if q:
+                    col_op(j, t, q)
+                if s[t][j]:
+                    done = False
+            if done:
+                break
+        # pivot clean; move on (divisibility fixed below)
+
+    # normalize signs
+    for t in range(min(m, n)):
+        if s[t][t] < 0:
+            negate_row(t)
+
+    # enforce divisibility chain d_t | d_{t+1}
+    changed = True
+    while changed:
+        changed = False
+        for t in range(min(m, n) - 1):
+            a, b = s[t][t], s[t + 1][t + 1]
+            if a and b % a != 0:
+                # fold entry (t+1, t+1) into the pivot position and rediagonalize
+                col_op(t, t + 1, -1)  # col_t += col_{t+1}
+                # now s[t+1][t] = b; clear the 2x2 block by euclidean steps
+                while s[t + 1][t] or s[t][t + 1]:
+                    if s[t + 1][t]:
+                        if s[t][t] == 0 or (
+                            s[t + 1][t] and abs(s[t + 1][t]) < abs(s[t][t])
+                        ):
+                            swap_rows(t, t + 1)
+                        if s[t + 1][t]:
+                            q = s[t + 1][t] // s[t][t]
+                            row_op(t + 1, t, q)
+                    if s[t][t + 1]:
+                        if s[t][t] == 0 or abs(s[t][t + 1]) < abs(s[t][t]):
+                            swap_cols(t, t + 1)
+                        if s[t][t + 1]:
+                            q = s[t][t + 1] // s[t][t]
+                            col_op(t + 1, t, q)
+                if s[t][t] < 0:
+                    negate_row(t)
+                if s[t + 1][t + 1] < 0:
+                    negate_row(t + 1)
+                changed = True
+
+    return (IntMatrix(s),) + tuple(
+        None if x is None else IntMatrix(zip(*x) if as_columns else x)
+        for x, as_columns in ((u_rows, False), (v_cols, True), (u_inv_cols, True), (v_inv_rows, False))
+    )

@@ -122,6 +122,20 @@ def test_h2_golden_stdout(capsys, tmp_path, case):
     validate_result(case["stdout"])
 
 
+GOLDEN_H1 = json.loads((Path(__file__).parent / "data" / "h1_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_H1, ids=[c["name"] for c in GOLDEN_H1])
+def test_h1_golden_stdout(capsys, tmp_path, case):
+    """Golden stdout of `galforms h1 --job`, recorded while 1-cocycles were
+    found by trying every map."""
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(case["job"]))
+    assert run(["h1", "--job", str(job)]) == 0
+    assert capsys.readouterr().out == json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n"
+    validate_result(case["stdout"])
+
+
 def test_boundary_job(capsys, tmp_path):
     job = tmp_path / "job.json"
     job.write_text(
@@ -390,13 +404,44 @@ def test_boundary_rejects_malformed_fields(capsys, tmp_path, key, value):
     assert out["error"].startswith(key)
 
 
-@pytest.mark.parametrize("action", [[5, 6], [[0, 1, 2], [0, 2, "1"]]])
+@pytest.mark.parametrize("action", [[5, 6], [[0, 1, 2], [0, 2, "1"]], [[0, 1, 2], [False, 2, True]]])
 def test_h1_rejects_action_entries_that_are_not_lists_of_ints(capsys, tmp_path, action):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"gamma": "C2", "coefficients": "C3", "action": action}))
     code, out = invoke(capsys, "h1", "--job", str(job))
     assert code == 2
     assert out["kind"] == "malformed-input"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("moduli", [True]), ("moduli", [2, False]), ("moduli", [2.0]), ("moduli", ["2"]),
+    ("action", [[[1]], [[-1.7]]]), ("action", [[[1]], [["-1"]]]), ("action", [[[1]], [[True]]]),
+    ("action", [[[1]], [-1]]), ("action", [[[1]], [[None]]]),
+])
+def test_h2_fields_must_be_json_integers(capsys, tmp_path, key, value):
+    """moduli and action entries are JSON integers: a bool, a float or a
+    string is malformed input, not a coerced number."""
+    doc = {"gamma": "C2", "moduli": [3], "action": [[[1]], [[-1]]]}
+    doc[key] = value
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    code, out = invoke(capsys, "h2", "--job", str(job))
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+    assert key in out["error"]
+
+
+@pytest.mark.parametrize("pair", [[0, True], [True, 0], [0, 1.0]])
+def test_crossed_product_rejects_group_indices_that_are_not_integers(capsys, tmp_path, pair):
+    one = ["1/1", "0/1"]
+    table = [[0, 0, one], [0, 1, one], [1, 0, one], [1, 1, ["-1/1", "0/1"]]]
+    table[1] = pair + [one]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": {"kind": "quadratic", "d": -1}, "cocycle": table}))
+    code, out = invoke(capsys, "crossed-product", "--job", str(job))
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+    assert "group element pair" in out["error"]
 
 
 @pytest.mark.parametrize(
@@ -497,6 +542,13 @@ def test_argparse_errors_exit_2():
         [sys.executable, "-m", "galforms"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+def test_no_global_seed_flag():
+    """No subroutine is randomized, so there is no --seed to pass."""
+    with pytest.raises(SystemExit) as exc:
+        run(["--seed", "1", "pi1", "--type", "A1"])
+    assert exc.value.code == 2
 
 
 def test_output_is_deterministic():

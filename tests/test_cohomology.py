@@ -5,9 +5,11 @@ cocycles, and the boundary map of a central extension."""
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from galforms.cli import parse_group
 from galforms.cohomology import (
     CentralExtension,
     CyclicNormClasses,
@@ -24,20 +26,23 @@ from galforms.cohomology import (
     is_module_cocycle,
     is_one_cocycle,
     is_two_cocycle_kx,
+    _bar_rows,
     kx_coboundary_of,
+    module_coboundary,
     one_cocycles,
     quadratic_cocycle,
     transport_to_family,
     trivial_kx_cocycle,
 )
-from galforms.exact_linalg import IntMatrix
+from galforms.exact_linalg import IntMatrix, _mul
 from galforms.fields import cyclotomic_field, quadratic_field
-from galforms.groups import cyclic, direct_product
+from galforms.groups import FiniteGroup, cyclic, direct_product, homomorphisms, symmetric
 from oracles import (
     cohomologous_module_cocycles,
     enumerate_cocycles,
     h2_enumerate,
     kx_is_coboundary,
+    one_cocycles_brute,
 )
 
 
@@ -70,6 +75,93 @@ def test_s3_coefficients_h1():
     gg = GGroup.trivial_action(gam, symmetric(3))
     # classes = conjugacy classes of involutions + trivial: {e}, {transpositions}
     assert len(h1_nonabelian(gg)) == 2
+
+
+def _automorphisms(a):
+    """Aut(A) as a FiniteGroup, with its elements as permutations of A."""
+    n = a.order
+    auts = sorted(
+        p for p in permutations(range(n))
+        if all(p[a.table[x][y]] == a.table[p[x]][p[y]] for x in range(n) for y in range(n))
+    )
+    index = {p: i for i, p in enumerate(auts)}
+    table = [[index[tuple(p[q[x]] for x in range(n))] for q in auts] for p in auts]
+    return FiniteGroup(table, check=False), auts
+
+
+def _h1_classes(ggroup, cocycles):
+    """The classes h1_nonabelian forms, from a given list of cocycles."""
+    gamma, coeff = ggroup.gamma, ggroup.coeff
+    base = (coeff.identity,) * gamma.order
+    classes, seen = [], set()
+    for z in [base] + cocycles:
+        if z not in seen:
+            cls = sorted({
+                tuple(coeff.table[coeff.table[coeff.inverse[c]][z[s]]][ggroup.act(s, c)]
+                      for s in range(gamma.order))
+                for c in range(coeff.order)
+            })
+            seen.update(cls)
+            classes.append(cls)
+    return classes
+
+
+H1_COEFFICIENTS = ["C1", "C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "C3xC2"]
+
+
+@pytest.mark.parametrize("gamma_spec", ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C2xC2",
+                                        "C2xC4", "C4xC2", "C2xC2xC2", "S3", "C3xC2"])
+def test_one_cocycles_match_brute_force(gamma_spec):
+    """Cocycles from generator images, and the classes built on them, equal
+    an exhaustive search, for every action of Gamma on every A of order at
+    most 6."""
+    gamma = parse_group(gamma_spec)
+    actions = 0
+    for coeff_spec in H1_COEFFICIENTS:
+        coeff = parse_group(coeff_spec)
+        aut, perms = _automorphisms(coeff)
+        for rho in homomorphisms(gamma, aut):
+            ggroup = GGroup(gamma, coeff, [perms[x] for x in rho])
+            brute = one_cocycles_brute(ggroup)
+            assert one_cocycles(ggroup) == brute, (coeff_spec, rho)
+            assert h1_nonabelian(ggroup) == _h1_classes(ggroup, brute), (coeff_spec, rho)
+            actions += 1
+    assert actions >= len(H1_COEFFICIENTS)
+
+
+def test_one_cocycles_budget():
+    """The budget counts |A|^(|Gamma|-1) maps, as the brute force did."""
+    ggroup = GGroup.trivial_action(cyclic(8), symmetric(3))
+    with pytest.raises(ValueError, match=r"enumeration budget exceeded: 6\^7 candidates"):
+        one_cocycles(ggroup, budget=6**7 - 1)
+    assert len(one_cocycles(ggroup, budget=6**7)) == 4
+
+
+@pytest.mark.parametrize("gamma, moduli, action", [
+    (cyclic(3), (2, 4), None),
+    (direct_product(cyclic(2), cyclic(2)), (6,), None),
+    (cyclic(4), (5,), [[[1]], [[2]], [[4]], [[3]]]),
+    (cyclic(2), (4, 2), [[[1, 0], [0, 1]], [[1, 2], [0, 1]]]),
+])
+def test_bar_rows_form_a_complex(gamma, moduli, action):
+    """d1 is the coboundary of 1-cochains and d2 d1 = 0, mod the moduli."""
+    mod = (GModule.trivial(gamma, moduli) if action is None
+           else GModule(gamma, moduli, [IntMatrix(m) for m in action]))
+    n, k = gamma.order, mod.rank
+    d1, d2 = _bar_rows(mod, 1), _bar_rows(mod, 2)
+    assert len(d1) == n * n * k and len(d2) == n ** 3 * k
+    d2d1 = _mul(d2, _mul(d1, [{j: 1} for j in range(n * k)]))
+    assert all(x % moduli[i % k] == 0 for i, row in enumerate(d2d1) for x in row.values())
+    rng = random.Random(1)
+    for _ in range(5):
+        f = {g: tuple(rng.randrange(d) for d in moduli) for g in range(n)}
+        flat = [x for g in range(n) for x in f[g]]
+        image = [sum(x * flat[j] for j, x in row.items()) for row in d1]
+        table = module_coboundary(mod, f)
+        for a in range(n):
+            for b in range(n):
+                base = (a * n + b) * k
+                assert mod.reduce(image[base: base + k]) == table[(a, b)]
 
 
 # --- H^2 ------------------------------------------------------------------

@@ -4,6 +4,7 @@ else leans on."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,10 @@ from galforms.exact_linalg import (
     solve_integer,
 )
 from galforms import qlinalg
+from galforms.cohomology import GModule, _bar_rows
+from galforms.exact_linalg import _dense
+from galforms.groups import cyclic, direct_product
+from oracles import dense_smith
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -75,6 +80,69 @@ def test_snf_properties(m):
             seen_zero = True
         else:
             assert not seen_zero
+
+
+TRANSFORM_FLAGS = list(product([False, True], repeat=4))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_smith_takes_the_dense_pivots(seed):
+    """S, U, V, U^-1 and V^-1 equal the dense elimination's, for every set
+    of requested transforms, on sparse, dense, rectangular and zero-row
+    matrices."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.choice([0.1, 0.3, 0.6, 1.0])
+        bound = rng.choice([1, 2, 5, 30])
+        entries = [[rng.randint(-bound, bound) if rng.random() < density else 0
+                    for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            entries[rng.randrange(rows)] = [0] * cols
+        m = IntMatrix(entries)
+        for flags in TRANSFORM_FLAGS:
+            assert _smith(m, *flags) == dense_smith(m, *flags), (entries, flags)
+
+
+@pytest.mark.parametrize("gamma, moduli", [
+    (cyclic(3), (2, 4)), (direct_product(cyclic(2), cyclic(2)), (2,)), (cyclic(4), (6,)),
+])
+def test_sparse_smith_on_bar_differentials(gamma, moduli):
+    """The same on d1 and d2 of the bar complex, the matrices h2_bar
+    eliminates."""
+    mod = GModule.trivial(gamma, moduli)
+    n, k = gamma.order, len(moduli)
+    for p, cols in ((1, n * k), (2, n * n * k)):
+        m = _dense(_bar_rows(mod, p), cols)
+        for flags in [(False, True, False, True), (True, True, True, True)]:
+            assert _smith(m, *flags) == dense_smith(m, *flags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices, matrices)
+def test_internal_results_match_checked_matrices(a, b):
+    """Results built without checks equal the checked matrices of the same
+    entries."""
+    rows, b_rows = [list(r) for r in a._data], [list(r) for r in b._data]
+    assert a.transpose() == IntMatrix([list(c) for c in zip(*rows)])
+    assert (a.transpose().rows, a.transpose().cols) == (a.cols, a.rows)
+    if a.cols == b.rows:
+        product_ = a * b
+        assert product_ == IntMatrix([[sum(x * y for x, y in zip(r, c)) for c in zip(*b._data)]
+                                      for r in a._data])
+        assert (product_.rows, product_.cols) == (a.rows, b.cols)
+    if a.cols == b.cols:
+        assert a.stack(b) == IntMatrix(rows + b_rows) and a.stack(b).rows == a.rows + b.rows
+    if a.rows == b.rows:
+        assert a.hcat(b) == IntMatrix([r + s for r, s in zip(rows, b_rows)])
+        assert a.hcat(b).cols == a.cols + b.cols
+    sub = a.submatrix(range(a.rows - 1, -1, -1), [a.cols - 1, 0])
+    assert sub == IntMatrix([[r[-1], r[0]] for r in reversed(rows)]) and sub.cols == 2
+    n = a.rows
+    assert IntMatrix.identity(n) == IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    assert IntMatrix.zero(n, 3) == IntMatrix([[0] * 3] * n)
+    assert a - a == IntMatrix.zero(a.rows, a.cols)
+    assert -a == IntMatrix([[-x for x in r] for r in rows])
 
 
 def test_snf_known_values():
