@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from .cohomology import (
     CentralExtension,
@@ -82,19 +83,28 @@ def ser_field_element(x):
     return [ser_rational(c) for c in x.coords]
 
 
+GROUP_ORDER_CAP = 720
+
+
 def parse_group(spec):
-    """'C<n>' cyclic, 'S<n>' symmetric, products joined by 'x'."""
-    parts = str(spec).split("x")
-    groups = []
-    for part in parts:
+    """'C<n>' cyclic, 'S<n>' symmetric, products joined by 'x'.  The order,
+    read from the spec before any table is built, may not exceed
+    GROUP_ORDER_CAP."""
+    factors = []
+    for part in str(spec).split("x"):
         part = part.strip()
         if len(part) < 2 or part[0] not in "CS":
             raise MalformedInput(f"bad group spec {part!r}")
         try:
-            n = int(part[1:])
+            factors.append((part[0], int(part[1:])))
         except ValueError:
             raise MalformedInput(f"bad group spec {part!r}") from None
-        groups.append(cyclic(n) if part[0] == "C" else symmetric(n))
+    # n! for S_n, with 7! standing in for any n >= 7, already over the cap;
+    # C_n with n < 1 counts 1 here and is refused by cyclic
+    order = prod(max(n, 1) if kind == "C" else prod(range(2, min(n, 7) + 1)) for kind, n in factors)
+    if order > GROUP_ORDER_CAP:
+        raise ValueError(f"group {spec} has order above the cap of {GROUP_ORDER_CAP}")
+    groups = [cyclic(n) if kind == "C" else symmetric(n) for kind, n in factors]
     g = groups[0]
     for h in groups[1:]:
         g = direct_product(g, h)

@@ -79,12 +79,13 @@ def one_cocycles(ggroup, budget=10**7):
     """All 1-cocycles Gamma -> A, each a tuple indexed by Gamma, sorted.
     Tries every image in A of a greedy generating set of Gamma, extends it
     along the Cayley graph by f(x s) = f(x) x(f(s)) and keeps the maps
-    that satisfy the cocycle condition everywhere."""
+    that satisfy the cocycle condition everywhere.  The budget bounds the
+    |A|^#gens maps tried."""
     gamma, coeff = ggroup.gamma, ggroup.coeff
-    n, m = gamma.order, coeff.order
-    if m ** (n - 1) > budget:
-        raise ValueError(f"enumeration budget exceeded: {m}^{n - 1} candidates")
+    m = coeff.order
     gens = generators(gamma)
+    if m ** len(gens) > budget:
+        raise ValueError(f"enumeration budget exceeded: {m}^{len(gens)} candidates")
     cocycles = []
     for values in product(range(m), repeat=len(gens)):
         f = _extend(gamma, coeff, gens, values, ggroup.action)

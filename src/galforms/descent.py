@@ -6,6 +6,10 @@ subject to  b_V o a_V = (ab)_V o (multiply by zeta(a,b))  and 1_V = id.
 With these conventions e_a |-> a_V makes the k-restriction of V a right
 module over the crossed product A_zeta, with K acting by its original
 scalar action.
+
+K-matrices are eliminated through their rational k-matrices (block (i, j)
+is multiplication by the (i, j) entry): ranks, kernels and inverses all go
+through qlinalg on rational input.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from math import gcd
 from . import qlinalg
 from .cohomology import kx_coboundary_of, trivial_kx_cocycle
 from .crossed import CrossedProductAlgebra
-from .exact_linalg import int_rank
-from .fields import FieldElement, _integral, _rationals
+from .fields import FieldElement, _mult_matrix, _rationals
+from .qlinalg import _integral, _scaled_matrix
 
 
 # --- K-matrix helpers -----------------------------------------------------
@@ -59,8 +63,20 @@ def kmat_twist(action, g, a):
 
 
 def kmat_inv(a):
-    inv = qlinalg.mat_inv([list(r) for r in a])
-    return None if inv is None else tuple(tuple(row) for row in inv)
+    """Inverse of a K-matrix, or None if singular.  Block (i, j) of the
+    inverse of its rational k-matrix is multiplication by entry (i, j) of
+    the inverse, whose coordinates are that block's first column."""
+    if not a:
+        return ()
+    field = a[0][0].field
+    deg = field.degree
+    inv = qlinalg.mat_inv(_k_linear_matrix(field, a))
+    if inv is None:
+        return None
+    return tuple(
+        tuple(field.element([inv[i + s][j] for s in range(deg)]) for j in range(0, len(inv), deg))
+        for i in range(0, len(inv), deg)
+    )
 
 
 # --- the datum ------------------------------------------------------------
@@ -125,8 +141,7 @@ def validate_datum(datum):
         return False, "cocycle is not normalized"
     # a K-linear map is bijective iff its rational k-matrix is
     for a in group.elements():
-        kmatrix, _den = _scaled_matrix(_k_linear_matrix(field, datum.matrices[a]))
-        if n and int_rank(kmatrix) != n * field.degree:
+        if n and qlinalg.rank(_k_linear_matrix(field, datum.matrices[a])) != n * field.degree:
             return False, f"component {a} is not bijective"
     # semilinearity is structural (matrix o twist); spot-check it anyway
     # on basis scalars and vectors
@@ -424,12 +439,7 @@ def _fixed_space_of_valid(datum, semi):
     for m in semi:
         for i in range(big):
             rows.append([m[i][j] - (i == j) for j in range(big)])
-    if all(not x for row in rows for x in row):
-        basis = [
-            [Fraction(i == j) for i in range(big)] for j in range(big)
-        ]
-    else:
-        basis = qlinalg.kernel(rows)
+    basis = qlinalg.kernel(rows)
     if len(basis) != datum.dim:
         raise ValueError("descent dimension count failed")
     # K-span of the fixed vectors must be everything
@@ -438,7 +448,7 @@ def _fixed_space_of_valid(datum, semi):
         kvec = _unflatten(field, vec)
         for power in field.power_basis():
             span.append(_flatten(field, [power * x for x in kvec]))
-    if int_rank(_scaled_matrix(span)[0]) != big:
+    if qlinalg.rank(span) != big:
         raise ValueError("K-span of the fixed space is not all of V")
     return basis
 
@@ -519,12 +529,7 @@ def datum_morphisms(src, dst):
                         for t in range(deg):
                             row[s][base + t] -= comb[s][t]
                 rows.extend(row)
-    if all(not x for r in rows for x in r):
-        sols = [
-            [Fraction(i == j) for i in range(nun)] for j in range(nun)
-        ]
-    else:
-        sols = qlinalg.kernel(rows)
+    sols = qlinalg.kernel(rows)
     out = []
     for vec in sols:
         mat = []
@@ -537,24 +542,6 @@ def datum_morphisms(src, dst):
             )
         out.append(tuple(mat))
     return out
-
-
-def _mult_matrix(field, c):
-    """Rational matrix of multiplication by c on the power basis."""
-    deg = field.degree
-    cols = []
-    for t in range(deg):
-        basis = [Fraction(0)] * deg
-        basis[t] = Fraction(1)
-        cols.append(field._mul_coords(c.coords, tuple(basis)))
-    return [[cols[t][s] for t in range(deg)] for s in range(deg)]
-
-
-def _scaled_matrix(m):
-    """(N, D) with m = N / D: D the lcm of m's denominators, N integral."""
-    width = len(m[0]) if m else 0
-    ints, den = _integral([x for row in m for x in row])
-    return [ints[i * width: (i + 1) * width] for i in range(len(m))], den
 
 
 def module_morphisms(src, dst):
@@ -576,10 +563,7 @@ def module_morphisms(src, dst):
                 for l in range(n2):
                     row[l * n1 + j] -= rxp[i][l]
                 rows.append(row)
-    if all(not x for row in rows for x in row):
-        sols = [[Fraction(i == j) for i in range(nun)] for j in range(nun)]
-    else:
-        sols = qlinalg.kernel(rows)
+    sols = qlinalg.kernel(rows)
     return [
         [tuple(vec[i * n1 + j] for j in range(n1)) for i in range(n2)]
         for vec in sols

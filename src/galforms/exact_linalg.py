@@ -8,8 +8,8 @@ sublattices for finite groups of lattice automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+
+from . import qlinalg
 
 
 class IntMatrix:
@@ -103,52 +103,10 @@ class IntMatrix:
         return IntMatrix._trusted(data, len(col_indices))
 
     def determinant(self):
-        """Exact determinant via fraction-valued Gaussian elimination."""
+        """Exact determinant, by qlinalg's fraction-free elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        m = [[Fraction(x) for x in row] for row in self._data]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                factor = m[r][col] * inv
-                if factor:
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        assert det.denominator == 1
-        return det.numerator
-
-
-def int_rank(vectors):
-    """Rank over Q of integer vectors, by fraction-free elimination; each
-    reduced row is divided by the gcd of its entries."""
-    rows = [list(v) for v in vectors if any(v)]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        col = next(j for j, x in enumerate(pivot) if x)
-        a = pivot[col]
-        reduced = []
-        for r in rows:
-            c = r[col]
-            if c:
-                r = [a * x - c * y for x, y in zip(r, pivot)]
-                g = gcd(*r)
-                if not g:
-                    continue
-                if g > 1:
-                    r = [x // g for x in r]
-            reduced.append(r)
-        rows = reduced
-        rank += 1
-    return rank
+        return qlinalg.determinant(self._data).numerator
 
 
 def _rows(matrix):

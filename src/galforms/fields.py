@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import qlinalg
+from .qlinalg import _integral
 from .groups import FiniteGroup
 
 INFINITE_PLACE = "inf"
@@ -169,16 +170,12 @@ class GaloisField:
         return _rationals(out, dx * dy)
 
 
-def _integral(coords):
-    """(integer numerators, common denominator) of rational coordinates."""
-    den = 1
-    for c in coords:
-        d = c.denominator
-        if den % d:
-            den = den * d // gcd(den, d)
-    if den == 1:
-        return [c.numerator for c in coords], 1
-    return [c.numerator * (den // c.denominator) for c in coords], den
+def _mult_matrix(field, c):
+    """Rational matrix of multiplication by c on the power basis."""
+    deg = field.degree
+    cols = [field._mul_coords(c.coords, tuple(Fraction(s == t) for s in range(deg)))
+            for t in range(deg)]
+    return [[cols[t][s] for t in range(deg)] for s in range(deg)]
 
 
 def _rationals(ints, den):
@@ -257,18 +254,8 @@ class FieldElement:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        m = self.field.degree
-        # multiplication-by-self matrix, columns = self * basis vector
-        cols = []
-        for j in range(m):
-            basis = [Fraction(0)] * m
-            basis[j] = Fraction(1)
-            cols.append(self.field._mul_coords(self.coords, tuple(basis)))
-        mat = [[cols[j][i] for j in range(m)] for i in range(m)]
-        rhs = [Fraction(0)] * m
-        rhs[0] = Fraction(1)
-        sol = qlinalg.solve(mat, rhs)
-        return FieldElement(self.field, tuple(sol))
+        rhs = [1] + [0] * (self.field.degree - 1)
+        return FieldElement(self.field, tuple(qlinalg.solve(_mult_matrix(self.field, self), rhs)))
 
     def __pow__(self, exponent):
         exponent = int(exponent)

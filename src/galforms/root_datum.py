@@ -13,11 +13,11 @@ construct through `_trusted`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact_linalg import IntMatrix, cokernel, int_rank
+from .exact_linalg import IntMatrix, cokernel
 from .groups import FiniteGroup
 from . import qlinalg
+from .qlinalg import _scaled_matrix
 
 _FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -108,7 +108,7 @@ class RootDatum:
     def is_semisimple(self):
         if not self.roots:
             return self.rank == 0
-        return int_rank(self.roots) == self.rank
+        return qlinalg.rank(self.roots) == self.rank
 
 
 def pairing(x, y):
@@ -140,7 +140,7 @@ class BasedRootDatum:
         pair from a simple pair, and the coordinates have one sign each."""
         datum = self.datum
         simple = [(datum.roots[i], datum.coroots[i]) for i in self.simple_indices]
-        if int_rank(self.simple_roots) != len(simple):
+        if qlinalg.rank(self.simple_roots) != len(simple):
             raise ValueError("simple roots are linearly dependent")
         coords = _closure(simple)
         if set(coords) != set(zip(datum.roots, datum.coroots)):
@@ -317,19 +317,23 @@ def outer_automorphisms(brd):
     # The map of X sending alpha_j to alpha_perm(j) has the inverse
     # transpose sending alpha_j^vee to alpha_perm(j)^vee, as the Cartan
     # matrix is preserved; so it is invertible over Z iff both are integral.
-    bases = [(basis, qlinalg.mat_inv([[Fraction(v[i]) for v in basis] for i in range(n)]))
-             for basis in (brd.simple_roots, brd.simple_coroots)]
+    # Each basis matrix has inverse N / D with N integral, and target * N
+    # must be divisible by D.
+    bases = []
+    for basis in (brd.simple_roots, brd.simple_coroots):
+        inverse, den = _scaled_matrix(qlinalg.mat_inv([[v[i] for v in basis] for i in range(n)]))
+        bases.append((basis, inverse, den))
     root_set = set(datum.roots)
     coroot_set = set(datum.coroots)
     valid = []
     for perm in _cartan_permutations(brd.cartan_matrix()):
         maps = []
-        for basis, inverse in bases:
-            target = [[Fraction(basis[p][i]) for p in perm] for i in range(n)]
+        for basis, inverse, den in bases:
+            target = [[basis[p][i] for p in perm] for i in range(n)]
             m = qlinalg.mat_mul(target, inverse)
-            if any(x.denominator != 1 for row in m for x in row):
+            if any(x % den for row in m for x in row):
                 break
-            maps.append(IntMatrix(m))
+            maps.append(IntMatrix([[x // den for x in row] for row in m]))
         else:
             m, mv = maps
             if all(m.apply(r) in root_set for r in datum.roots) and all(

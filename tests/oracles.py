@@ -1,8 +1,10 @@
 """Brute-force oracles for the cohomology and linear-algebra tests: full
-enumeration of cocycles and coboundaries, bounded searches, and the dense
-Smith normal form elimination.  Desk scale only; they check the library's
-exact algorithms and are not part of it."""
+enumeration of cocycles and coboundaries, bounded searches, the dense
+Smith normal form elimination, and Gauss-Jordan elimination over
+Fractions.  Desk scale only; they check the library's exact algorithms
+and are not part of it."""
 
+from fractions import Fraction
 from itertools import compress, product
 
 from galforms.cohomology import (
@@ -275,3 +277,135 @@ def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False):
         None if x is None else IntMatrix(zip(*x) if as_columns else x)
         for x, as_columns in ((u_rows, False), (v_cols, True), (u_inv_cols, True), (v_inv_rows, False))
     )
+
+
+# Gauss-Jordan elimination over an exact field, as galforms ran it before
+# qlinalg's fraction-free elimination: the reference that rank, solve,
+# mat_inv, kernel and the determinant must match.
+
+def _copy(a):
+    return [list(row) for row in a]
+
+
+def gauss_rank(a):
+    if not a or not a[0]:
+        return 0
+    m = _copy(a)
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][col]
+        for i in range(r + 1, nrows):
+            if m[i][col]:
+                factor = m[i][col] / inv
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def gauss_solve(a, b):
+    """Solve the square system a x = b; b may be a matrix (list of rows)
+    or a vector.  Returns None if a is singular."""
+    vector = b and not isinstance(b[0], list)
+    rhs = [[x] for x in b] if vector else _copy(b)
+    m = [list(ra) + list(rb) for ra, rb in zip(_copy(a), rhs)]
+    n = len(a)
+    width = len(m[0])
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = m[col][col]
+        m[col] = [x / inv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
+    sol = [row[n:width] for row in m]
+    return [row[0] for row in sol] if vector else sol
+
+
+def gauss_mat_inv(a):
+    """Inverse of a square matrix, or None if singular."""
+    n = len(a)
+    if n == 0:
+        return []
+    one = a[0][0] / a[0][0] if a[0][0] else None
+    if one is None:
+        # find any nonzero entry to manufacture 1
+        nz = next((x for row in a for x in row if x), None)
+        if nz is None:
+            return None
+        one = nz / nz
+    zero = one - one
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return gauss_solve(a, eye)
+
+
+def gauss_kernel(a):
+    """Basis of the right kernel {x : a x = 0}, as a list of vectors."""
+    if not a:
+        return []
+    m = _copy(a)
+    nrows, ncols = len(m), len(m[0])
+    nz = next((x for row in m for x in row if x), None)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][col]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    if nz is None:
+        # zero matrix: kernel is everything, but we have no unit; caller
+        # must not pass an all-zero matrix without a sample element
+        raise ValueError("kernel of all-zero matrix: basis is the standard one")
+    one = nz / nz
+    zero = one - one
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [zero] * ncols
+        vec[fc] = one
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = zero - m[prow][fc]
+        basis.append(vec)
+    return basis
+
+
+def fraction_determinant(rows):
+    """Exact determinant via fraction-valued Gaussian elimination."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det

@@ -82,6 +82,14 @@ def test_h1_job_stdin(capsys, monkeypatch, tmp_path):
     assert doc["count"] == 2
 
 
+def test_h1_of_c12_on_s3_is_within_budget(capsys, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"gamma": "C12", "coefficients": "S3"}))
+    code, doc = invoke(capsys, "h1", "--job", str(job))
+    assert code == 0
+    assert doc["count"] == 3
+
+
 def test_h1_with_action(capsys, tmp_path):
     job = tmp_path / "job.json"
     job.write_text(
@@ -565,3 +573,49 @@ def test_output_is_deterministic():
     # keys are sorted for stable diffs
     doc = json.loads(runs[0])
     assert list(doc) == sorted(doc)
+
+
+@pytest.mark.parametrize("spec", ["S9", "C1000", "C30xC30", "S6xC2", "S100000"])
+def test_group_order_cap(monkeypatch, spec):
+    """The order is read from the spec; a group above the cap is refused
+    before any multiplication table is built."""
+    from galforms import cli
+
+    def refuse(*args):
+        raise AssertionError("group built")
+
+    for name in ("cyclic", "symmetric", "direct_product"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(ValueError, match=f"cap of {cli.GROUP_ORDER_CAP}"):
+        cli.parse_group(spec)
+
+
+def test_group_order_cap_exit_code(capsys):
+    code, doc = invoke(capsys, "classify-quasisplit", "--gamma", "S9", "--type", "D4")
+    assert code == 1
+    assert doc["kind"] == "domain-error"
+    assert "cap of 720" in doc["error"]
+
+
+@pytest.mark.parametrize("spec, order", [("S6", 720), ("C720", 720), ("C6xS3", 36)])
+def test_groups_at_the_cap_are_built(spec, order):
+    from galforms.cli import parse_group
+
+    assert parse_group(spec).order == order
+
+
+def test_imports_only_the_standard_library():
+    """galforms has no runtime dependencies: importing the library and its
+    CLI in an isolated interpreter loads only standard-library modules."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import galforms, galforms.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(m for m in new if m != 'galforms' and m not in sys.stdlib_module_names))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(src)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

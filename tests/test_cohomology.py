@@ -130,11 +130,25 @@ def test_one_cocycles_match_brute_force(gamma_spec):
 
 
 def test_one_cocycles_budget():
-    """The budget counts |A|^(|Gamma|-1) maps, as the brute force did."""
-    ggroup = GGroup.trivial_action(cyclic(8), symmetric(3))
-    with pytest.raises(ValueError, match=r"enumeration budget exceeded: 6\^7 candidates"):
-        one_cocycles(ggroup, budget=6**7 - 1)
-    assert len(one_cocycles(ggroup, budget=6**7)) == 4
+    """The budget counts the |A|^#gens maps tried: C2^3 needs three
+    generators."""
+    ggroup = GGroup.trivial_action(parse_group("C2xC2xC2"), symmetric(3))
+    with pytest.raises(ValueError, match=r"enumeration budget exceeded: 6\^3 candidates"):
+        one_cocycles(ggroup, budget=6**3 - 1)
+    assert one_cocycles(ggroup, budget=6**3) == one_cocycles_brute(ggroup)
+
+
+def test_one_cocycles_of_a_large_cyclic_group():
+    """C12 on S3 tries 6 maps, far inside the budget, though |A|^(|Gamma|-1)
+    is 6^11; every action agrees with the exhaustive search."""
+    gamma, coeff = cyclic(12), symmetric(3)
+    aut, perms = _automorphisms(coeff)
+    for rho in homomorphisms(gamma, aut):
+        ggroup = GGroup(gamma, coeff, [perms[x] for x in rho])
+        brute = one_cocycles_brute(ggroup)
+        assert one_cocycles(ggroup, budget=6) == brute, rho
+        assert h1_nonabelian(ggroup) == _h1_classes(ggroup, brute), rho
+    assert len(h1_nonabelian(GGroup.trivial_action(gamma, coeff))) == 3
 
 
 @pytest.mark.parametrize("gamma, moduli, action", [

@@ -18,7 +18,6 @@ from galforms.exact_linalg import (
     coinvariants,
     cokernel,
     fixed_sublattice,
-    int_rank,
     kernel_basis,
     smith_normal_form,
     solve_integer,
@@ -27,7 +26,7 @@ from galforms import qlinalg
 from galforms.cohomology import GModule, _bar_rows
 from galforms.exact_linalg import _dense
 from galforms.groups import cyclic, direct_product
-from oracles import dense_smith
+from oracles import dense_smith, gauss_rank
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -263,8 +262,9 @@ def test_rank_additivity_random_involutions(n, data):
 
 
 def test_int_rank_matches_rational_rank():
-    """Fraction-free rank against Gaussian elimination over Q, on random
-    integer matrices built with a known rank."""
+    """qlinalg's fraction-free rank of integer matrices against Gaussian
+    elimination over Q, on random integer matrices built with a known
+    rank."""
     rng = random.Random(5)
     for _ in range(60):
         rows, cols, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
@@ -272,6 +272,6 @@ def test_int_rank_matches_rational_rank():
         right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(r)]
         m = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(cols)]
              for i in range(rows)]
-        want = qlinalg.rank([[Fraction(x) for x in row] for row in m])
-        assert int_rank(m) == want <= r
+        want = gauss_rank([[Fraction(x) for x in row] for row in m])
+        assert qlinalg.rank(m) == want <= r
 

@@ -1,0 +1,121 @@
+"""qlinalg's fraction-free elimination against Gauss-Jordan over Fractions,
+and the K-matrix inverse that runs on it."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from galforms import qlinalg
+from galforms.descent import kmat, kmat_identity, kmat_inv, kmat_mul
+from galforms.exact_linalg import IntMatrix
+from galforms.fields import cyclotomic_field, quadratic_field
+from oracles import (
+    fraction_determinant,
+    gauss_kernel,
+    gauss_mat_inv,
+    gauss_rank,
+    gauss_solve,
+)
+
+
+def random_rational_matrix(rng, rows, cols, rank, denominators):
+    """A rows x cols matrix of rank at most rank: a product of random
+    factors, with entries given random denominators if asked.  Its entries
+    are ints when there are no denominators."""
+    left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+    m = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(cols)]
+         for i in range(rows)]
+    if denominators:
+        m = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in m]
+    return m
+
+
+def shapes(rng):
+    """Rectangular and square shapes, 1 x n and n x 1 among them, with
+    ranks from 0 (the zero matrix) to full."""
+    for _ in range(400):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        yield rows, cols, rng.randint(0, min(rows, cols) + 1)
+    for n in range(1, 8):
+        yield 1, n, 1
+        yield n, 1, 1
+        yield n, n, n
+
+
+def as_fractions(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("denominators", [False, True])
+def test_core_matches_gauss_jordan(denominators):
+    rng = random.Random(11 + denominators)
+    for rows, cols, r in shapes(rng):
+        m = random_rational_matrix(rng, rows, cols, r, denominators)
+        q = as_fractions(m)
+        assert qlinalg.rank(m) == gauss_rank(q), m
+        if any(x for row in m for x in row):
+            assert qlinalg.kernel(m) == gauss_kernel(q), m
+        if rows == cols:
+            det = qlinalg.determinant(m)
+            assert det == fraction_determinant(q), m
+            assert (det == 0) == (gauss_mat_inv(q) is None)
+            assert qlinalg.mat_inv(m) == gauss_mat_inv(q), m
+            b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rows)]
+            assert qlinalg.solve(m, b) == gauss_solve(q, b), m
+            bm = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(rows)]
+            assert qlinalg.solve(m, bm) == gauss_solve(q, as_fractions(bm)), m
+            if not denominators:
+                assert IntMatrix(m).determinant() == det
+
+
+def test_empty_matrices():
+    assert qlinalg.rank([]) == gauss_rank([]) == 0
+    assert qlinalg.rank([[]]) == 0
+    assert qlinalg.kernel([]) == gauss_kernel([]) == []
+    assert qlinalg.mat_inv([]) == gauss_mat_inv([]) == []
+    assert qlinalg.determinant([]) == 1 == IntMatrix([]).determinant()
+
+
+def test_kernel_of_zero_matrix_is_the_standard_basis():
+    for rows, cols in ((1, 1), (1, 4), (3, 2), (2, 5)):
+        zero = [[Fraction(0)] * cols for _ in range(rows)]
+        with pytest.raises(ValueError):
+            gauss_kernel(zero)
+        assert qlinalg.kernel(zero) == [[Fraction(i == j) for i in range(cols)] for j in range(cols)]
+        assert qlinalg.rank(zero) == 0
+    assert qlinalg.mat_inv([[0, 0], [0, 0]]) is None
+
+
+def test_outputs_are_fractions():
+    """Integer input still gives Fraction entries, never floats."""
+    assert all(type(x) is Fraction for row in qlinalg.mat_inv([[2, 1], [1, 1]]) for x in row)
+    assert all(type(x) is Fraction for row in qlinalg.kernel([[1, 2, 3]]) for x in row)
+    assert type(qlinalg.determinant([[2, 1], [1, 1]])) is Fraction
+
+
+@pytest.mark.parametrize("field", [quadratic_field(-5), cyclotomic_field(5)], ids=repr)
+def test_kmat_inv(field):
+    """kmat_inv(P) P = P kmat_inv(P) = I for invertible P over K, and None
+    for singular P, also when the entries are irrational."""
+    rng = random.Random(7)
+
+    def element():
+        return field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+
+    inverted = singular = 0
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        p = kmat(field, [[element() for _ in range(n)] for _ in range(n)])
+        inv = kmat_inv(p)
+        if inv is None:
+            continue
+        inverted += 1
+        assert kmat_mul(inv, p) == kmat_identity(field, n)
+        assert kmat_mul(p, inv) == kmat_identity(field, n)
+        lam = element()
+        dependent = p[:-1] + (tuple(lam * x for x in p[0]),) if n > 1 else ((field.zero(),),)
+        assert kmat_inv(dependent) is None
+        singular += 1
+    assert inverted >= 20 and singular == inverted
