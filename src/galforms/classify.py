@@ -57,10 +57,16 @@ class _NotAHomomorphism(ValueError):
     """rho is the table of no homomorphism from any group into Out."""
 
 
+# Most points of the box [0, height]^rank that the dominant coweights are
+# read from: E8 with height 3 (4^8 = 65536 points) is inside.
+COWEIGHT_BOX_BUDGET = 10**5
+
+
 def quasisplit_cocharacter_data(brd, form, height=4):
     """Coinvariants of the Gamma-action on the cocharacter lattice given
     by a quasi-split form, plus the Gamma-orbits on the dominant coweights
-    with coordinates in [0, height]."""
+    with coordinates in [0, height]; the box may hold at most
+    COWEIGHT_BOX_BUDGET points."""
     out_group, out_elements = outer_automorphisms(brd)
     rho = form.rho if isinstance(form, QuasiSplitForm) else tuple(form)
     if any(not 0 <= x < out_group.order for x in rho):
@@ -75,8 +81,13 @@ def quasisplit_cocharacter_data(brd, form, height=4):
         raise _NotAHomomorphism("the image of rho is not closed under multiplication")
     if len({rho.count(y) for y in image}) > 1:
         raise _NotAHomomorphism("the fibres of rho have unequal sizes")
-    matrices = [out_elements[x].cochar_matrix for x in rho]
     rank = brd.datum.rank
+    if (height + 1) ** rank > COWEIGHT_BOX_BUDGET:
+        raise ValueError(
+            f"coweight box of {height + 1}^{rank} points exceeds the budget of "
+            f"{COWEIGHT_BOX_BUDGET}"
+        )
+    matrices = [out_elements[x].cochar_matrix for x in rho]
     lattice = Lattice(rank)
     group, projection = coinvariants(lattice, matrices)
     fixed, _embed = fixed_sublattice(lattice, matrices)

@@ -96,12 +96,14 @@ def parse_group(spec):
         if len(part) < 2 or part[0] not in "CS":
             raise MalformedInput(f"bad group spec {part!r}")
         try:
-            factors.append((part[0], int(part[1:])))
+            n = int(part[1:])
         except ValueError:
             raise MalformedInput(f"bad group spec {part!r}") from None
-    # n! for S_n, with 7! standing in for any n >= 7, already over the cap;
-    # C_n with n < 1 counts 1 here and is refused by cyclic
-    order = prod(max(n, 1) if kind == "C" else prod(range(2, min(n, 7) + 1)) for kind, n in factors)
+        if n < 1:
+            raise ValueError(f"group spec {part!r} needs n >= 1")
+        factors.append((part[0], n))
+    # n! for S_n, with 7! standing in for any n >= 7, already over the cap
+    order = prod(n if kind == "C" else prod(range(2, min(n, 7) + 1)) for kind, n in factors)
     if order > GROUP_ORDER_CAP:
         raise ValueError(f"group {spec} has order above the cap of {GROUP_ORDER_CAP}")
     groups = [cyclic(n) if kind == "C" else symmetric(n) for kind, n in factors]
@@ -280,6 +282,8 @@ def cmd_coinvariants(args):
         rho = tuple(int(x) for x in args.rho.split(","))
     except ValueError:
         raise MalformedInput(f"bad rho {args.rho!r}") from None
+    if args.height < 0:
+        raise MalformedInput(f"height must be non-negative, got {args.height}")
     try:
         data = quasisplit_cocharacter_data(
             brd, QuasiSplitForm(rho, 0), height=args.height

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import permutations, product
+from operator import itemgetter
 
 
 class FiniteGroup:
@@ -90,10 +91,9 @@ def symmetric(n):
     permutation tuples, so the identity is element 0."""
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
+    # for n >= 2, itemgetter(*q)(p) is the tuple (p[q[0]], ..., p[q[n-1]])
+    getters = [itemgetter(*q) for q in perms]
+    table = [[index[get(p)] for get in getters] for p in perms] if n > 1 else [[0]]
     return FiniteGroup(table, check=False)
 
 
@@ -115,15 +115,26 @@ def direct_product(g, h):
     return FiniteGroup(table, check=False)
 
 
+# Most generator images `homomorphisms` tries; each costs a few
+# microseconds, so a refused input would have run for seconds or more.
+HOMOMORPHISM_BUDGET = 10**6
+
+
 def homomorphisms(g, h):
     """All group homomorphisms g -> h, each as a tuple indexed by g's
     elements, in lexicographic order.  Tries every image in h of a greedy
-    generating set of g (|h|^#gens candidates), extends it along the
-    Cayley graph and keeps the maps that respect the full table.  Each
-    element is a generator or lies in the subgroup of the generators
-    before it, which fixes its image; so generator images tried in
-    lexicographic order give the maps in lexicographic order."""
+    generating set of g (|h|^#gens candidates, at most
+    HOMOMORPHISM_BUDGET), extends it along the Cayley graph and keeps the
+    maps that respect the full table.  Each element is a generator or
+    lies in the subgroup of the generators before it, which fixes its
+    image; so generator images tried in lexicographic order give the maps
+    in lexicographic order."""
     gens = generators(g)
+    if h.order ** len(gens) > HOMOMORPHISM_BUDGET:
+        raise ValueError(
+            f"homomorphism enumeration of {h.order}^{len(gens)} candidates "
+            f"exceeds the budget of {HOMOMORPHISM_BUDGET}"
+        )
     n = g.order
     homs = []
     for gen_images in product(range(h.order), repeat=len(gens)):
@@ -141,9 +152,11 @@ def generators(g):
     """A greedy generating set: each element not in the subgroup of the
     ones taken before it."""
     gens = []
+    subgroup = {g.identity}
     for x in g.elements():
-        if x not in subgroup_closure(g, gens):
+        if x not in subgroup:
             gens.append(x)
+            subgroup = subgroup_closure(g, gens)
     return gens
 
 

@@ -7,12 +7,15 @@ up to rank 8, both isogeny types, tori, duality, the fundamental group,
 and the group of based-datum (diagram) automorphisms together with its
 action on coweights.  The public constructors validate their input; the
 builders here check the coordinates their reflection closure carries and
-construct through `_trusted`.
+construct through `_trusted`.  The builders are memoised: every label of
+one type and isogeny gives the same shared, immutable datum, and its
+outer automorphisms are computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact_linalg import IntMatrix, cokernel
 from .groups import FiniteGroup
@@ -208,7 +211,8 @@ def _trusted(rank, roots, coroots, simple_indices):
 def build_root_datum(label, isogeny="simply_connected"):
     """Based root datum for a Cartan label 'A1'..'E8', 'F4', 'G2', or a
     torus 'T<rank>'.  isogeny: 'simply_connected' or 'adjoint' (ignored
-    for tori)."""
+    for tori).  A Cartan type gives one shared datum per (family, rank,
+    isogeny) for the life of the process."""
     label = label.strip()
     if not label:
         raise ValueError("empty type label")
@@ -225,12 +229,14 @@ def build_root_datum(label, isogeny="simply_connected"):
         raise ValueError(f"bad type label {label!r}") from None
     if n > 8:
         raise ValueError("rank > 8 not supported")
+    return _cartan_datum(family, n, isogeny)
+
+
+@lru_cache(maxsize=None)
+def _cartan_datum(family, n, isogeny):
+    """The datum of a Cartan type; a ValueError is raised, not cached, so
+    only valid types (fewer than a hundred) are kept."""
     c = cartan_matrix(family, n)
-    return _datum_from_cartan(c, isogeny)
-
-
-def _datum_from_cartan(c, isogeny):
-    n = len(c)
     if isogeny == "simply_connected":
         # X^vee basis = simple coroots; simple root j = column j of C
         simple_pairs = [
@@ -306,10 +312,18 @@ def outer_automorphisms(brd):
     """All based-datum automorphisms, with the group structure.
 
     Returns (group, elements): a FiniteGroup whose element i multiplies as
-    composition of elements[i].  Computed by enumerating Cartan-matrix
-    preserving permutations of the simple roots, in lexicographic order,
-    and keeping the ones that extend to automorphisms of both lattices.
-    Requires a semisimple datum (roots of full rank)."""
+    composition of elements[i], a tuple.  Computed by enumerating
+    Cartan-matrix preserving permutations of the simple roots, in
+    lexicographic order, and keeping the ones that extend to automorphisms
+    of both lattices; once per datum, which keeps the result.  Requires a
+    semisimple datum (roots of full rank)."""
+    cached = vars(brd).get("_outer")
+    if cached is None:
+        cached = vars(brd)["_outer"] = _outer_automorphisms(brd)
+    return cached
+
+
+def _outer_automorphisms(brd):
     datum = brd.datum
     if not datum.is_semisimple():
         raise ValueError("outer automorphism enumeration requires a semisimple datum")
@@ -351,7 +365,7 @@ def outer_automorphisms(brd):
             row.append(index[composed])
         table.append(row)
     group = FiniteGroup(table)
-    return group, valid
+    return group, tuple(valid)
 
 
 def _cartan_permutations(c, perm=()):

@@ -180,3 +180,16 @@ def test_component_index():
     for label, iso in (("A2", "adjoint"), ("A1", "simply_connected")):
         brd = build_root_datum(label, iso)
         assert component_index(brd) == fundamental_group(brd)
+
+
+def test_coweight_box_budget(monkeypatch):
+    """A box above the budget is refused before any lattice work."""
+    from galforms import classify
+
+    def refuse(*args):
+        raise AssertionError("coinvariants computed")
+
+    brd = build_root_datum("E8", "adjoint")
+    monkeypatch.setattr(classify, "coinvariants", refuse)
+    with pytest.raises(ValueError, match=f"budget of {classify.COWEIGHT_BOX_BUDGET}"):
+        quasisplit_cocharacter_data(brd, (0,), height=40)

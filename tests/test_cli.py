@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from galforms import classify, groups
 from galforms.cli import run
 
 
@@ -619,3 +620,64 @@ def test_imports_only_the_standard_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("spec", ["S-3", "S0", "C0", "C720xS0"])
+def test_group_spec_needs_positive_n(monkeypatch, capsys, spec):
+    """n < 1 is refused for both kinds of factor before any table is
+    built, as a domain error."""
+    from galforms import cli
+
+    def refuse(*args):
+        raise AssertionError("group built")
+
+    for name in ("cyclic", "symmetric", "direct_product"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, doc = invoke(capsys, "classify-quasisplit", "--gamma", spec, "--type", "A2")
+    assert code == 1
+    assert doc["kind"] == "domain-error"
+    assert "needs n >= 1" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["classify-quasisplit", "--gamma", "x".join(["C2"] * 9), "--out", "S6"],
+         groups.HOMOMORPHISM_BUDGET),
+        (["coinvariants", "--type", "E8", "--rho", "0", "--height", "40"],
+         classify.COWEIGHT_BOX_BUDGET),
+    ],
+    ids=["homomorphisms", "coweight-box"],
+)
+def test_enumeration_budgets_exit_1(capsys, argv, budget):
+    """Inputs that would enumerate for hours are refused at once, with an
+    error that names the budget."""
+    code, doc = invoke(capsys, *argv)
+    assert code == 1
+    assert doc["kind"] == "domain-error"
+    assert f"budget of {budget}" in doc["error"]
+
+
+def test_negative_height_exit_2(capsys):
+    code, doc = invoke(capsys, "coinvariants", "--type", "A2", "--rho", "0", "--height", "-1")
+    assert code == 2
+    assert doc["kind"] == "malformed-input"
+
+
+def test_lie_golden_cold_then_warm(capsys):
+    """With the root-datum memo emptied, every lie golden case gives the
+    same bytes on its first run in the process and on its second."""
+    from galforms.root_datum import _cartan_datum
+
+    expected = [json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n" for case in GOLDEN_LIE]
+    _cartan_datum.cache_clear()
+    passes = []
+    for _ in range(2):
+        outs = []
+        for case in GOLDEN_LIE:
+            assert run(case["argv"]) == case["exit"]
+            outs.append(capsys.readouterr().out)
+        passes.append(outs)
+    assert passes[0] == expected
+    assert passes[1] == expected
+    assert _cartan_datum.cache_info().hits >= len(GOLDEN_LIE)

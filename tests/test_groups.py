@@ -107,3 +107,28 @@ def test_subgroup_closure():
     three = next(x for x in s3.elements() if s3.element_order(x) == 3)
     assert len(subgroup_closure(s3, [three])) == 3
     assert len(subgroup_closure(s3, [])) == 1
+
+
+def test_homomorphism_budget_refuses_before_enumerating(monkeypatch):
+    """|H|^#gens above the budget is refused by a count: no candidate is
+    extended.  C2^9 has 9 generators, so S6 would give 720^9."""
+    from galforms import groups
+
+    def refuse(*args):
+        raise AssertionError("candidate extended")
+
+    g = cyclic(2)
+    for _ in range(8):
+        g = direct_product(g, cyclic(2))
+    monkeypatch.setattr(groups, "_extend", refuse)
+    with pytest.raises(ValueError, match=f"budget of {groups.HOMOMORPHISM_BUDGET}"):
+        homomorphisms(g, symmetric(6))
+    # one generator below the budget still enumerates
+    with pytest.raises(AssertionError):
+        homomorphisms(cyclic(5), symmetric(6))
+
+
+def test_homomorphisms_within_the_budget():
+    # 24^3 generator images
+    assert len(homomorphisms(symmetric(4), symmetric(4))) == 58
+

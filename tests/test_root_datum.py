@@ -226,3 +226,56 @@ def test_bad_labels():
         build_root_datum("A0")
     with pytest.raises(ValueError):
         build_root_datum("E9")
+
+
+# --- memoisation --------------------------------------------------------
+
+def test_build_root_datum_is_shared():
+    """One datum per (family, rank, isogeny), whatever the label's
+    spelling; the isogenies stay apart; tori are built afresh."""
+    e8 = build_root_datum("E8", "adjoint")
+    assert build_root_datum("E8", "adjoint") is e8
+    assert build_root_datum("  e8\n", "adjoint") is e8
+    assert build_root_datum("A2") is build_root_datum("A2", "simply_connected")
+    sc, ad = build_root_datum("A2", "simply_connected"), build_root_datum("A2", "adjoint")
+    assert sc is not ad
+    assert sc.datum.roots != ad.datum.roots
+    assert build_root_datum("T2") == build_root_datum("T2")
+
+
+def test_outer_automorphisms_once_per_datum():
+    brd = build_root_datum("D4", "adjoint")
+    group, elements = outer_automorphisms(brd)
+    assert isinstance(elements, tuple)
+    again = outer_automorphisms(build_root_datum("D4", "adjoint"))
+    assert again[0] is group and again[1] is elements
+
+
+def test_outer_automorphisms_of_a_public_datum():
+    """A datum made by the public constructors, equal to a built one, has
+    the same outer automorphisms."""
+    built = build_root_datum("A3", "adjoint")
+    brd = BasedRootDatum(
+        RootDatum(3, built.datum.roots, built.datum.coroots), built.simple_indices
+    )
+    group, elements = outer_automorphisms(brd)
+    assert outer_automorphisms(brd)[1] is elements
+    assert group == outer_automorphisms(built)[0]
+    assert elements == outer_automorphisms(built)[1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_root_datum("Z9"),
+        lambda: build_root_datum("A0"),
+        lambda: build_root_datum("A9"),
+        lambda: build_root_datum("E8", "isogenous"),
+        lambda: outer_automorphisms(build_root_datum("T1")),
+    ],
+    ids=["family", "rank-0", "rank-9", "isogeny", "outer-torus"],
+)
+def test_errors_are_not_cached(call):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            call()
