@@ -58,8 +58,9 @@ class _NotAHomomorphism(ValueError):
 
 
 # Most points of the box [0, height]^rank that the dominant coweights are
-# read from: E8 with height 3 (4^8 = 65536 points) is inside.
-COWEIGHT_BOX_BUDGET = 10**5
+# read from: every rank-8 type at the default height 4 (5^8 = 390625
+# points) is inside.
+COWEIGHT_BOX_BUDGET = 10**6
 
 
 def quasisplit_cocharacter_data(brd, form, height=4):

@@ -16,7 +16,7 @@ from math import gcd
 
 from .exact_linalg import FiniteAbelianGroup, IntMatrix, _dense, _mul, _sparse_smith, solve_integer
 from .fields import FieldElement, GaloisField, galois_group, is_norm_quadratic
-from .groups import FiniteGroup, _extend, generators
+from .groups import ENUMERATION_BUDGET, FiniteGroup, _extend, check_enumeration, generators
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def is_one_cocycle(ggroup, f):
     )
 
 
-def one_cocycles(ggroup, budget=10**7):
+def one_cocycles(ggroup, budget=ENUMERATION_BUDGET):
     """All 1-cocycles Gamma -> A, each a tuple indexed by Gamma, sorted.
     Tries every image in A of a greedy generating set of Gamma, extends it
     along the Cayley graph by f(x s) = f(x) x(f(s)) and keeps the maps
@@ -84,8 +84,7 @@ def one_cocycles(ggroup, budget=10**7):
     gamma, coeff = ggroup.gamma, ggroup.coeff
     m = coeff.order
     gens = generators(gamma)
-    if m ** len(gens) > budget:
-        raise ValueError(f"enumeration budget exceeded: {m}^{len(gens)} candidates")
+    check_enumeration(m, gens, budget)
     cocycles = []
     for values in product(range(m), repeat=len(gens)):
         f = _extend(gamma, coeff, gens, values, ggroup.action)
@@ -94,7 +93,7 @@ def one_cocycles(ggroup, budget=10**7):
     return sorted(cocycles)
 
 
-def h1_nonabelian(ggroup, budget=10**7):
+def h1_nonabelian(ggroup, budget=ENUMERATION_BUDGET):
     """Classes of 1-cocycles under b(s) = c^-1 a(s) s(c).
 
     Returns a list of classes (each a sorted list of cocycles); the class

@@ -115,26 +115,33 @@ def direct_product(g, h):
     return FiniteGroup(table, check=False)
 
 
-# Most generator images `homomorphisms` tries; each costs a few
-# microseconds, so a refused input would have run for seconds or more.
-HOMOMORPHISM_BUDGET = 10**6
+# Most generator images an enumeration of maps out of a group tries, for
+# `homomorphisms` and for `cohomology.one_cocycles`; each image costs a few
+# microseconds in `_extend`.
+ENUMERATION_BUDGET = 10**7
+
+
+def check_enumeration(target_order, gens, budget=ENUMERATION_BUDGET):
+    """Refuse trying all target_order^len(gens) generator images when
+    that count is above the budget."""
+    if target_order ** len(gens) > budget:
+        raise ValueError(
+            f"enumeration budget exceeded: {target_order}^{len(gens)} candidates "
+            f"above the budget of {budget}"
+        )
 
 
 def homomorphisms(g, h):
     """All group homomorphisms g -> h, each as a tuple indexed by g's
     elements, in lexicographic order.  Tries every image in h of a greedy
     generating set of g (|h|^#gens candidates, at most
-    HOMOMORPHISM_BUDGET), extends it along the Cayley graph and keeps the
+    ENUMERATION_BUDGET), extends it along the Cayley graph and keeps the
     maps that respect the full table.  Each element is a generator or
     lies in the subgroup of the generators before it, which fixes its
     image; so generator images tried in lexicographic order give the maps
     in lexicographic order."""
     gens = generators(g)
-    if h.order ** len(gens) > HOMOMORPHISM_BUDGET:
-        raise ValueError(
-            f"homomorphism enumeration of {h.order}^{len(gens)} candidates "
-            f"exceeds the budget of {HOMOMORPHISM_BUDGET}"
-        )
+    check_enumeration(h.order, gens)
     n = g.order
     homs = []
     for gen_images in product(range(h.order), repeat=len(gens)):

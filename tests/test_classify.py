@@ -193,3 +193,21 @@ def test_coweight_box_budget(monkeypatch):
     monkeypatch.setattr(classify, "coinvariants", refuse)
     with pytest.raises(ValueError, match=f"budget of {classify.COWEIGHT_BOX_BUDGET}"):
         quasisplit_cocharacter_data(brd, (0,), height=40)
+
+
+@pytest.mark.parametrize("label", ["A8", "B8", "C8", "D8", "E8"])
+def test_default_height_is_within_the_coweight_budget(monkeypatch, label):
+    """Every rank-8 type, both isogenies, at the default height passes the
+    box count and reaches the lattice work."""
+    from galforms import classify
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(classify, "coinvariants", reached)
+    for isogeny in ("simply_connected", "adjoint"):
+        with pytest.raises(Reached):
+            quasisplit_cocharacter_data(build_root_datum(label, isogeny), (0,))

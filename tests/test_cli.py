@@ -643,7 +643,7 @@ def test_group_spec_needs_positive_n(monkeypatch, capsys, spec):
     "argv, budget",
     [
         (["classify-quasisplit", "--gamma", "x".join(["C2"] * 9), "--out", "S6"],
-         groups.HOMOMORPHISM_BUDGET),
+         groups.ENUMERATION_BUDGET),
         (["coinvariants", "--type", "E8", "--rho", "0", "--height", "40"],
          classify.COWEIGHT_BOX_BUDGET),
     ],
@@ -656,6 +656,19 @@ def test_enumeration_budgets_exit_1(capsys, argv, budget):
     assert code == 1
     assert doc["kind"] == "domain-error"
     assert f"budget of {budget}" in doc["error"]
+
+
+def test_default_height_is_within_the_coweight_budget(capsys, monkeypatch):
+    """`coinvariants` without --height passes the box count for E8 and
+    reaches the lattice work."""
+
+    def reached(*args):
+        raise ValueError("lattice work reached")
+
+    monkeypatch.setattr(classify, "coinvariants", reached)
+    code, doc = invoke(capsys, "coinvariants", "--type", "E8", "--rho", "0")
+    assert code == 1
+    assert doc["error"] == "lattice work reached"
 
 
 def test_negative_height_exit_2(capsys):

@@ -121,7 +121,7 @@ def test_homomorphism_budget_refuses_before_enumerating(monkeypatch):
     for _ in range(8):
         g = direct_product(g, cyclic(2))
     monkeypatch.setattr(groups, "_extend", refuse)
-    with pytest.raises(ValueError, match=f"budget of {groups.HOMOMORPHISM_BUDGET}"):
+    with pytest.raises(ValueError, match=f"budget of {groups.ENUMERATION_BUDGET}"):
         homomorphisms(g, symmetric(6))
     # one generator below the budget still enumerates
     with pytest.raises(AssertionError):
