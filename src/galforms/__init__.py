@@ -9,7 +9,6 @@ arithmetic.
 from .exact_linalg import (
     FiniteAbelianGroup,
     IntMatrix,
-    Lattice,
     cokernel,
     coinvariants,
     fixed_sublattice,

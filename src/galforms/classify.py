@@ -10,7 +10,7 @@ from itertools import product as iproduct
 
 from .cohomology import GaloisAction, quadratic_cocycle
 from .crossed import CrossedProductAlgebra, cocycle_sum_class_check
-from .exact_linalg import Lattice, coinvariants, fixed_sublattice
+from .exact_linalg import coinvariants
 from .fields import BrauerClass, brauer_class_quaternion, quadratic_field
 from .groups import homomorphisms
 from .root_datum import fundamental_group, outer_automorphisms
@@ -89,10 +89,9 @@ def quasisplit_cocharacter_data(brd, form, height=4):
             f"{COWEIGHT_BOX_BUDGET}"
         )
     matrices = [out_elements[x].cochar_matrix for x in rho]
-    lattice = Lattice(rank)
-    group, projection = coinvariants(lattice, matrices)
-    fixed, _embed = fixed_sublattice(lattice, matrices)
-    moved_rank = rank - group.free_rank
+    # Over Q, V = V^Gamma + sum im(g - 1) for a finite group, so the free
+    # rank of the coinvariants is the rank of the fixed sublattice.
+    group, projection = coinvariants(rank, matrices)
     # orbit partition of dominant coweights in the box
     dominant = []
     for coords in iproduct(range(height + 1), repeat=rank):
@@ -123,8 +122,8 @@ def quasisplit_cocharacter_data(brd, form, height=4):
         coinvariants=group,
         projection=projection,
         orbits=tuple(orbits),
-        fixed_rank=fixed.rank,
-        moved_rank=moved_rank,
+        fixed_rank=group.free_rank,
+        moved_rank=rank - group.free_rank,
     )
 
 

@@ -519,7 +519,7 @@ def cmd_inner_invariant(args):
         assignments = [parse_rational(x) for x in args.assign.split(",")] if args.assign else []
     except AttributeError:
         assignments = []
-    invariant = build_inner_invariant(brd, int(args.d), assignments)
+    invariant = build_inner_invariant(brd, args.d, assignments)
     components = []
     for element in invariant.elements():
         cls = invariant.mu[element]
@@ -547,18 +547,23 @@ def cmd_inner_invariant(args):
 
 # --- dispatch -------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become malformed-input documents, not usage on stderr."""
+
+    def error(self, message):
+        raise MalformedInput(message)
+
+
+ISOGENIES = ["simply_connected", "sc", "adjoint"]
+
+
 def _add_datum_flags(p):
     p.add_argument("--type", required=True, help="Cartan label, e.g. A2, D4, T1")
-    p.add_argument(
-        "--isogeny",
-        default="simply_connected",
-        choices=["simply_connected", "sc", "adjoint"],
-        help="isogeny type",
-    )
+    p.add_argument("--isogeny", default="simply_connected", choices=ISOGENIES, help="isogeny type")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galforms",
         description="Exact classification of forms of reductive groups.",
     )
@@ -580,7 +585,7 @@ def build_parser():
     p.add_argument("--gamma", required=True, help="group spec, e.g. C2, S3, C2xC2")
     p.add_argument("--out", help="target group spec (alternative to --type)")
     p.add_argument("--type", help="Cartan label whose Out(G) is the target")
-    p.add_argument("--isogeny", default="simply_connected")
+    p.add_argument("--isogeny", default="simply_connected", choices=ISOGENIES)
     p.set_defaults(func=cmd_classify_quasisplit)
 
     p = sub.add_parser("coinvariants", help="cocharacter coinvariants of a quasi-split twist")
@@ -618,7 +623,7 @@ def build_parser():
 
     p = sub.add_parser("inner-invariant", help="pi_1 -> Br homomorphism with algebra family")
     _add_datum_flags(p)
-    p.add_argument("-d", required=True, help="quadratic field parameter")
+    p.add_argument("-d", type=int, required=True, help="quadratic field parameter")
     p.add_argument("--assign", help="comma-separated c per invariant-factor generator")
     p.set_defaults(func=cmd_inner_invariant)
 
@@ -631,10 +636,9 @@ def _normalize_isogeny(args):
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _normalize_isogeny(args)
     try:
+        args = build_parser().parse_args(argv)
+        _normalize_isogeny(args)
         args.func(args)
     except MalformedInput as exc:
         emit({"schema": "galforms/error/v1", "error": str(exc), "kind": "malformed-input"})

@@ -93,14 +93,14 @@ def one_cocycles(ggroup, budget=ENUMERATION_BUDGET):
     return sorted(cocycles)
 
 
-def h1_nonabelian(ggroup, budget=ENUMERATION_BUDGET):
+def h1_nonabelian(ggroup):
     """Classes of 1-cocycles under b(s) = c^-1 a(s) s(c).
 
     Returns a list of classes (each a sorted list of cocycles); the class
     containing the constant-identity cocycle comes first.
     """
     gamma, coeff = ggroup.gamma, ggroup.coeff
-    cocycles = one_cocycles(ggroup, budget=budget)
+    cocycles = one_cocycles(ggroup)
     remaining = set(cocycles)
     base = tuple(coeff.identity for _ in range(gamma.order))
     classes = []
@@ -197,15 +197,6 @@ class GModule:
     def trivial(gamma, moduli):
         k = len(moduli)
         return GModule(gamma, moduli, [IntMatrix.identity(k)] * gamma.order)
-
-    @staticmethod
-    def inversion(gamma, moduli, inverting):
-        """Action where the listed Gamma elements act by negation."""
-        k = len(moduli)
-        mats = []
-        for g in range(gamma.order):
-            mats.append(-IntMatrix.identity(k) if g in inverting else IntMatrix.identity(k))
-        return GModule(gamma, moduli, mats)
 
 
 # --- bar complex ---------------------------------------------------------
@@ -482,6 +473,9 @@ def quadratic_cocycle(action, c):
     c = c if isinstance(c, FieldElement) else field.from_rational(c)
     if not c:
         raise ValueError("cocycle value must be nonzero")
+    # normalized, the cocycle identity reduces to sigma(c) = c: c rational
+    if not c.is_rational():
+        raise ValueError("value does not define a cocycle (must be fixed by conjugation)")
     sigma = 1 - action.group.identity
     one = field.one()
     values = {
@@ -490,10 +484,7 @@ def quadratic_cocycle(action, c):
         (sigma, action.group.identity): one,
         (sigma, sigma): c,
     }
-    cocycle = KxCocycle(action, values)
-    if not is_two_cocycle_kx(cocycle):
-        raise ValueError("value does not define a cocycle (must be fixed by conjugation)")
-    return cocycle
+    return KxCocycle(action, values)
 
 
 # --- cyclic norm classes --------------------------------------------------

@@ -63,20 +63,13 @@ def kmat_twist(action, g, a):
 
 
 def kmat_inv(a):
-    """Inverse of a K-matrix, or None if singular.  Block (i, j) of the
-    inverse of its rational k-matrix is multiplication by entry (i, j) of
-    the inverse, whose coordinates are that block's first column."""
+    """Inverse of a K-matrix, or None if singular: the inverse of its
+    rational k-matrix, read back as a K-matrix."""
     if not a:
         return ()
     field = a[0][0].field
-    deg = field.degree
     inv = qlinalg.mat_inv(_k_linear_matrix(field, a))
-    if inv is None:
-        return None
-    return tuple(
-        tuple(field.element([inv[i + s][j] for s in range(deg)]) for j in range(0, len(inv), deg))
-        for i in range(0, len(inv), deg)
-    )
+    return None if inv is None else _k_entries(field, inv)
 
 
 # --- the datum ------------------------------------------------------------
@@ -143,18 +136,6 @@ def validate_datum(datum):
     for a in group.elements():
         if n and qlinalg.rank(_k_linear_matrix(field, datum.matrices[a])) != n * field.degree:
             return False, f"component {a} is not bijective"
-    # semilinearity is structural (matrix o twist); spot-check it anyway
-    # on basis scalars and vectors
-    gen = field.generator()
-    for a in group.elements():
-        ainv = group.inv(a)
-        for j in range(n):
-            vec = [field.zero()] * n
-            vec[j] = field.one()
-            lhs = datum.apply(a, [gen * x for x in vec])
-            rhs = [action.apply(ainv, gen) * x for x in datum.apply(a, vec)]
-            if lhs != rhs:
-                return False, f"semilinearity fails at component {a}"
     for a in group.elements():
         for b in group.elements():
             ab = group.table[a][b]
@@ -175,7 +156,7 @@ class AModule:
     """Right module over a crossed product, by rational action matrices
     (one per algebra k-basis element) on a k-space of dimension dim."""
 
-    def __init__(self, algebra, dim, actions, check=True):
+    def __init__(self, algebra, dim, actions):
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(
@@ -186,8 +167,7 @@ class AModule:
         for m in self.actions:
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise ValueError("action matrix of the wrong shape")
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def action_of(self, x):
         """Rational matrix of v -> v*x for an arbitrary algebra element."""
@@ -306,11 +286,22 @@ def _k_linear_matrix(field, kmatrix):
     ]
 
 
+def _k_entries(field, m):
+    """The K-matrix of a K-linear rational matrix m, inverse of
+    _k_linear_matrix: block (i, j) is multiplication by entry (i, j),
+    whose coordinates are that block's first column."""
+    deg = field.degree
+    return tuple(
+        tuple(field.element([m[i + s][j] for s in range(deg)]) for j in range(0, len(m[0]), deg))
+        for i in range(0, len(m), deg)
+    )
+
+
 def _semilinear_k_matrices(datum):
     return [_semilinear_k_matrix(datum, a) for a in datum.action.group.elements()]
 
 
-def to_module(datum, algebra=None, check=True):
+def to_module(datum, algebra=None):
     """The k-restriction of V as a right module over A_zeta: K acts by
     scalars, e_a acts as a_V."""
     ok, why = validate_datum(datum)
@@ -320,10 +311,10 @@ def to_module(datum, algebra=None, check=True):
         algebra.cocycle.values != datum.cocycle.values or algebra.action != datum.action
     ):
         raise ValueError("algebra does not match the datum's twist")
-    return _module_of_valid(datum, _semilinear_k_matrices(datum), algebra, check)
+    return _module_of_valid(datum, _semilinear_k_matrices(datum), algebra)
 
 
-def _module_of_valid(datum, semi, algebra=None, check=True):
+def _module_of_valid(datum, semi, algebra=None):
     """to_module for a datum already validated, with its semilinear
     k-matrices semi[a] = N_a / D_a: v . (theta^t e_a) = a_V(theta^t v) has
     matrix N_a S_t / D_a, with S_t block diagonal, each block the integer
@@ -345,10 +336,10 @@ def _module_of_valid(datum, semi, algebra=None, check=True):
                 ], d_a)
                 for row in n_a
             ])
-    return AModule(algebra, datum.dim * deg, actions, check=check)
+    return AModule(algebra, datum.dim * deg, actions)
 
 
-def from_module(module, check=True):
+def from_module(module):
     """Recover a semilinear datum: K-structure from the K-scalar action,
     a_V from the e_a action.  Returns (datum, basis) where basis columns
     are the chosen K-basis vectors in the module's coordinates; when the
@@ -406,10 +397,9 @@ def from_module(module, check=True):
             tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
         )
     datum = SemilinearDatum(algebra.action, cocycle, n, tuple(matrices))
-    if check:
-        ok, why = validate_datum(datum)
-        if not ok:
-            raise ValueError(f"module does not come from a valid datum: {why}")
+    ok, why = validate_datum(datum)
+    if not ok:
+        raise ValueError(f"module does not come from a valid datum: {why}")
     basis = [[basis_mat[r][c] for r in range(big)] for c in range(big)]
     return datum, basis
 
@@ -489,64 +479,19 @@ def conjugate_datum(datum, p):
 # --- morphisms ------------------------------------------------------------
 
 def datum_morphisms(src, dst):
-    """K-basis of {F : K-linear, F o a_V = a_V' o F for all a}, returned
-    as K-matrices (dst.dim x src.dim)."""
-    if src.action != dst.action or src.cocycle.values != dst.cocycle.values:
-        raise ValueError("data over different twists have no morphisms here")
-    field = src.field
-    deg = field.degree
-    n1, n2 = src.dim, dst.dim
-    nun = n2 * n1 * deg  # rational unknowns for F's K-entries
-    if nun == 0:
-        return []
-    rows = []
-    group = src.action.group
-    for a in group.elements():
-        ainv = group.inv(a)
-        gal = src.action.elements[ainv].matrix
-        for i in range(n2):
-            for j in range(n1):
-                # (F M_a)_{ij} - (M'_a tau_{a^-1}(F))_{ij} = 0, one row
-                # per rational coordinate
-                row = [[Fraction(0)] * nun for _ in range(deg)]
-                for l in range(n1):
-                    c = src.matrices[a][l][j]
-                    if not c:
-                        continue
-                    mm = _mult_matrix(field, c)
-                    base = (i * n1 + l) * deg
-                    for s in range(deg):
-                        for t in range(deg):
-                            row[s][base + t] += mm[s][t]
-                for l in range(n2):
-                    c = dst.matrices[a][i][l]
-                    if not c:
-                        continue
-                    mm = _mult_matrix(field, c)
-                    comb = qlinalg.mat_mul(mm, [list(r) for r in gal])
-                    base = (l * n1 + j) * deg
-                    for s in range(deg):
-                        for t in range(deg):
-                            row[s][base + t] -= comb[s][t]
-                rows.extend(row)
-    sols = qlinalg.kernel(rows)
-    out = []
-    for vec in sols:
-        mat = []
-        for i in range(n2):
-            mat.append(
-                tuple(
-                    field.element(vec[(i * n1 + j) * deg: (i * n1 + j + 1) * deg])
-                    for j in range(n1)
-                )
-            )
-        out.append(tuple(mat))
-    return out
+    """Q-basis of {F : K-linear, F o a_V = a_V' o F for all a}, as
+    K-matrices (dst.dim x src.dim).  These are the morphisms of the
+    A_zeta-modules to_module(src) -> to_module(dst), read back through
+    their K-entries (they commute with the K-scalars)."""
+    m1 = to_module(src)
+    m2 = to_module(dst, algebra=m1.algebra)
+    return [_k_entries(src.field, g) for g in module_morphisms(m1, m2)]
 
 
 def module_morphisms(src, dst):
-    """Rational basis of {G : G R_x = R'_x G for all algebra basis x},
-    i.e. right-module homomorphisms src -> dst."""
+    """Rational basis of {G : G R_x = R'_x G for all algebra x}, i.e.
+    right-module homomorphisms src -> dst.  The generators theta and e_a
+    suffice: the x with G R_x = R'_x G form a unital subalgebra."""
     if src.algebra is not dst.algebra:
         raise ValueError("modules over different algebras")
     n1, n2 = src.dim, dst.dim
@@ -554,7 +499,8 @@ def module_morphisms(src, dst):
     if nun == 0:
         return []
     rows = []
-    for rx, rxp in zip(src.actions, dst.actions):
+    for x in src.algebra._generators():
+        rx, rxp = src.actions[x], dst.actions[x]
         for i in range(n2):
             for j in range(n1):
                 row = [Fraction(0)] * nun
@@ -573,21 +519,7 @@ def module_morphisms(src, dst):
 def datum_morphism_k_matrix(src, dst, f):
     """Flatten a K-linear morphism of data to a rational matrix on the
     module coordinates."""
-    field = src.field
-    deg = field.degree
-    cols = []
-    for j in range(src.dim):
-        for t in range(deg):
-            coords = [Fraction(0)] * deg
-            coords[t] = Fraction(1)
-            vec = [field.zero()] * src.dim
-            vec[j] = field.element(coords)
-            image = qlinalg.mat_vec([list(r) for r in f], vec)
-            cols.append(_flatten(field, image))
-    return [
-        [cols[j][i] for j in range(src.dim * deg)]
-        for i in range(dst.dim * deg)
-    ]
+    return _k_linear_matrix(src.field, f)
 
 
 # --- obstruction and random data -----------------------------------------
@@ -613,10 +545,11 @@ def dimension_one_witness(action, cocycle, bound=5):
     return None
 
 
-def random_datum(action, dim, rand, twisted=True, coeff_bound=2):
+def random_datum(action, dim, rand, twisted=True):
     """A valid datum built by construction: start from the untwisted
     identity datum, transport by a random coboundary primitive, and
-    conjugate by a random invertible matrix."""
+    conjugate by a random invertible matrix, all with coefficients in
+    [-2, 2]."""
     datum = identity_datum(action, dim)
     field = action.field
     if twisted and dim:
@@ -624,7 +557,7 @@ def random_datum(action, dim, rand, twisted=True, coeff_bound=2):
         for g in action.group.elements():
             while True:
                 coords = [
-                    Fraction(rand.randint(-coeff_bound, coeff_bound))
+                    Fraction(rand.randint(-2, 2))
                     for _ in range(field.degree)
                 ]
                 if any(coords):
@@ -636,7 +569,7 @@ def random_datum(action, dim, rand, twisted=True, coeff_bound=2):
         while True:
             p = [
                 [
-                    Fraction(rand.randint(-coeff_bound, coeff_bound))
+                    Fraction(rand.randint(-2, 2))
                     for _ in range(dim)
                 ]
                 for _ in range(dim)

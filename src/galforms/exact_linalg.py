@@ -138,17 +138,6 @@ def _mul(a, b):
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """Free Z-module of a given rank with its distinguished basis."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-
-
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Finitely generated abelian group in invariant-factor form.
 
@@ -416,43 +405,41 @@ def cokernel(matrix):
     return group, projection
 
 
-def _check_actions(lattice, action):
-    n = lattice.rank
+def _check_actions(rank, action):
     for g in action:
-        if g.rows != n or g.cols != n:
+        if g.rows != rank or g.cols != rank:
             raise ValueError("action matrix has wrong shape")
         if abs(g.determinant()) != 1:
             raise ValueError("action matrix is not a lattice automorphism")
 
 
-def _moved_span_matrix(lattice, action):
+def _moved_span_matrix(rank, action):
     """Matrix whose columns generate span{ g*x - x }: the g - I side by side."""
-    identity = IntMatrix.identity(lattice.rank)
-    moved = IntMatrix.zero(lattice.rank, 0)
+    identity = IntMatrix.identity(rank)
+    moved = IntMatrix.zero(rank, 0)
     for g in action:
         moved = moved.hcat(g - identity)
     return moved
 
 
-def coinvariants(lattice, action):
-    """Largest quotient of the lattice on which every action matrix acts
-    trivially: L / span{ g*x - x }, as (group, projection)."""
-    _check_actions(lattice, action)
-    moved = _moved_span_matrix(lattice, action)
+def coinvariants(rank, action):
+    """Largest quotient of Z^rank on which every action matrix acts
+    trivially: Z^rank / span{ g*x - x }, as (group, projection)."""
+    _check_actions(rank, action)
+    moved = _moved_span_matrix(rank, action)
     return cokernel(moved)
 
 
-def fixed_sublattice(lattice, action):
-    """Fixed points of the action: kernel of the stacked (g - I), returned
-    as (rank, embedding matrix whose columns are a basis)."""
-    _check_actions(lattice, action)
-    n = lattice.rank
-    identity = IntMatrix.identity(n)
+def fixed_sublattice(rank, action):
+    """Fixed points of the action on Z^rank: kernel of the stacked
+    (g - I), as (rank, embedding matrix whose columns are a basis)."""
+    _check_actions(rank, action)
+    identity = IntMatrix.identity(rank)
     blocks = [g - identity for g in action]
     if not blocks:
-        return Lattice(n), IntMatrix.identity(n)
+        return rank, IntMatrix.identity(rank)
     stacked = blocks[0]
     for b in blocks[1:]:
         stacked = stacked.stack(b)
     basis = kernel_basis(stacked)
-    return Lattice(basis.cols), basis
+    return basis.cols, basis

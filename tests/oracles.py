@@ -1,8 +1,9 @@
-"""Brute-force oracles for the cohomology and linear-algebra tests: full
-enumeration of cocycles and coboundaries, bounded searches, the dense
-Smith normal form elimination, and Gauss-Jordan elimination over
-Fractions.  Desk scale only; they check the library's exact algorithms
-and are not part of it."""
+"""Brute-force oracles for the cohomology, linear-algebra and descent
+tests: full enumeration of cocycles and coboundaries, bounded searches,
+the dense Smith normal form elimination, Gauss-Jordan elimination over
+Fractions, and the descent morphism systems written out in full.  Desk
+scale only; they check the library's exact algorithms and are not part
+of it."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -14,7 +15,9 @@ from galforms.cohomology import (
     module_coboundary,
     normalize_module_cocycle,
 )
+from galforms import qlinalg
 from galforms.exact_linalg import IntMatrix
+from galforms.fields import _mult_matrix
 
 
 def cohomologous_module_cocycles(module, t1, t2):
@@ -409,3 +412,74 @@ def fraction_determinant(rows):
             if factor:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
+
+
+# The descent morphism systems as galforms built them before datum
+# morphisms were read off the module equivalence.
+
+def datum_morphisms_by_rows(src, dst):
+    """Q-basis of {F : K-linear, F M_a = M'_a a^-1(F) for all a}, from the
+    linear system on F's rational coordinates written out entry by entry;
+    K-matrices (dst.dim x src.dim)."""
+    field = src.field
+    deg = field.degree
+    n1, n2 = src.dim, dst.dim
+    nun = n2 * n1 * deg
+    if nun == 0:
+        return []
+    rows = []
+    group = src.action.group
+    for a in group.elements():
+        gal = src.action.elements[group.inv(a)].matrix
+        for i in range(n2):
+            for j in range(n1):
+                # (F M_a)_{ij} - (M'_a tau_{a^-1}(F))_{ij} = 0, one row
+                # per rational coordinate
+                row = [[Fraction(0)] * nun for _ in range(deg)]
+                for l in range(n1):
+                    c = src.matrices[a][l][j]
+                    if c:
+                        mm = _mult_matrix(field, c)
+                        base = (i * n1 + l) * deg
+                        for s in range(deg):
+                            for t in range(deg):
+                                row[s][base + t] += mm[s][t]
+                for l in range(n2):
+                    c = dst.matrices[a][i][l]
+                    if c:
+                        comb = qlinalg.mat_mul(_mult_matrix(field, c), [list(r) for r in gal])
+                        base = (l * n1 + j) * deg
+                        for s in range(deg):
+                            for t in range(deg):
+                                row[s][base + t] -= comb[s][t]
+                rows.extend(row)
+    return [
+        tuple(
+            tuple(field.element(vec[(i * n1 + j) * deg: (i * n1 + j + 1) * deg]) for j in range(n1))
+            for i in range(n2)
+        )
+        for vec in qlinalg.kernel(rows)
+    ]
+
+
+def module_morphisms_all_basis(src, dst):
+    """Rational basis of {G : G R_x = R'_x G}, imposed for every algebra
+    k-basis element x, not only for the generators."""
+    n1, n2 = src.dim, dst.dim
+    nun = n2 * n1
+    if nun == 0:
+        return []
+    rows = []
+    for rx, rxp in zip(src.actions, dst.actions):
+        for i in range(n2):
+            for j in range(n1):
+                row = [Fraction(0)] * nun
+                for l in range(n1):
+                    row[i * n1 + l] += rx[l][j]
+                for l in range(n2):
+                    row[l * n1 + j] -= rxp[i][l]
+                rows.append(row)
+    return [
+        [tuple(vec[i * n1 + j] for j in range(n1)) for i in range(n2)]
+        for vec in qlinalg.kernel(rows)
+    ]

@@ -11,8 +11,9 @@ from galforms.classify import (
     component_index,
     quasisplit_cocharacter_data,
 )
+from galforms.exact_linalg import fixed_sublattice
 from galforms.fields import BrauerClass
-from galforms.groups import cyclic, homomorphisms, symmetric
+from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
 from galforms.root_datum import build_root_datum, fundamental_group, outer_automorphisms
 
 
@@ -114,6 +115,30 @@ def test_rank_additivity_every_form():
             for orb in data.orbits:
                 assert not (set(orb) & seen)
                 seen |= set(orb)
+
+
+CARTAN_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+def test_fixed_rank_is_the_rank_of_the_fixed_sublattice(isogeny):
+    """fixed_rank is read from the coinvariants' free rank; the fixed
+    sublattice, computed by its own kernel, is the oracle."""
+    gammas = [cyclic(2), cyclic(3), direct_product(cyclic(2), cyclic(2)), symmetric(3)]
+    for label in CARTAN_TYPES:
+        brd, out, elements = out_of(label, isogeny)
+        for gamma in gammas:
+            for rho in homomorphisms(gamma, out):
+                data = quasisplit_cocharacter_data(brd, rho, height=0)
+                rank, _basis = fixed_sublattice(
+                    brd.datum.rank, [elements[x].cochar_matrix for x in rho]
+                )
+                assert data.fixed_rank == rank, (label, rho)
+                assert data.moved_rank == brd.datum.rank - rank, (label, rho)
 
 
 def test_invalid_rho_rejected():

@@ -553,11 +553,40 @@ def test_argparse_errors_exit_2():
     assert proc.returncode == 2
 
 
-def test_no_global_seed_flag():
+def test_no_global_seed_flag(capsys):
     """No subroutine is randomized, so there is no --seed to pass."""
+    code, out = invoke(capsys, "--seed", "1", "pi1", "--type", "A1")
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossed-product", "-d", "abc", "-c", "1"],
+    ["coinvariants", "--type", "A2", "--rho", "0,1", "--height", "x"],
+    ["dual", "--type", "A2", "--isogeny", "foo"],
+    ["dual"],
+    ["inner-invariant", "--type", "A3", "-d", "x", "--assign", "-1"],
+    ["classify-quasisplit", "--gamma", "C2", "--type", "A2", "--isogeny", "foo"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_print_malformed_input(capsys, argv):
+    """Usage errors print an error/v1 document and exit 2, with nothing on
+    stderr."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    validate_result(doc)
+    assert code == 2
+    assert doc["kind"] == "malformed-input"
+    assert captured.err == ""
+
+
+def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["--seed", "1", "pi1", "--type", "A1"])
-    assert exc.value.code == 2
+        run(["dual", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: galforms dual")
 
 
 def test_output_is_deterministic():

@@ -311,6 +311,18 @@ def test_quadratic_cocycle_and_coboundary():
     assert found is not None
 
 
+def test_quadratic_cocycle_refuses_an_irrational_value():
+    """zeta(s, s) must be fixed by conjugation; the check reads the
+    value's coordinates, not the full cocycle identity."""
+    for k in (quadratic_field(-1), quadratic_field(5), cyclotomic_field(3)):
+        action = GaloisAction.of(k)
+        for c in (k.generator(), k.element([2, 1]), k.element([0, Fraction(-1, 3)])):
+            with pytest.raises(ValueError, match=r"^value does not define a cocycle \(must be fixed by conjugation\)$"):
+                quadratic_cocycle(action, c)
+        z = quadratic_cocycle(action, k.element([Fraction(-7, 2), 0]))
+        assert is_two_cocycle_kx(z)
+
+
 def test_invalid_cocycle_detected():
     k = cyclotomic_field(5)
     action = GaloisAction.of(k)

@@ -33,6 +33,7 @@ from galforms.descent import (
 )
 from galforms.fields import cyclotomic_field, quadratic_field
 from galforms import qlinalg
+from oracles import datum_morphisms_by_rows, module_morphisms_all_basis
 
 
 def gaussian_action():
@@ -310,6 +311,62 @@ def test_morphism_spaces_correspond():
                 from galforms import qlinalg
 
                 assert qlinalg.mat_mul(g, rx) == qlinalg.mat_mul(rxp, g)
+
+
+def _data_over_one_twist(action, dims, twisted, rng):
+    """Random data of the given dimensions sharing one cocycle: transport
+    identity data by one primitive, then conjugate each by its own random
+    invertible K-matrix, so that the morphisms have irrational entries."""
+    field = action.field
+
+    def element():
+        coords = [rng.randint(-2, 2) for _ in range(field.degree)]
+        return field.element(coords) if any(coords) else field.one()
+
+    primitive = {g: element() for g in action.group.elements()}
+    primitive[action.group.identity] = field.one()
+    data = []
+    for dim in dims:
+        datum = identity_datum(action, dim)
+        if twisted:
+            datum = transport_datum(datum, primitive)
+        while True:
+            p = kmat(field, [[element() for _ in range(dim)] for _ in range(dim)])
+            if kmat_inv(p) is not None:
+                break
+        data.append(conjugate_datum(datum, p))
+    return data
+
+
+def _flat(kmatrix):
+    return [c for row in kmatrix for x in row for c in x.coords]
+
+
+@pytest.mark.parametrize("field, maxdim", ROUNDTRIP_FIELDS, ids=["Q(i)", "Q(sqrt2)", "Q(sqrt-3)", "Q(zeta5)"])
+@pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
+def test_morphisms_through_the_module_equivalence(field, maxdim, twisted):
+    """datum_morphisms spans the same Q-space as the hand-built system on
+    F's coordinates; each F it returns intertwines the two modules'
+    actions of every algebra basis element; and module_morphisms, which
+    imposes the generators only, returns what the all-basis system does."""
+    rng = random.Random(41 + maxdim)
+    action = GaloisAction.of(field)
+    pairs = [(n, n) for n in range(1, maxdim + 1)]
+    pairs += [(n, n % maxdim + 1) for n in range(1, maxdim + 1)]
+    for dims in pairs:
+        src, dst = _data_over_one_twist(action, dims, twisted, rng)
+        got = datum_morphisms(src, dst)
+        want = datum_morphisms_by_rows(src, dst)
+        assert len(got) == len(want) > 0, dims
+        assert qlinalg.rank([_flat(f) for f in got]) == len(got), dims
+        assert qlinalg.rank([_flat(f) for f in got + want]) == len(want), dims
+        m1 = to_module(src)
+        m2 = to_module(dst, algebra=m1.algebra)
+        for f in got:
+            g = datum_morphism_k_matrix(src, dst, f)
+            for rx, rxp in zip(m1.actions, m2.actions):
+                assert qlinalg.mat_mul(g, rx) == qlinalg.mat_mul(rxp, g), dims
+        assert module_morphisms(m1, m2) == module_morphisms_all_basis(m1, m2), dims
 
 
 def test_endomorphisms_of_twisted_line():
