@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import prod
@@ -30,10 +31,9 @@ from .cohomology import (
 from .crossed import CrossedProductAlgebra, find_zero_divisor
 from .descent import (
     SemilinearDatum,
-    _fixed_space_of_valid,
-    _module_of_valid,
-    _semilinear_k_matrices,
+    fixed_space,
     kmat,
+    to_module,
     validate_datum,
 )
 from .exact_linalg import IntMatrix
@@ -45,7 +45,7 @@ from .fields import (
     quadratic_field,
     RATIONALS,
 )
-from .groups import FiniteGroup, cyclic, direct_product, symmetric
+from .groups import cyclic, direct_product, symmetric
 from .classify import (
     QuasiSplitForm,
     _NotAHomomorphism,
@@ -500,14 +500,10 @@ def cmd_descend(args):
         "violation": why,
     }
     if ok:
-        # validated above: build the module and the fixed space from the
-        # same semilinear k-matrices, without validating again
-        semi = _semilinear_k_matrices(datum)
-        module = _module_of_valid(datum, semi)
-        out["module_dimension"] = module.dim
+        out["module_dimension"] = to_module(datum).dim
         one = field.one()
         if all(v == one for v in cocycle.values.values()):
-            basis = _fixed_space_of_valid(datum, semi)
+            basis = fixed_space(datum)
             out["fixed_space"] = [[ser_rational(x) for x in vec] for vec in basis]
             out["fixed_dimension"] = len(basis)
     emit(out)
@@ -515,10 +511,7 @@ def cmd_descend(args):
 
 def cmd_inner_invariant(args):
     brd = build_root_datum(args.type, args.isogeny)
-    try:
-        assignments = [parse_rational(x) for x in args.assign.split(",")] if args.assign else []
-    except AttributeError:
-        assignments = []
+    assignments = [parse_rational(x) for x in args.assign.split(",")] if args.assign else []
     invariant = build_inner_invariant(brd, args.d, assignments)
     components = []
     for element in invariant.elements():
@@ -650,7 +643,15 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at interpreter exit cannot raise again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

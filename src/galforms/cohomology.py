@@ -151,11 +151,9 @@ class GModule:
                 prod_mat = self.action[g] * self.action[h]
                 if not self._congruent(prod_mat, self.action[gh]):
                     raise ValueError("action is not a group homomorphism")
-        ident = IntMatrix.identity(k)
-        for g in range(gamma.order):
-            ginv = gamma.inverse[g]
-            if not self._congruent(self.action[g] * self.action[ginv], ident):
-                raise ValueError("action matrices must be invertible mod moduli")
+        # for a homomorphism, A_g A_{g^-1} = A_1 for all g: all are I iff A_1 is
+        if not self._congruent(self.action[gamma.identity], IntMatrix.identity(k)):
+            raise ValueError("action matrices must be invertible mod moduli")
 
     def _congruent(self, a, b):
         k = len(self.moduli)
@@ -551,6 +549,8 @@ def hom_module(gamma, p_moduli, m_module):
     if m_module.gamma is not gamma and m_module.gamma != gamma:
         raise ValueError("module must be over the same Gamma")
     p_moduli = tuple(int(p) for p in p_moduli)
+    if any(p < 1 for p in p_moduli):
+        raise ValueError("P moduli must be positive")
     d = m_module.moduli
     k = len(d)
     l = len(p_moduli)
@@ -560,19 +560,8 @@ def hom_module(gamma, p_moduli, m_module):
     def gen_image(i, j):
         """M-element that the (i,j) basis hom sends generator i to."""
         vec = [0] * k
-        g = gcd(p_moduli[i], d[j])
-        vec[j] = d[j] // g if g else 0
+        vec[j] = d[j] // gcd(p_moduli[i], d[j])
         return tuple(vec)
-
-    def solve_congruence(step, target, modulus):
-        """t with t*step = target mod modulus (exists by construction)."""
-        if modulus == 1:
-            return 0
-        g = gcd(step, modulus)
-        if target % g:
-            raise ValueError("congruence has no solution; action not well defined")
-        step_, target_, modulus_ = step // g, target // g, modulus // g
-        return (target_ * pow(step_, -1, modulus_)) % modulus_
 
     mats = []
     for g in range(gamma.order):
@@ -581,15 +570,16 @@ def hom_module(gamma, p_moduli, m_module):
             image = m_module.act(g, gen_image(i, j))
             col = []
             for i2, j2 in pairs:
-                if i2 != i:
-                    col.append(0)
-                    continue
                 gij2 = gcd(p_moduli[i2], d[j2])
-                if gij2 == 0:
+                if i2 != i or gij2 == 1:
                     col.append(0)
                     continue
+                # t with t * step = image mod d_j2: step = d_j2 / gij2
+                # divides d_j2, so t = image / step, mod gij2
                 step = d[j2] // gij2
-                col.append(solve_congruence(step, image[j2], d[j2]) % gij2 if gij2 > 1 else 0)
+                if image[j2] % step:
+                    raise ValueError("congruence has no solution; action not well defined")
+                col.append(image[j2] // step % gij2)
             cols.append(col)
         mats.append(IntMatrix(cols).transpose())
     module = GModule(gamma, moduli, mats)
@@ -614,12 +604,11 @@ def hom_module(gamma, p_moduli, m_module):
     def from_hom(table):
         coords = []
         for i, j in pairs:
-            gen = tuple(1 if t == i else 0 for t in range(l))
-            image = table[gen]
             gij = gcd(p_moduli[i], d[j])
-            if gij <= 1:
+            if gij == 1:
                 coords.append(0)
                 continue
+            image = table[tuple(1 if t == i else 0 for t in range(l))]
             step = d[j] // gij
             if image[j] % step:
                 raise ValueError("table is not a homomorphism into the right torsion")

@@ -14,8 +14,6 @@ from fractions import Fraction
 from . import qlinalg
 from .cohomology import (
     CyclicNormClasses,
-    GaloisAction,
-    KxCocycle,
     is_two_cocycle_kx,
     kx_coboundary_of,
 )

@@ -87,9 +87,6 @@ class SemilinearDatum:
     def field(self):
         return self.action.field
 
-    def matrix(self, a):
-        return self.matrices[a]
-
     def apply(self, a, vec):
         """a_V applied to a K-coordinate vector."""
         ainv = self.action.group.inv(a)
@@ -116,26 +113,38 @@ def identity_datum(action, dim):
 
 def validate_datum(datum):
     """Returns (True, None) or (False, violation description with the
-    witnessing group element(s))."""
+    witnessing group element(s)).  A datum is checked once: the verdict
+    is kept on it, with the rational k-matrix S_a of every a_V, which
+    to_module and fixed_space read through _checked_k_matrices."""
+    kept = vars(datum).get("_verdict")
+    if kept is None:
+        kept = vars(datum)["_verdict"] = _verdict(datum)
+    return kept[0] is None, kept[0]
+
+
+def _verdict(datum):
+    """(violation or None, [S_a for a in Gamma] or None)."""
     action = datum.action
     group = action.group
-    field = action.field
     n = datum.dim
     if len(datum.matrices) != group.order:
-        return False, "one matrix per Galois group element required"
+        return "one matrix per Galois group element required", None
     for a in group.elements():
         m = datum.matrices[a]
         if len(m) != n or any(len(row) != n for row in m):
-            return False, f"matrix for element {a} is not {n}x{n}"
-    eye = kmat_identity(field, n)
+            return f"matrix for element {a} is not {n}x{n}", None
+    eye = kmat_identity(action.field, n)
     if datum.matrices[group.identity] != eye:
-        return False, f"identity component is not the identity map (witness {group.identity})"
+        return f"identity component is not the identity map (witness {group.identity})", None
     if not datum.cocycle.is_normalized():
-        return False, "cocycle is not normalized"
-    # a K-linear map is bijective iff its rational k-matrix is
+        return "cocycle is not normalized", None
+    # a_V = M_a o (a^-1 twist) is bijective iff M_a is, iff S_a has full rank
+    semi = []
     for a in group.elements():
-        if n and qlinalg.rank(_k_linear_matrix(field, datum.matrices[a])) != n * field.degree:
-            return False, f"component {a} is not bijective"
+        s_a = _semilinear_k_matrix(datum, a)
+        if qlinalg.rank(s_a) != len(s_a):
+            return f"component {a} is not bijective", None
+        semi.append(s_a)
     for a in group.elements():
         for b in group.elements():
             ab = group.table[a][b]
@@ -146,8 +155,16 @@ def validate_datum(datum):
             scalar = action.apply(group.inv(ab), datum.cocycle.value(a, b))
             rhs = kmat_scale(scalar, datum.matrices[ab])
             if lhs != rhs:
-                return False, f"twisted composition fails at pair ({a}, {b})"
-    return True, None
+                return f"twisted composition fails at pair ({a}, {b})", None
+    return None, semi
+
+
+def _checked_k_matrices(datum):
+    """The kept S_a of a valid datum; an invalid datum raises."""
+    ok, why = validate_datum(datum)
+    if not ok:
+        raise ValueError(f"invalid datum: {why}")
+    return vars(datum)["_verdict"][1]
 
 
 # --- modules over the crossed product ------------------------------------
@@ -168,18 +185,6 @@ class AModule:
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise ValueError("action matrix of the wrong shape")
         self._check_axioms()
-
-    def action_of(self, x):
-        """Rational matrix of v -> v*x for an arbitrary algebra element."""
-        coords = x.k_coords()
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for z, c in enumerate(coords):
-            if c:
-                m = self.actions[z]
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        out[i][j] += c * m[i][j]
-        return [tuple(row) for row in out]
 
     def _check_axioms(self):
         """R_1 = I and R_{xg} = R_g R_x for every k-basis x and every
@@ -217,9 +222,6 @@ class AModule:
                             raise ValueError(
                                 f"module axiom fails on basis pair ({x_idx}, {g})"
                             )
-
-    def apply(self, vec, x):
-        return qlinalg.mat_vec([list(r) for r in self.action_of(x)], list(vec))
 
     def __eq__(self, other):
         return (
@@ -297,30 +299,17 @@ def _k_entries(field, m):
     )
 
 
-def _semilinear_k_matrices(datum):
-    return [_semilinear_k_matrix(datum, a) for a in datum.action.group.elements()]
-
-
 def to_module(datum, algebra=None):
     """The k-restriction of V as a right module over A_zeta: K acts by
-    scalars, e_a acts as a_V."""
-    ok, why = validate_datum(datum)
-    if not ok:
-        raise ValueError(f"invalid datum: {why}")
-    if algebra is not None and (
-        algebra.cocycle.values != datum.cocycle.values or algebra.action != datum.action
-    ):
-        raise ValueError("algebra does not match the datum's twist")
-    return _module_of_valid(datum, _semilinear_k_matrices(datum), algebra)
-
-
-def _module_of_valid(datum, semi, algebra=None):
-    """to_module for a datum already validated, with its semilinear
-    k-matrices semi[a] = N_a / D_a: v . (theta^t e_a) = a_V(theta^t v) has
-    matrix N_a S_t / D_a, with S_t block diagonal, each block the integer
-    matrix B_t of multiplication by theta^t."""
+    scalars, e_a acts as a_V.  With S_a = N_a / D_a the k-matrix of a_V,
+    v . (theta^t e_a) = a_V(theta^t v) has matrix N_a S_t / D_a, with S_t
+    block diagonal, each block the integer matrix B_t of multiplication
+    by theta^t."""
+    semi = _checked_k_matrices(datum)
     if algebra is None:
         algebra = CrossedProductAlgebra(datum.action, datum.cocycle)
+    elif algebra.cocycle.values != datum.cocycle.values or algebra.action != datum.action:
+        raise ValueError("algebra does not match the datum's twist")
     field = datum.field
     deg = field.degree
     blocks = [list(zip(*_mult_matrix(field, power))) for power in field.power_basis()]
@@ -382,20 +371,11 @@ def from_module(module):
     inv = qlinalg.mat_inv(basis_mat)
     if inv is None:
         raise ValueError("K-scalar action is not free: no K-basis found")
-
-    def k_coords_of(vec):
-        return _unflatten(field, qlinalg.mat_vec(inv, list(vec)))
-
-    matrices = []
-    for a in algebra.group.elements():
-        ra = module.actions[a * deg]  # action of e_a (field basis element 1)
-        cols = []
-        for i in chosen:
-            image = [ra[r][i] for r in range(big)]
-            cols.append(k_coords_of(image))
-        matrices.append(
-            tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        )
+    # M_a is R_{e_a} (e_a is basis element a * deg) in the chosen K-basis
+    matrices = [
+        _k_entries(field, qlinalg.mat_mul(inv, qlinalg.mat_mul(module.actions[a * deg], basis_mat)))
+        for a in algebra.group.elements()
+    ]
     datum = SemilinearDatum(algebra.action, cocycle, n, tuple(matrices))
     ok, why = validate_datum(datum)
     if not ok:
@@ -411,18 +391,9 @@ def fixed_space(datum):
     one = datum.field.one()
     if any(x != one for x in datum.cocycle.values.values()):
         raise ValueError("fixed spaces only exist for untwisted data")
-    ok, why = validate_datum(datum)
-    if not ok:
-        raise ValueError(f"invalid datum: {why}")
-    return _fixed_space_of_valid(datum, _semilinear_k_matrices(datum))
-
-
-def _fixed_space_of_valid(datum, semi):
-    """fixed_space for an untwisted datum already validated, with its
-    semilinear k-matrices semi[a]."""
+    semi = _checked_k_matrices(datum)
     field = datum.field
-    deg = field.degree
-    big = datum.dim * deg
+    big = datum.dim * field.degree
     if big == 0:
         return []
     rows = []

@@ -284,12 +284,10 @@ class FieldElement:
 
 @dataclass(frozen=True)
 class GaloisGroupElement:
-    """Field automorphism given by its matrix on the power basis; for
-    cyclotomic fields also the unit u with zeta -> zeta^u."""
+    """Field automorphism given by its matrix on the power basis."""
 
     field: GaloisField
     matrix: tuple  # rows of Fractions
-    unit: int = None
     # the matrix as den and sparse integer rows ((j, entry * den), ...)
     _den: int = dc_field(init=False, repr=False, compare=False)
     _rows: tuple = dc_field(init=False, repr=False, compare=False)
@@ -344,9 +342,7 @@ def galois_group(field):
     units = [u for u in range(1, n) if gcd(u, n) == 1]
     zeta = field.generator()
     elems = [
-        GaloisGroupElement(
-            field, _automorphism_from_generator_image(field, zeta ** u), unit=u
-        )
+        GaloisGroupElement(field, _automorphism_from_generator_image(field, zeta ** u))
         for u in units
     ]
     index = {u: i for i, u in enumerate(units)}

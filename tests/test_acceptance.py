@@ -48,7 +48,6 @@ from galforms.descent import (
     datum_morphisms,
     fixed_space,
     from_module,
-    identity_datum,
     module_morphisms,
     random_datum,
     to_module,

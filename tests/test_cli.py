@@ -1,6 +1,7 @@
 """Command-line interface: JSON output, schemas, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -354,6 +355,40 @@ def test_descend_invalid_reports_witness(capsys, tmp_path):
     assert "twisted composition fails at pair (1, 1)" in doc["violation"]
 
 
+ONE = ["1", "0"]
+DESCEND_EDGE_CASES = [
+    ("dim 0, trivial cocycle",
+     {"field": {"kind": "quadratic", "d": -1}, "cocycle": "trivial", "matrices": [[], []]},
+     0, {"schema": "galforms/descend/v1", "valid": True, "violation": None,
+         "module_dimension": 0, "fixed_space": [], "fixed_dimension": 0}),
+    ("dim 0, zeta(s, s) = i is no cocycle",
+     {"field": {"kind": "quadratic", "d": -1},
+      "cocycle": [[0, 0, ONE], [0, 1, ONE], [1, 0, ONE], [1, 1, ["0", "1"]]],
+      "matrices": [[], []]},
+     1, {"schema": "galforms/error/v1", "kind": "domain-error",
+         "error": "not a 2-cocycle: associativity fails at triple (1, 1, 1)"}),
+    ("dim 1, zeta(s, s) = sqrt 5",
+     {"field": {"kind": "quadratic", "d": 5},
+      "cocycle": [[0, 0, ONE], [0, 1, ONE], [1, 0, ONE], [1, 1, ["0", "1"]]],
+      "matrices": [[[ONE]], [[ONE]]]},
+     0, {"schema": "galforms/descend/v1", "valid": False,
+         "violation": "twisted composition fails at pair (1, 1)"}),
+]
+
+
+@pytest.mark.parametrize("job, exit_code, want", [c[1:] for c in DESCEND_EDGE_CASES],
+                         ids=[c[0] for c in DESCEND_EDGE_CASES])
+def test_descend_edge_cases(capsys, tmp_path, job, exit_code, want):
+    """Empty data and a non-cocycle twist: the zero module is valid, the
+    crossed product refuses a table that is no cocycle, and a datum over
+    an irrational zeta fails the composition law at its witness pair."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, doc = invoke(capsys, "descend", "--job", str(path))
+    assert code == exit_code
+    assert doc == want
+
+
 def test_inner_invariant(capsys):
     code, doc = invoke(
         capsys,
@@ -551,6 +586,24 @@ def test_argparse_errors_exit_2():
         [sys.executable, "-m", "galforms"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe early (`galforms ... | head`) gets
+    exit 1 and no traceback on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "galforms", "outer", "--type", "D4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_no_global_seed_flag(capsys):

@@ -271,6 +271,28 @@ def test_hom_module_structure():
     assert from_hom(table) == (1,)
 
 
+def test_hom_module_from_z1_roundtrips():
+    """Hom(Z/1, M) is zero: its one homomorphism sends 0 to 0, and
+    from_hom reads it back without looking up a generator of Z/1."""
+    gam = cyclic(2)
+    m = GModule(gam, (4, 6), (IntMatrix.identity(2), IntMatrix([[3, 0], [0, 5]])))
+    hm, to_hom, from_hom = hom_module(gam, (1,), m)
+    assert hm.moduli == (1, 1)
+    table = to_hom((0, 0))
+    assert table == {(0,): (0, 0)}
+    assert from_hom(table) == (0, 0)
+    hm, to_hom, from_hom = hom_module(gam, (1, 2), m)
+    assert hm.moduli == (1, 1, 2, 2)
+    for coords in ((0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)):
+        assert from_hom(to_hom(coords)) == coords
+
+
+@pytest.mark.parametrize("p_moduli", [(0,), (2, 0), (-3,)])
+def test_hom_module_refuses_a_modulus_below_one(p_moduli):
+    with pytest.raises(ValueError, match="P moduli must be positive"):
+        hom_module(cyclic(2), p_moduli, GModule.trivial(cyclic(2), (4,)))
+
+
 def test_transport_bijection_on_tables():
     gam = cyclic(2)
     m = GModule.trivial(gam, (4,))

@@ -133,6 +133,47 @@ def test_conjugation_by_i_is_valid():
     assert ok, why
 
 
+def test_a_datum_is_checked_once(monkeypatch):
+    """validate_datum keeps its verdict and the k-matrices S_a on the
+    datum: after it returns True, to_module and fixed_space multiply no
+    K-matrices, and S_a is built once per group element."""
+    from galforms import descent
+
+    for field in (quadratic_field(-1), cyclotomic_field(5)):
+        action = GaloisAction.of(field)
+        datum = random_datum(action, 2, random.Random(5), twisted=False)
+        calls = {"kmat_mul": 0, "semi": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(descent, "kmat_mul", counted("kmat_mul", descent.kmat_mul))
+        monkeypatch.setattr(descent, "_semilinear_k_matrix",
+                            counted("semi", descent._semilinear_k_matrix))
+        assert validate_datum(datum) == (True, None)
+        checked = calls["kmat_mul"]
+        assert checked == action.group.order ** 2
+        to_module(datum)
+        assert len(fixed_space(datum)) == 2
+        assert validate_datum(datum) == (True, None)
+        assert calls == {"kmat_mul": checked, "semi": action.group.order}
+        monkeypatch.undo()
+
+
+def test_invalid_datum_is_refused_by_to_module_and_fixed_space():
+    action = gaussian_action()
+    twisted = make_datum(action, quadratic_cocycle(action, -1), [[[1]], [[1]]])
+    with pytest.raises(ValueError, match=r"^invalid datum: twisted composition fails at pair \(1, 1\)$"):
+        to_module(twisted)
+    singular = make_datum(action, trivial_kx_cocycle(action), [[[1, 0], [0, 1]], [[1, 1], [1, 1]]])
+    for build in (to_module, fixed_space):
+        with pytest.raises(ValueError, match=r"^invalid datum: component 1 is not bijective$"):
+            build(singular)
+
+
 # --- fixed spaces ---------------------------------------------------------
 
 def test_fixed_space_of_identity_datum():
