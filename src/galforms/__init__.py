@@ -71,7 +71,6 @@ from .crossed import (
     AlgebraElement,
     AlgebraIsomorphism,
     CrossedProductAlgebra,
-    build_crossed_product,
     coboundary_isomorphism,
     cocycle_sum_class_check,
     find_zero_divisor,
@@ -84,7 +83,6 @@ from .descent import (
     from_module,
     identity_datum,
     make_datum,
-    random_datum,
     regular_module,
     to_module,
     transport_datum,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import prod
@@ -33,7 +34,6 @@ from .descent import (
     SemilinearDatum,
     fixed_space,
     kmat,
-    to_module,
     validate_datum,
 )
 from .exact_linalg import IntMatrix
@@ -63,6 +63,11 @@ from .root_datum import (
 
 class MalformedInput(Exception):
     pass
+
+
+# A plain decimal integer; int() would also take '+1', ' 1', '1_0' and
+# non-ASCII digits.
+DECIMAL = re.compile(r"-?[0-9]+")
 
 
 # --- serialization helpers ------------------------------------------------
@@ -278,10 +283,10 @@ def cmd_classify_quasisplit(args):
 
 def cmd_coinvariants(args):
     brd = build_root_datum(args.type, args.isogeny)
-    try:
-        rho = tuple(int(x) for x in args.rho.split(","))
-    except ValueError:
-        raise MalformedInput(f"bad rho {args.rho!r}") from None
+    entries = args.rho.split(",")
+    if not all(map(DECIMAL.fullmatch, entries)):
+        raise MalformedInput(f"bad rho {args.rho!r}")
+    rho = tuple(map(int, entries))
     if args.height < 0:
         raise MalformedInput(f"height must be non-negative, got {args.height}")
     try:
@@ -412,10 +417,9 @@ def cmd_hilbert(args):
     b = parse_rational(args.b)
     place = args.place
     if place != INFINITE_PLACE:
-        try:
-            place = int(place)
-        except ValueError:
-            raise MalformedInput(f"bad place {args.place!r}") from None
+        if not DECIMAL.fullmatch(place):
+            raise MalformedInput(f"bad place {place!r}")
+        place = int(place)
     emit({"schema": "galforms/hilbert/v1", "symbol": hilbert_symbol(a, b, place)})
 
 
@@ -500,7 +504,12 @@ def cmd_descend(args):
         "violation": why,
     }
     if ok:
-        out["module_dimension"] = to_module(datum).dim
+        # a valid datum on V != 0 makes zeta a 2-cocycle (compose a_V, b_V
+        # and c_V both ways; (abc)_V is bijective); on V = 0 the crossed
+        # product checks zeta
+        if not dim:
+            CrossedProductAlgebra(action, cocycle)
+        out["module_dimension"] = dim * field.degree
         one = field.one()
         if all(v == one for v in cocycle.values.values()):
             basis = fixed_space(datum)
@@ -522,7 +531,7 @@ def cmd_inner_invariant(args):
                 "ramified": cls.sorted_places(),
                 "trivial": cls.is_trivial(),
                 "presenting_c": ser_rational(invariant.parameters[element]),
-                "split_algebra": invariant.algebras[element].is_split_quaternion(),
+                "split_algebra": cls.is_trivial(),
             }
         )
     emit(

@@ -243,21 +243,6 @@ def regular_module(algebra):
 
 # --- the equivalence ------------------------------------------------------
 
-def _flatten(field, kvec):
-    out = []
-    for x in kvec:
-        out.extend(x.coords)
-    return out
-
-
-def _unflatten(field, coords):
-    deg = field.degree
-    return [
-        field.element(coords[j * deg: (j + 1) * deg])
-        for j in range(len(coords) // deg)
-    ]
-
-
 def _semilinear_k_matrix(datum, a):
     """k-matrix of a_V on flattened coordinates: a_V(theta^t e_j) =
     a^-1(theta^t) M_a e_j, so column (j, t) holds the entries of column j
@@ -386,32 +371,20 @@ def from_module(module):
 
 def fixed_space(datum):
     """k-basis of {v : a_V(v) = v for all a} for an untwisted datum, in
-    flattened k-coordinates; verifies the classical dimension count and
-    that the K-span of the fixed space is all of V."""
+    flattened k-coordinates: the common kernel of the S_a - I.  By
+    Speiser's lemma it has dimension datum.dim and K-spans V."""
     one = datum.field.one()
     if any(x != one for x in datum.cocycle.values.values()):
         raise ValueError("fixed spaces only exist for untwisted data")
     semi = _checked_k_matrices(datum)
-    field = datum.field
-    big = datum.dim * field.degree
+    big = datum.dim * datum.field.degree
     if big == 0:
         return []
     rows = []
     for m in semi:
         for i in range(big):
             rows.append([m[i][j] - (i == j) for j in range(big)])
-    basis = qlinalg.kernel(rows)
-    if len(basis) != datum.dim:
-        raise ValueError("descent dimension count failed")
-    # K-span of the fixed vectors must be everything
-    span = []
-    for vec in basis:
-        kvec = _unflatten(field, vec)
-        for power in field.power_basis():
-            span.append(_flatten(field, [power * x for x in kvec]))
-    if qlinalg.rank(span) != big:
-        raise ValueError("K-span of the fixed space is not all of V")
-    return basis
+    return qlinalg.kernel(rows)
 
 
 def transport_datum(datum, primitive):
@@ -487,13 +460,7 @@ def module_morphisms(src, dst):
     ]
 
 
-def datum_morphism_k_matrix(src, dst, f):
-    """Flatten a K-linear morphism of data to a rational matrix on the
-    module coordinates."""
-    return _k_linear_matrix(src.field, f)
-
-
-# --- obstruction and random data -----------------------------------------
+# --- the dimension-one obstruction ----------------------------------------
 
 def dimension_one_witness(action, cocycle, bound=5):
     """Search exhaustively over a coefficient grid for a single field
@@ -514,38 +481,3 @@ def dimension_one_witness(action, cocycle, bound=5):
         if m * action.apply(sigma, m) == target:
             return m
     return None
-
-
-def random_datum(action, dim, rand, twisted=True):
-    """A valid datum built by construction: start from the untwisted
-    identity datum, transport by a random coboundary primitive, and
-    conjugate by a random invertible matrix, all with coefficients in
-    [-2, 2]."""
-    datum = identity_datum(action, dim)
-    field = action.field
-    if twisted and dim:
-        primitive = {}
-        for g in action.group.elements():
-            while True:
-                coords = [
-                    Fraction(rand.randint(-2, 2))
-                    for _ in range(field.degree)
-                ]
-                if any(coords):
-                    break
-            primitive[g] = field.element(coords)
-        primitive[action.group.identity] = field.one()
-        datum = transport_datum(datum, primitive)
-    if dim:
-        while True:
-            p = [
-                [
-                    Fraction(rand.randint(-2, 2))
-                    for _ in range(dim)
-                ]
-                for _ in range(dim)
-            ]
-            if qlinalg.mat_inv(p) is not None:
-                break
-        datum = conjugate_datum(datum, p)
-    return datum

@@ -347,7 +347,7 @@ def galois_group(field):
     ]
     index = {u: i for i, u in enumerate(units)}
     table = [[index[(u * v) % n] for v in units] for u in units]
-    return FiniteGroup(table), elems
+    return FiniteGroup(table, check=False), elems
 
 
 def norm(field, x):

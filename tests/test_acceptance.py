@@ -44,12 +44,11 @@ from galforms.crossed import (
     find_zero_divisor,
 )
 from galforms.descent import (
-    datum_morphism_k_matrix,
+    _k_linear_matrix,
     datum_morphisms,
     fixed_space,
     from_module,
     module_morphisms,
-    random_datum,
     to_module,
 )
 from galforms.exact_linalg import IntMatrix, smith_normal_form
@@ -71,6 +70,7 @@ from galforms.root_datum import (
 )
 from galforms import qlinalg
 from oracles import h2_enumerate
+from random_data import random_datum
 
 ALL_LABELS = (
     ["A%d" % n for n in range(1, 9)]
@@ -395,7 +395,7 @@ def test_criterion_09_descent_equivalence():
         mm = module_morphisms(m1, m2)
         assert len(mm) == len(dm)
         for f in dm:
-            g = datum_morphism_k_matrix(d1, d2, f)
+            g = _k_linear_matrix(d1.field, f)
             for rx, rxp in zip(m1.actions, m2.actions):
                 assert qlinalg.mat_mul(g, rx) == qlinalg.mat_mul(rxp, g)
     # untwisted fixed spaces have full rational dimension

@@ -319,6 +319,27 @@ def test_crossed_product_rejects_a_non_cocycle(capsys, tmp_path):
     validate_result(doc)
 
 
+ONE_4, ZERO_4 = ["1", "0", "0", "0"], ["0", "0", "0", "0"]
+ZERO_COCYCLES = [
+    ("Q(zeta5), zeta(a, b) = 0 off the identity", {"kind": "cyclotomic", "n": 5},
+     [[a, b, ONE_4 if 0 in (a, b) else ZERO_4] for a in range(4) for b in range(4)]),
+    ("Q(i), c = 0", {"kind": "quadratic", "d": -1},
+     [[0, 0, ["1", "0"]], [0, 1, ["1", "0"]], [1, 0, ["1", "0"]], [1, 1, ["0", "0"]]]),
+]
+
+
+@pytest.mark.parametrize("field, table", [c[1:] for c in ZERO_COCYCLES],
+                         ids=[c[0] for c in ZERO_COCYCLES])
+def test_crossed_product_refuses_a_zero_cocycle_value(capsys, tmp_path, field, table):
+    """A zero table passes the associativity test but defines no crossed
+    product; it is refused before that test, at its first zero pair."""
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": field, "cocycle": table}))
+    code, doc = invoke(capsys, "crossed-product", "--job", str(job))
+    assert code == 1
+    assert doc == {"schema": "galforms/error/v1", "kind": "domain-error",
+                   "error": "cocycle value must be nonzero at pair (1, 1)"}
+
 def test_descend_valid(capsys, tmp_path):
     job = tmp_path / "job.json"
     # 1x1 matrices: rows of field-element coordinate arrays
@@ -367,6 +388,12 @@ DESCEND_EDGE_CASES = [
       "matrices": [[], []]},
      1, {"schema": "galforms/error/v1", "kind": "domain-error",
          "error": "not a 2-cocycle: associativity fails at triple (1, 1, 1)"}),
+    ("dim 0, zeta(s, s) = 0",
+     {"field": {"kind": "quadratic", "d": -1},
+      "cocycle": [[0, 0, ONE], [0, 1, ONE], [1, 0, ONE], [1, 1, ["0", "0"]]],
+      "matrices": [[], []]},
+     1, {"schema": "galforms/error/v1", "kind": "domain-error",
+         "error": "cocycle value must be nonzero at pair (1, 1)"}),
     ("dim 1, zeta(s, s) = sqrt 5",
      {"field": {"kind": "quadratic", "d": 5},
       "cocycle": [[0, 0, ONE], [0, 1, ONE], [1, 0, ONE], [1, 1, ["0", "1"]]],
@@ -380,8 +407,9 @@ DESCEND_EDGE_CASES = [
                          ids=[c[0] for c in DESCEND_EDGE_CASES])
 def test_descend_edge_cases(capsys, tmp_path, job, exit_code, want):
     """Empty data and a non-cocycle twist: the zero module is valid, the
-    crossed product refuses a table that is no cocycle, and a datum over
-    an irrational zeta fails the composition law at its witness pair."""
+    crossed product refuses a table that is no cocycle or has a zero
+    value, and a datum over an irrational zeta fails the composition law
+    at its witness pair."""
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     code, doc = invoke(capsys, "descend", "--job", str(path))
@@ -501,6 +529,33 @@ def test_coinvariants_rejects_rho_that_is_no_homomorphism(capsys, label, rho, re
     assert code == 2
     assert out["kind"] == "malformed-input"
     assert reason in out["error"]
+
+
+NOT_PLAIN_DECIMALS = [("rho", rho) for rho in (" 0,+1", "0,1_0", "0,+1", "0, 1", "0,1\n", "0,\u0661", "0,")]
+NOT_PLAIN_DECIMALS += [("place", place) for place in ("1_1", "+2", " 2", "2\n", "\u0662", "0x2", "")]
+
+
+@pytest.mark.parametrize("flag, text", NOT_PLAIN_DECIMALS,
+                         ids=[f"{flag} {text!r}" for flag, text in NOT_PLAIN_DECIMALS])
+def test_integers_are_plain_decimals(capsys, flag, text):
+    """--rho entries and --place are -?[0-9]+: int() would also read
+    '1_1' as 11 and take signs, spaces and non-ASCII digits."""
+    argv = {
+        "rho": ["coinvariants", "--type", "A2", "--isogeny", "adjoint", "--rho", text],
+        "place": ["hilbert", "-a", "-1", "-b", "-1", "-p", text],
+    }[flag]
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out == {"schema": "galforms/error/v1", "kind": "malformed-input",
+                   "error": f"bad {flag} {text!r}"}
+
+
+def test_plain_decimals_are_still_read(capsys):
+    code, out = invoke(capsys, "hilbert", "-a", "-1", "-b", "-1", "-p", "11")
+    assert (code, out["symbol"]) == (0, 1)
+    code, out = invoke(capsys, "coinvariants", "--type", "A2", "--isogeny", "adjoint",
+                       "--rho", "0,1", "--height", "1")
+    assert code == 0
 
 
 BOUNDARY_JOB = {"gamma": "C2", "z": "C2", "b": "C4", "c": "C2", "inclusion": [0, 2],

@@ -18,7 +18,6 @@ from galforms.cohomology import (
 )
 from galforms.crossed import (
     CrossedProductAlgebra,
-    build_crossed_product,
     coboundary_isomorphism,
     cocycle_sum_class_check,
     find_zero_divisor,
@@ -236,12 +235,6 @@ def test_cocycle_sum_class_check_examples():
     assert cocycle_sum_class_check(minus, three, quadratic_cocycle(action, -3))
     assert cocycle_sum_class_check(minus, minus, trivial_kx_cocycle(action))
     assert not cocycle_sum_class_check(minus, trivial_kx_cocycle(action), three)
-
-
-def test_builder_alias():
-    action = GaloisAction.of(quadratic_field(-1))
-    a = build_crossed_product(action, quadratic_cocycle(action, -1))
-    assert isinstance(a, CrossedProductAlgebra)
 
 
 # --- the product table against the dim^3 definitions ----------------------

@@ -25,6 +25,7 @@ from galforms.fields import (
     relevant_places,
     RATIONALS,
 )
+from galforms.groups import FiniteGroup
 
 
 # --- field arithmetic -----------------------------------------------------
@@ -149,6 +150,14 @@ def test_cyclotomic_galois_group():
             for b in group.elements():
                 ab = group.table[a][b]
                 assert elems[a](elems[b](z)) == elems[ab](z)
+
+
+def test_cyclotomic_galois_tables_are_groups():
+    """galois_group builds the table of (Z/n)^x unchecked; the checked
+    FiniteGroup constructor accepts every one of them."""
+    for n in range(3, 31):
+        group, _ = galois_group(cyclotomic_field(n))
+        assert FiniteGroup(group.table).order == euler_phi(n), n
 
 
 def test_norm():

@@ -1,7 +1,9 @@
-"""Import hygiene: no module imports a name it never uses, and the CLI
-reaches the descent module through its public functions only."""
+"""Import hygiene: no module imports a name it never uses, the CLI
+reaches the descent module through its public functions only, and every
+name the benchmark's tracer patches exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,36 @@ def test_cli_imports_no_private_descent_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def tracer_targets():
+    """(module, class or None, attribute) for every entry of SPANS and
+    COUNTED in perfbench/tracer.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANS", "COUNTED")
+    }
+    targets = []
+    for module, names in tables["SPANS"].items():
+        for name in names:
+            targets.append((module, *name) if isinstance(name, tuple) else (module, None, name))
+    for module, cls, methods in tables["COUNTED"].values():
+        targets += [(module, cls, method) for method in methods]
+    return targets
+
+
+def test_every_traced_name_exists():
+    """`--trace 1` patches each of these; a missing one breaks the run."""
+    targets = tracer_targets()
+    assert ("descent", None, "to_module") in targets
+    missing = []
+    for module, cls, name in targets:
+        owner = importlib.import_module(f"galforms.{module}")
+        if cls is not None:
+            owner = vars(owner).get(cls)
+        if owner is None or not callable(vars(owner).get(name)):
+            missing.append((module, cls, name))
+    assert missing == []
