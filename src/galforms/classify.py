@@ -1,6 +1,6 @@
 """Classification-level constructions: quasi-split forms via outer
 homomorphisms, cocharacter coinvariants of a quasi-split twist, and the
-inner-form invariant pi_1(G) -> Br(K/k) with its algebra family."""
+inner-form invariant pi_1(G) -> Br(K/k) with its presenting pairs."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .cohomology import GaloisAction, quadratic_cocycle
-from .crossed import CrossedProductAlgebra
 from .exact_linalg import coinvariants
 from .fields import BrauerClass, brauer_class_quaternion, quadratic_field
 from .groups import homomorphisms
@@ -130,14 +128,13 @@ def quasisplit_cocharacter_data(brd, form, height=4):
 @dataclass(frozen=True)
 class InnerInvariant:
     """mu: pi_1(G) -> Br(K/k) (2-torsion quaternion classes over a common
-    quadratic field Q(sqrt(d))), with one crossed-product representative
-    per component."""
+    quadratic field Q(sqrt(d))), with the c presenting each component as
+    the quaternion algebra (d, c)."""
 
     pi1: object            # FiniteAbelianGroup
     field_param: int       # d
     mu: dict               # element tuple -> BrauerClass
     parameters: dict       # element tuple -> presenting c
-    algebras: dict         # element tuple -> CrossedProductAlgebra
 
     def elements(self):
         return sorted(self.mu)
@@ -154,8 +151,8 @@ def build_inner_invariant(brd, d, assignments):
     assignments: sequence of rationals c_i, one per invariant factor of
     pi_1, giving the class of (d, c_i).  Generators of odd order must
     receive a split class (2-torsion arithmetic); violations are rejected
-    with the failing relation.  mu is a homomorphism, and the algebra of
-    an element has class mu, because (d, c) is bilinear in c.
+    with the failing relation.  mu is a homomorphism, and mu(x) is the
+    class of (d, parameters[x]), because (d, c) is bilinear in c.
     """
     pi1 = fundamental_group(brd)
     if pi1.free_rank:
@@ -166,8 +163,7 @@ def build_inner_invariant(brd, d, assignments):
         raise ValueError(
             f"{len(factors)} generator assignment(s) required, got {len(cs)}"
         )
-    field = quadratic_field(d)
-    action = GaloisAction.of(field)
+    quadratic_field(d)  # refuses a d that defines no quadratic field
     gen_classes = []
     for i, (order, c) in enumerate(zip(factors, cs)):
         cls = brauer_class_quaternion(d, c)
@@ -180,7 +176,6 @@ def build_inner_invariant(brd, d, assignments):
         gen_classes.append(cls)
     mu = {}
     parameters = {}
-    algebras = {}
     split = BrauerClass(frozenset())
     for element in _pi1_elements(factors):
         cls = split
@@ -191,9 +186,7 @@ def build_inner_invariant(brd, d, assignments):
                 c *= gc
         mu[element] = cls
         parameters[element] = c
-        cocycle = quadratic_cocycle(action, c)
-        algebras[element] = CrossedProductAlgebra(action, cocycle)
-    return InnerInvariant(pi1, d, mu, parameters, algebras)
+    return InnerInvariant(pi1, d, mu, parameters)
 
 
 def component_index(brd):

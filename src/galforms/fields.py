@@ -463,7 +463,7 @@ class BrauerClass:
 
 def brauer_class_quaternion(d, c):
     """Class of the quaternion algebra (d, c) over Q."""
-    d = int(d)
+    d = Fraction(d)
     c = Fraction(c)
     if c == 0 or d == 0:
         raise ValueError("nonzero arguments required")

@@ -1,9 +1,20 @@
-"""Random valid descent data for the descent and acceptance tests."""
+"""Data the tests build: random valid descent data, and the quaternion
+algebra that presents a component of an inner-form invariant."""
 
 from fractions import Fraction
 
 from galforms import qlinalg
+from galforms.cohomology import GaloisAction, quadratic_cocycle
+from galforms.crossed import CrossedProductAlgebra
 from galforms.descent import conjugate_datum, identity_datum, transport_datum
+from galforms.fields import quadratic_field
+
+
+def presented_algebra(invariant, element):
+    """The crossed product (d, c) of Q(sqrt(d)) with c the parameter that
+    presents the element of pi_1."""
+    action = GaloisAction.of(quadratic_field(invariant.field_param))
+    return CrossedProductAlgebra(action, quadratic_cocycle(action, invariant.parameters[element]))
 
 
 def random_datum(action, dim, rand, twisted=True):

@@ -70,7 +70,7 @@ from galforms.root_datum import (
 )
 from galforms import qlinalg
 from oracles import h2_enumerate
-from random_data import random_datum
+from random_data import presented_algebra, random_datum
 
 ALL_LABELS = (
     ["A%d" % n for n in range(1, 9)]
@@ -518,9 +518,9 @@ def test_criterion_13_inner_invariant():
         for y in elements:
             s = tuple((a + b) % 2 for a, b in zip(x, y))
             assert cocycle_sum_class_check(
-                inv.algebras[x].cocycle,
-                inv.algebras[y].cocycle,
-                inv.algebras[s].cocycle,
+                presented_algebra(inv, x).cocycle,
+                presented_algebra(inv, y).cocycle,
+                presented_algebra(inv, s).cocycle,
             ), (x, y)
             assert inv.mu[x] + inv.mu[y] == inv.mu[s]
     # order-violating assignments are rejected

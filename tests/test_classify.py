@@ -15,6 +15,7 @@ from galforms.exact_linalg import fixed_sublattice
 from galforms.fields import BrauerClass
 from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
 from galforms.root_datum import build_root_datum, fundamental_group, outer_automorphisms
+from random_data import presented_algebra
 
 
 def out_of(label, isogeny="adjoint"):
@@ -157,17 +158,17 @@ def test_inner_invariant_hamilton():
     assert inv.mu[(0,)].is_trivial()
     assert not inv.mu[(1,)].is_trivial()
     assert inv.parameters[(1,)] == Fraction(-1)
-    alg = inv.algebras[(1,)]
+    alg = presented_algebra(inv, (1,))
     assert alg.presenting_pair() == (-1, Fraction(-1))
     assert not alg.is_split_quaternion()
-    assert inv.algebras[(0,)].is_split_quaternion()
+    assert presented_algebra(inv, (0,)).is_split_quaternion()
 
 
 def test_inner_invariant_split_assignment():
     brd = build_root_datum("A1", "adjoint")
     inv = build_inner_invariant(brd, 2, [2])
     assert inv.mu[(1,)] == BrauerClass(frozenset())
-    assert inv.algebras[(1,)].is_split_quaternion()
+    assert presented_algebra(inv, (1,)).is_split_quaternion()
 
 
 def test_inner_invariant_d4_two_generators():

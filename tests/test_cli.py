@@ -1,14 +1,21 @@
 """Command-line interface: JSON output, schemas, exit codes."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from galforms import classify, groups
+from galforms import classify, cohomology, groups
 from galforms.cli import run
 
 
@@ -243,20 +250,41 @@ RESULT_DEFINITIONS = {
 }
 
 
-def validate_result(doc):
-    """Validate an output document against its definition in
-    schemas/results.schema.json."""
+JOB_DEFINITIONS = {
+    "h1": "h1Job",
+    "h2": "h2Job",
+    "boundary": "boundaryJob",
+    "crossed-product": "crossedProductJob",
+    "descend": "descendJob",
+}
+SCHEMA_URIS = {"results": "galforms/results", "jobs": "galforms/jobs",
+               "common": "galforms/common.schema.json"}
+
+
+@functools.lru_cache(maxsize=None)
+def schema_validator(ref):
+    """A draft-07 validator for ref, with the three files of schemas/ in
+    its registry."""
     from jsonschema import Draft7Validator
     from referencing import Registry, Resource
 
-    results = json.loads((SCHEMAS / "results.schema.json").read_text())
-    common = Resource.from_contents(json.loads((SCHEMAS / "common.schema.json").read_text()))
-    registry = Registry().with_resources([
-        ("galforms/results", Resource.from_contents(results)),
-        ("galforms/common.schema.json", common),
-    ])
-    ref = f"galforms/results#/definitions/{RESULT_DEFINITIONS[doc['schema']]}"
-    Draft7Validator({"$ref": ref}, registry=registry).validate(doc)
+    registry = Registry().with_resources(
+        (uri, Resource.from_contents(json.loads((SCHEMAS / f"{name}.schema.json").read_text())))
+        for name, uri in SCHEMA_URIS.items()
+    )
+    return Draft7Validator({"$ref": ref}, registry=registry)
+
+
+def validate_result(doc):
+    """Validate an output document against its definition in
+    schemas/results.schema.json."""
+    schema_validator(f"galforms/results#/definitions/{RESULT_DEFINITIONS[doc['schema']]}").validate(doc)
+
+
+def job_validator(command):
+    """The validator of the job documents of command, from
+    schemas/jobs.schema.json."""
+    return schema_validator(f"galforms/jobs#/definitions/{JOB_DEFINITIONS[command]}")
 
 
 @pytest.mark.parametrize("case", GOLDEN_CROSSED, ids=[c["name"] for c in GOLDEN_CROSSED])
@@ -533,21 +561,31 @@ def test_coinvariants_rejects_rho_that_is_no_homomorphism(capsys, label, rho, re
 
 NOT_PLAIN_DECIMALS = [("rho", rho) for rho in (" 0,+1", "0,1_0", "0,+1", "0, 1", "0,1\n", "0,\u0661", "0,")]
 NOT_PLAIN_DECIMALS += [("place", place) for place in ("1_1", "+2", " 2", "2\n", "\u0662", "0x2", "")]
+NOT_PLAIN_DECIMALS += [("d", "+2"), ("d", "1_1"), ("height", " 1_0"), ("c", "1.5"), ("c", "1_0")]
 
 
 @pytest.mark.parametrize("flag, text", NOT_PLAIN_DECIMALS,
                          ids=[f"{flag} {text!r}" for flag, text in NOT_PLAIN_DECIMALS])
 def test_integers_are_plain_decimals(capsys, flag, text):
-    """--rho entries and --place are -?[0-9]+: int() would also read
-    '1_1' as 11 and take signs, spaces and non-ASCII digits."""
+    """--rho entries, --place, -d and --height are -?[0-9]+, and -c is a
+    rational -?[0-9]+(/[0-9]+)?: int() and Fraction() would also read
+    '1_1' as 11 and take signs, spaces, non-ASCII digits and decimals."""
     argv = {
         "rho": ["coinvariants", "--type", "A2", "--isogeny", "adjoint", "--rho", text],
         "place": ["hilbert", "-a", "-1", "-b", "-1", "-p", text],
+        "d": ["crossed-product", "-d", text, "-c", "3"],
+        "height": ["coinvariants", "--type", "A2", "--isogeny", "adjoint", "--rho", "0,1",
+                   "--height", text],
+        "c": ["crossed-product", "-d", "-1", "-c", text],
     }[flag]
+    error = {
+        "d": f"argument -d: invalid int value: {text!r}",
+        "height": f"argument --height: invalid int value: {text!r}",
+        "c": f"bad rational {text!r}",
+    }.get(flag, f"bad {flag} {text!r}")
     code, out = invoke(capsys, *argv)
     assert code == 2
-    assert out == {"schema": "galforms/error/v1", "kind": "malformed-input",
-                   "error": f"bad {flag} {text!r}"}
+    assert out == {"schema": "galforms/error/v1", "kind": "malformed-input", "error": error}
 
 
 def test_plain_decimals_are_still_read(capsys):
@@ -759,7 +797,7 @@ def test_imports_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("spec", ["S-3", "S0", "C0", "C720xS0"])
+@pytest.mark.parametrize("spec", ["S0", "C0", "C720xS0"])
 def test_group_spec_needs_positive_n(monkeypatch, capsys, spec):
     """n < 1 is refused for both kinds of factor before any table is
     built, as a domain error."""
@@ -831,3 +869,246 @@ def test_lie_golden_cold_then_warm(capsys):
     assert passes[0] == expected
     assert passes[1] == expected
     assert _cartan_datum.cache_info().hits >= len(GOLDEN_LIE)
+
+
+@pytest.mark.parametrize("spec", ["S-3", "C+2", " C2", "C2 ", "c2", "C\u0662", "C2\tx C2", "C2xx"])
+def test_group_specs_follow_the_schema(monkeypatch, capsys, tmp_path, spec):
+    """A group spec is [CS][0-9]+, joined by x with spaces around it or
+    not, as common.schema.json states.  int() would read 'C+2' as C2,
+    strip() would drop the spaces, and 'S-3' was read as n = -3; each
+    exits 2, as a flag and as a job field, before any group is built."""
+    from galforms import cli
+
+    def refuse(*args):
+        raise AssertionError("group built")
+
+    for name in ("cyclic", "symmetric", "direct_product"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, doc = invoke(capsys, "classify-quasisplit", "--gamma", spec, "--out", "C2")
+    assert (code, doc["kind"]) == (2, "malformed-input")
+    assert doc["error"].startswith("bad group spec")
+    job = {"gamma": spec, "coefficients": "C2"}
+    assert not job_validator("h1").is_valid(job)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert invoke(capsys, "h1", "--job", str(path)) == (2, doc)
+
+
+# --- the job schema states the syntax the CLI reads -------------------------
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+README_JOBS = [(command, json.loads(text))
+               for command, text in re.findall(r"An? `([a-z0-9-]+)` job:\n\n```json\n(.*?)```", README, re.S)]
+GOLDEN_JOBS = [("h1", case["job"]) for case in GOLDEN_H1] + [("h2", case["job"]) for case in GOLDEN_H2]
+GOLDEN_JOBS += [(case["argv"][0], case["job"]) for case in GOLDEN_CROSSED if case["job"] is not None]
+
+
+def test_golden_and_readme_jobs_validate(capsys, tmp_path):
+    """Every job document of the goldens and of README validates against
+    jobs.schema.json, and the README examples run."""
+    assert len(README_JOBS) >= 4
+    assert {command for command, _ in README_JOBS} == set(JOB_DEFINITIONS)
+    for command, job in GOLDEN_JOBS + README_JOBS:
+        job_validator(command).validate(job)
+    for command, job in README_JOBS:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        assert invoke(capsys, command, "--job", str(path))[0] == 0, (command, job)
+
+
+QI = {"kind": "quadratic", "d": -1}
+QI_TABLE = [[0, 0, ["1", "0"]], [0, 1, ["1", "0"]], [1, 0, ["1", "0"]], [1, 1, ["-1", "0"]]]
+REJECTED_JOBS = [
+    ("c 1e3", "crossed-product", {"field": QI, "cocycle": {"c": "1e3"}}, "bad rational '1e3'"),
+    ("c 1.5", "crossed-product", {"field": QI, "cocycle": {"c": 1.5}}, "bad rational 1.5"),
+    ("c ' 3'", "crossed-product", {"field": QI, "cocycle": {"c": " 3"}}, "bad rational ' 3'"),
+    ("c +3", "crossed-product", {"field": QI, "cocycle": {"c": "+3"}}, "bad rational '+3'"),
+    ("c 1_0", "crossed-product", {"field": QI, "cocycle": {"c": "1_0"}}, "bad rational '1_0'"),
+    ("c 3/-4", "crossed-product", {"field": QI, "cocycle": {"c": "3/-4"}}, "bad rational '3/-4'"),
+    ("c true", "crossed-product", {"field": QI, "cocycle": {"c": True}}, "bad rational True"),
+    ("coordinate 1.5", "descend", {"field": QI, "matrices": [[[["1.5", "0"]]], [[["1", "0"]]]]},
+     "bad rational '1.5'"),
+    ("scalar 0.5", "descend", {"field": QI, "matrices": [[[0.5]], [[1]]]}, "bad field element 0.5"),
+    ("field.n on Q(i)", "crossed-product", {"field": dict(QI, n="x"), "cocycle": QI_TABLE},
+     "field.n must be an integer"),
+    ("field.d on Q", "crossed-product", {"field": {"kind": "rationals", "d": "2"}}, "field.d must be"),
+    ("field without d", "crossed-product", {"field": {"kind": "quadratic"}}, "quadratic field needs 'd'"),
+    ("gamma C+2", "h2", {"gamma": "C+2", "moduli": [2]}, "bad group spec 'C+2'"),
+    ("coefficients 2", "h1", {"coefficients": 2}, "bad group spec '2'"),
+    ("moduli 1_0", "h2", {"moduli": ["1_0"]}, "moduli"),
+    ("pair index -1", "crossed-product", {"field": QI, "cocycle": [[-1, 0, 1]] + QI_TABLE[1:]},
+     "bad group element pair (-1, 0)"),
+    ("inclusion -1", "boundary", dict(BOUNDARY_JOB, inclusion=[-1, 2]), "inclusion"),
+    # every field is read before anything is built, so a malformed field
+    # wins over a domain error in another one
+    ("C0, then coefficients C+2", "h1", {"gamma": "C0", "coefficients": "C+2"}, "bad group spec 'C+2'"),
+    ("S9, then moduli [true]", "h2", {"gamma": "S9", "moduli": [True]}, "moduli"),
+    ("inclusion of the wrong size, then cocycle ' 3'", "boundary",
+     dict(BOUNDARY_JOB, inclusion=[0, 0, 2], cocycle=" 3"), "cocycle must be a list"),
+    ("z = S9, then cocycle [0, true]", "boundary",
+     dict(BOUNDARY_JOB, z="S9", cocycle=[0, True]), "cocycle must be a list"),
+    ("d = 4, then c 1e3", "descend",
+     {"field": {"kind": "quadratic", "d": 4}, "cocycle": {"c": "1e3"}, "matrices": []}, "bad rational"),
+    ("Q(zeta_17), then value x", "crossed-product",
+     {"field": {"kind": "cyclotomic", "n": 17}, "cocycle": [[0, 0, "x"]]}, "bad rational 'x'"),
+    ("c = 0, then matrix entry x", "descend",
+     {"field": QI, "cocycle": {"c": "0"}, "matrices": [[["x"]], [["1"]]]}, "bad rational 'x'"),
+]
+
+
+@pytest.mark.parametrize("command, job, error", [c[1:] for c in REJECTED_JOBS],
+                         ids=[c[0] for c in REJECTED_JOBS])
+def test_a_job_the_schema_rejects_exits_2(capsys, tmp_path, command, job, error):
+    assert not job_validator(command).is_valid(job)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out = invoke(capsys, command, "--job", str(path))
+    assert (code, out["kind"]) == (2, "malformed-input")
+    assert out["error"].startswith(error)
+
+
+def test_a_repeated_cocycle_pair_exits_2(capsys, tmp_path):
+    """The schema cannot say that each pair appears once; the CLI refuses
+    a second value for a pair instead of keeping the last one."""
+    job = {"field": QI, "cocycle": QI_TABLE + [[1, 1, ["1", "0"]]]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out = invoke(capsys, "crossed-product", "--job", str(path))
+    assert code == 2
+    assert out == {"schema": "galforms/error/v1", "kind": "malformed-input",
+                   "error": "cocycle table repeats pair (1, 1)"}
+
+
+def test_scalar_field_elements_and_a_null_cocycle(capsys, tmp_path):
+    """Two forms the CLI has always read: a rational as a field element,
+    and "cocycle": null for the trivial cocycle."""
+    outputs = []
+    for cocycle in (None, "trivial", [[a, b, 1] for a in range(2) for b in range(2)],
+                    [[a, b, ["1", "0/5"]] for a in range(2) for b in range(2)]):
+        job = {"field": QI, "cocycle": cocycle}
+        job_validator("crossed-product").validate(job)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code, out = invoke(capsys, "crossed-product", "--job", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert all(out == outputs[0] for out in outputs)
+
+
+# A small valid job per command and form; each runs in milliseconds.
+FUZZ_JOBS = [
+    ("h1", {"gamma": "C2", "coefficients": "C3", "action": [[0, 1, 2], [0, 2, 1]]}),
+    ("h2", {"gamma": "C2", "moduli": [3], "action": [[[1]], [[-1]]]}),
+    ("h2", {"gamma": "C2xC2", "moduli": [2, 4], "action": "trivial"}),
+    ("boundary", BOUNDARY_JOB),
+    ("crossed-product", {"field": QI, "cocycle": [[0, 0, "1"], [0, 1, 1], [1, 0, ["1", "0/1"]],
+                                                  [1, 1, ["-3/2", "0"]]]}),
+    ("crossed-product", {"field": {"kind": "cyclotomic", "n": 3}, "cocycle": None}),
+    ("descend", {"field": QI, "cocycle": {"c": "-1"}, "matrices": [[[["1", "0"]]], [[["1", "0"]]]]}),
+    ("descend", {"field": {"kind": "quadratic", "d": 2}, "cocycle": "trivial",
+                 "matrices": [[["1"]], [[["0", "1"]]]]}),
+]
+SUBSTITUTES = [True, False, 1.5, "1_0", " 3", "C+2", 0, "S9"]
+
+
+def _paths(doc, path=()):
+    """The path to every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_jobs(draw):
+    """A job of FUZZ_JOBS with one or two values swapped for a bool, a
+    float, a lenient string, 0 or a group above the order cap, dropped,
+    or repeated in their list (which repeats a cocycle pair)."""
+    command, job = draw(st.sampled_from(FUZZ_JOBS))
+    job = copy.deepcopy(job)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(job))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], job)
+        how = draw(st.sampled_from(["swap", "drop", "repeat"]))
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "repeat" and isinstance(parent, list):
+            parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(SUBSTITUTES)))
+    return command, job
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(mutated_jobs())
+def test_mutated_jobs_exit_2_where_the_schema_rejects_them(case):
+    """Every mutated job exits 0, 1 or 2 with exactly one JSON document
+    that validates against results.schema.json; one the job schema
+    rejects exits 2."""
+    command, job = case
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(job))), contextlib.redirect_stdout(out):
+        code = run([command, "--job", "-"])
+    assert code in (0, 1, 2)
+    doc = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    validate_result(doc)
+    if not job_validator(command).is_valid(job):
+        assert code == 2, (job, doc)
+
+
+# --- caps ---------------------------------------------------------------------
+
+def test_h2_bar_complex_cap(monkeypatch, capsys, tmp_path):
+    """S5 on Z/2 needs 120^3 rows of d2; it is refused before any row is
+    built, with an error that names the cap."""
+
+    def refuse(*args):
+        raise AssertionError("bar complex built")
+
+    monkeypatch.setattr(cohomology, "_bar_rows", refuse)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"gamma": "S5", "moduli": [2]}))
+    code, doc = invoke(capsys, "h2", "--job", str(path))
+    assert (code, doc["kind"]) == (1, "domain-error")
+    assert f"above the cap of {cohomology.BAR_ROW_CAP}" in doc["error"]
+    assert 24**3 <= cohomology.BAR_ROW_CAP < 120**3
+
+
+@pytest.mark.parametrize("n", [17, 19, 1000003, 10**30 + 7])
+def test_cyclotomic_degree_cap(monkeypatch, capsys, tmp_path, n):
+    """Q(zeta_n) of degree above the cap is refused before the field is
+    built, and an n past 2 cap^2 (phi(n) >= sqrt(n/2)) before it is
+    factored."""
+    from galforms import cli
+
+    def refuse(*args):
+        raise AssertionError("field built or n factored")
+
+    monkeypatch.setattr(cli, "cyclotomic_field", refuse)
+    if n > 2 * cli.CYCLOTOMIC_DEGREE_CAP**2:
+        monkeypatch.setattr(cli, "euler_phi", refuse)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"field": {"kind": "cyclotomic", "n": n}, "cocycle": "trivial"}))
+    code, doc = invoke(capsys, "crossed-product", "--job", str(path))
+    assert (code, doc["kind"]) == (1, "domain-error")
+    assert doc["error"] == f"Q(zeta_{n}) has degree above the cap of {cli.CYCLOTOMIC_DEGREE_CAP}"
+
+
+@pytest.mark.parametrize("n", [13, 21, 26, 28, 36, 42])
+def test_cyclotomic_fields_at_the_cap_are_built(n):
+    from galforms.cli import CYCLOTOMIC_DEGREE_CAP, parse_field, read_field
+
+    assert parse_field(read_field({"kind": "cyclotomic", "n": n})).degree == CYCLOTOMIC_DEGREE_CAP
+
+
+@pytest.mark.parametrize("d, c, ramified", [("3/2", "5", [2, 3]), ("7/2", "-1", [2, 7])])
+def test_brauer_class_of_a_rational_d(capsys, d, c, ramified):
+    """-d is a rational: (3/2, 5) is (6, 5), not (1, 5)."""
+    code, doc = invoke(capsys, "brauer-class", "-d", d, "-c", c)
+    assert code == 0
+    assert doc["ramified"] == ramified
+    assert doc["trivial"] is False

@@ -331,6 +331,17 @@ def test_brauer_class_matches_symbols():
             assert (v in cls.ramified_places) == (expected == -1), (d, c, v)
 
 
+@pytest.mark.parametrize("d, c", [(Fraction(3, 2), 5), (Fraction(7, 2), -1)])
+def test_brauer_class_of_a_rational_d(d, c):
+    """d is a rational, not truncated to an integer: (3/2, 5) is the class
+    of (6, 5), which ramifies at 2 and 3, not of the split (1, 5); (7/2, -1)
+    is that of (14, -1), ramified at 2 and 7."""
+    a = d.numerator * d.denominator  # the square class of d
+    want = [p for p in (2, 3, 5, 7) if not local_solvable_oracle(a, c, p)]
+    assert want == ([2, 3] if c == 5 else [2, 7])  # both positive at infinity
+    assert brauer_class_quaternion(d, c).sorted_places() == want
+
+
 def test_tensor_is_symmetric_difference():
     a = brauer_class_quaternion(-1, -1)
     b = brauer_class_quaternion(-1, 3)

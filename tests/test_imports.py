@@ -4,6 +4,7 @@ name the benchmark's tracer patches exists."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,25 @@ def tracer_targets():
     for module, cls, methods in tables["COUNTED"].values():
         targets += [(module, cls, method) for method in methods]
     return targets
+
+
+def test_the_tracer_installs_and_uninstalls():
+    """perfbench/tracer.py patches every name it lists into the loaded
+    galforms modules and restores each one."""
+    import galforms.cli
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    before = galforms.cli.run
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert galforms.cli.run is not before
+        assert len(tracer.patches) >= len(tracer_targets())
+    finally:
+        tracer.uninstall()
+    assert galforms.cli.run is before
 
 
 def test_every_traced_name_exists():
