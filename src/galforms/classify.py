@@ -73,7 +73,7 @@ def quasisplit_cocharacter_data(brd, form, height=4):
     # The source group is implicit, so check what every homomorphism
     # satisfies: element 0 (the identity) maps to the identity, the image
     # is a subgroup, and the fibres, cosets of the kernel, have one size.
-    image = set(rho)
+    image = dict.fromkeys(rho)  # in order of first appearance
     if not rho or rho[0] != out_group.identity:
         raise _NotAHomomorphism("rho must map element 0 to the identity of Out")
     if any(out_group.table[x][y] not in image for x in image for y in image):
@@ -86,34 +86,24 @@ def quasisplit_cocharacter_data(brd, form, height=4):
             f"coweight box of {height + 1}^{rank} points exceeds the budget of "
             f"{COWEIGHT_BOX_BUDGET}"
         )
-    matrices = [out_elements[x].cochar_matrix for x in rho]
+    # One matrix per element of the image, the identity first: the g - 1
+    # span the same lattice as over all of Gamma, and the orbit of w is
+    # the set of its images under them.
+    matrices = [out_elements[x].cochar_matrix for x in image]
     # Over Q, V = V^Gamma + sum im(g - 1) for a finite group, so the free
     # rank of the coinvariants is the rank of the fixed sublattice.
     group, projection = coinvariants(rank, matrices)
-    # orbit partition of dominant coweights in the box
-    dominant = []
-    for coords in iproduct(range(height + 1), repeat=rank):
-        if brd.is_dominant_coweight(coords):
-            dominant.append(tuple(coords))
+    dominant = [w for w in iproduct(range(height + 1), repeat=rank)
+                if brd.is_dominant_coweight(w)]
     dominant_set = set(dominant)
     orbits = []
     placed = set()
     for w in dominant:
         if w in placed:
             continue
-        orbit = {w}
-        frontier = [w]
-        while frontier:
-            x = frontier.pop()
-            for m in matrices:
-                y = tuple(m.apply(x))
-                if y not in orbit:
-                    if y not in dominant_set:
-                        raise ValueError(
-                            "outer action does not preserve dominance"
-                        )
-                    orbit.add(y)
-                    frontier.append(y)
+        orbit = {w}.union(m.apply(w) for m in matrices[1:])
+        if not orbit <= dominant_set:
+            raise ValueError("outer action does not preserve dominance")
         placed |= orbit
         orbits.append(tuple(sorted(orbit)))
     return CocharacterData(

@@ -320,13 +320,13 @@ def cmd_classify_quasisplit(args):
 
 
 def cmd_coinvariants(args):
-    brd = build_root_datum(args.type, args.isogeny)
     entries = args.rho.split(",")
     if not all(map(DECIMAL.fullmatch, entries)):
         raise MalformedInput(f"bad rho {args.rho!r}")
     rho = tuple(map(int, entries))
     if args.height < 0:
         raise MalformedInput(f"height must be non-negative, got {args.height}")
+    brd = build_root_datum(args.type, args.isogeny)
     try:
         data = quasisplit_cocharacter_data(
             brd, QuasiSplitForm(rho, 0), height=args.height

@@ -8,6 +8,7 @@ sublattices for finite groups of lattice automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import qlinalg
 
@@ -82,7 +83,7 @@ class IntMatrix:
         """Matrix-vector product, vector as a sequence of ints."""
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * v for a, v in zip(row, vector)) for row in self._data)
+        return tuple(sum(map(mul, row, vector)) for row in self._data)
 
     def stack(self, other):
         """Vertical concatenation."""
@@ -413,20 +414,15 @@ def _check_actions(rank, action):
             raise ValueError("action matrix is not a lattice automorphism")
 
 
-def _moved_span_matrix(rank, action):
-    """Matrix whose columns generate span{ g*x - x }: the g - I side by side."""
+def coinvariants(rank, action):
+    """Largest quotient of Z^rank on which every action matrix acts
+    trivially: Z^rank / span{ g*x - x }, the span of the columns of the
+    g - I side by side, as (group, projection)."""
+    _check_actions(rank, action)
     identity = IntMatrix.identity(rank)
     moved = IntMatrix.zero(rank, 0)
     for g in action:
         moved = moved.hcat(g - identity)
-    return moved
-
-
-def coinvariants(rank, action):
-    """Largest quotient of Z^rank on which every action matrix acts
-    trivially: Z^rank / span{ g*x - x }, as (group, projection)."""
-    _check_actions(rank, action)
-    moved = _moved_span_matrix(rank, action)
     return cokernel(moved)
 
 
@@ -435,11 +431,8 @@ def fixed_sublattice(rank, action):
     (g - I), as (rank, embedding matrix whose columns are a basis)."""
     _check_actions(rank, action)
     identity = IntMatrix.identity(rank)
-    blocks = [g - identity for g in action]
-    if not blocks:
-        return rank, IntMatrix.identity(rank)
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.stack(b)
+    stacked = IntMatrix.zero(0, rank)
+    for g in action:
+        stacked = stacked.stack(g - identity)
     basis = kernel_basis(stacked)
     return basis.cols, basis

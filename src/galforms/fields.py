@@ -19,7 +19,19 @@ from .groups import FiniteGroup
 INFINITE_PLACE = "inf"
 
 
+# Largest |d| of a quadratic parameter (for a Brauer class, of the
+# numerator and denominator of d): d is tested and factored by trial
+# division up to sqrt|d|, which takes about 0.04 s at the cap.
+QUADRATIC_PARAMETER_CAP = 10**10
+
+
+def _check_parameter(d):
+    if abs(d) > QUADRATIC_PARAMETER_CAP:
+        raise ValueError(f"|d| is above the cap of {QUADRATIC_PARAMETER_CAP}")
+
+
 def _squarefree(d):
+    _check_parameter(d)
     d = abs(d)
     f = 2
     while f * f <= d:
@@ -467,6 +479,7 @@ def brauer_class_quaternion(d, c):
     c = Fraction(c)
     if c == 0 or d == 0:
         raise ValueError("nonzero arguments required")
+    _check_parameter(max(abs(d.numerator), d.denominator))
     ramified = {
         v for v in relevant_places(d, c) if hilbert_symbol(d, c, v) == -1
     }

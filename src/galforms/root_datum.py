@@ -15,7 +15,8 @@ outer automorphisms are computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .exact_linalg import IntMatrix, cokernel
 from .groups import FiniteGroup
@@ -115,7 +116,7 @@ class RootDatum:
 
 
 def pairing(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def reflect(x, alpha, alpha_vee):
@@ -150,7 +151,7 @@ class BasedRootDatum:
             raise ValueError("simple reflections do not carry the simple roots onto every root")
         _check_signs(coords)
 
-    @property
+    @cached_property
     def simple_roots(self):
         return tuple(self.datum.roots[i] for i in self.simple_indices)
 

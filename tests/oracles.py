@@ -1,7 +1,8 @@
 """Brute-force oracles for the cohomology, linear-algebra and descent
 tests: full enumeration of cocycles and coboundaries, bounded searches,
 the dense Smith normal form elimination, Gauss-Jordan elimination over
-Fractions, and the descent morphism systems written out in full.  Desk
+Fractions, the descent morphism systems written out in full, and the
+coweight orbits found by closing each point under every matrix.  Desk
 scale only; they check the library's exact algorithms and are not part
 of it."""
 
@@ -144,6 +145,34 @@ def one_cocycles_brute(ggroup):
 
     extend(0)
     return cocycles
+
+
+def coweight_orbits(brd, matrices, height):
+    """The orbits of the group the matrices generate on the dominant
+    coweights in the box [0, height]^rank, each found by closing one point
+    under every matrix, the way galforms found them: in the order of their
+    first box point, each sorted."""
+    dominant = [w for w in product(range(height + 1), repeat=brd.datum.rank)
+                if brd.is_dominant_coweight(w)]
+    dominant_set = set(dominant)
+    orbits = []
+    placed = set()
+    for w in dominant:
+        if w in placed:
+            continue
+        orbit = {w}
+        frontier = [w]
+        while frontier:
+            x = frontier.pop()
+            for m in matrices:
+                y = m.apply(x)
+                if y not in orbit:
+                    assert y in dominant_set, "outer action does not preserve dominance"
+                    orbit.add(y)
+                    frontier.append(y)
+        placed |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False):

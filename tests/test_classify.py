@@ -11,10 +11,11 @@ from galforms.classify import (
     component_index,
     quasisplit_cocharacter_data,
 )
-from galforms.exact_linalg import fixed_sublattice
+from galforms.exact_linalg import coinvariants, fixed_sublattice
 from galforms.fields import BrauerClass
 from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
 from galforms.root_datum import build_root_datum, fundamental_group, outer_automorphisms
+from oracles import coweight_orbits
 from random_data import presented_algebra
 
 
@@ -140,6 +141,35 @@ def test_fixed_rank_is_the_rank_of_the_fixed_sublattice(isogeny):
                 )
                 assert data.fixed_rank == rank, (label, rho)
                 assert data.moved_rank == brd.datum.rank - rank, (label, rho)
+
+
+# The (type, isogeny) pairs of the `lie` workload in perfbench/workloads.py.
+LIE_POOL = [
+    ("D4", "simply_connected"), ("D4", "adjoint"), ("E6", "simply_connected"),
+    ("E7", "adjoint"), ("E8", "simply_connected"), ("D8", "adjoint"),
+    ("D8", "simply_connected"), ("A5", "adjoint"), ("A6", "simply_connected"),
+    ("B6", "simply_connected"), ("C5", "adjoint"), ("D5", "adjoint"),
+    ("D6", "simply_connected"), ("A1", "adjoint"), ("A2", "simply_connected"),
+    ("A3", "adjoint"), ("B3", "simply_connected"), ("C4", "adjoint"),
+    ("F4", "simply_connected"), ("G2", "adjoint"),
+]
+
+
+@pytest.mark.parametrize("label, isogeny", LIE_POOL)
+def test_orbits_and_coinvariants_match_the_search_over_gamma(label, isogeny):
+    """Orbits read off the image of rho, and coinvariants of one matrix per
+    image element, match a search closing each orbit under the matrix of
+    every Gamma element and the coinvariants of all those matrices."""
+    brd, out, elements = out_of(label, isogeny)
+    rank = brd.datum.rank
+    for gamma in (cyclic(2), cyclic(3), symmetric(3), direct_product(cyclic(2), cyclic(2))):
+        for form in classify_quasisplit(gamma, out):
+            matrices = [elements[x].cochar_matrix for x in form.rho]
+            group, _ = coinvariants(rank, matrices)
+            for height in range(3):
+                data = quasisplit_cocharacter_data(brd, form, height)
+                assert data.orbits == coweight_orbits(brd, matrices, height), (form, height)
+                assert data.coinvariants == group, form
 
 
 def test_invalid_rho_rejected():

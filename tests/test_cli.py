@@ -9,13 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galforms import classify, cohomology, groups
+from galforms import classify, cohomology, fields, groups
 from galforms.cli import run
 
 
@@ -852,6 +853,17 @@ def test_negative_height_exit_2(capsys):
     assert doc["kind"] == "malformed-input"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--type", "Z9", "--rho", "x"], "bad rho 'x'"),
+    (["--type", "E9", "--rho", "0,1", "--height", "-1"], "height must be non-negative, got -1"),
+])
+def test_coinvariants_reads_rho_and_height_before_the_datum(capsys, argv, error):
+    """--rho and --height are read before the root datum is built, so a
+    malformed flag wins over an unsupported type."""
+    code, doc = invoke(capsys, "coinvariants", *argv)
+    assert (code, doc["kind"], doc["error"]) == (2, "malformed-input", error)
+
+
 def test_lie_golden_cold_then_warm(capsys):
     """With the root-datum memo emptied, every lie golden case gives the
     same bytes on its first run in the process and on its second."""
@@ -1096,6 +1108,17 @@ def test_cyclotomic_degree_cap(monkeypatch, capsys, tmp_path, n):
     code, doc = invoke(capsys, "crossed-product", "--job", str(path))
     assert (code, doc["kind"]) == (1, "domain-error")
     assert doc["error"] == f"Q(zeta_{n}) has degree above the cap of {cli.CYCLOTOMIC_DEGREE_CAP}"
+
+
+@pytest.mark.parametrize("command", ["crossed-product", "brauer-class"])
+def test_quadratic_parameter_cap(capsys, command):
+    """A d above the cap, here (10^9 + 7)(10^9 + 9), is refused before
+    it is divided by trial, which took over a minute."""
+    start = time.perf_counter()
+    code, doc = invoke(capsys, command, "-d", str((10**9 + 7) * (10**9 + 9)), "-c", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, doc["kind"]) == (1, "domain-error")
+    assert doc["error"] == f"|d| is above the cap of {fields.QUADRATIC_PARAMETER_CAP}"
 
 
 @pytest.mark.parametrize("n", [13, 21, 26, 28, 36, 42])
