@@ -703,14 +703,13 @@ class CentralExtension:
                 if self.c.act(g, self.projection[x]) != self.projection[self.b.act(g, x)]:
                     raise ValueError("projection is not Gamma-equivariant")
 
-    def lift(self, c_elem, choice=0):
-        """A set-theoretic lift of a C element to B (choice picks among
-        the fiber, for re-lift tests)."""
-        fiber = [x for x in range(self.b.coeff.order) if self.projection[x] == c_elem]
-        return fiber[choice % len(fiber)]
+    def lift(self, c_elem):
+        """A set-theoretic lift of a C element to B: the first element of
+        its fiber."""
+        return self.projection.index(c_elem)
 
 
-def boundary_map(ext, cocycle, lift_choices=None):
+def boundary_map(ext, cocycle):
     """Image of a 1-cocycle in C under the boundary to H^2(Gamma, Z):
     delta c(a,b) = lift(a) * a(lift(b)) * lift(ab)^-1, as a dict
     {(a, b): Z element index}."""
@@ -719,14 +718,12 @@ def boundary_map(ext, cocycle, lift_choices=None):
     n = gamma.order
     if not is_one_cocycle(ext.c, cocycle):
         raise ValueError("not a 1-cocycle in C")
-    if lift_choices is None:
-        lift_choices = {}
     lifts = {}
     for a in range(n):
         if a == gamma.identity:
             lifts[a] = bg.identity
         else:
-            lifts[a] = ext.lift(cocycle[a], lift_choices.get(a, 0))
+            lifts[a] = ext.lift(cocycle[a])
     inc_index = {b_idx: z_idx for z_idx, b_idx in enumerate(ext.inclusion)}
     table = {}
     for a in range(n):

@@ -7,9 +7,9 @@ With these conventions e_a |-> a_V makes the k-restriction of V a right
 module over the crossed product A_zeta, with K acting by its original
 scalar action.
 
-K-matrices are eliminated through their rational k-matrices (block (i, j)
-is multiplication by the (i, j) entry): ranks, kernels and inverses all go
-through qlinalg on rational input.
+K-linear and semilinear maps are eliminated through their rational
+k-matrices (fields.k_matrix): ranks, kernels and inverses all go through
+qlinalg on rational input.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import gcd
 from . import qlinalg
 from .cohomology import kx_coboundary_of, trivial_kx_cocycle
 from .crossed import CrossedProductAlgebra
-from .fields import FieldElement, _mult_matrix, _rationals
+from .fields import FieldElement, _rationals, k_entries, k_matrix
 from .qlinalg import _integral, _scaled_matrix
 
 
@@ -68,8 +68,8 @@ def kmat_inv(a):
     if not a:
         return ()
     field = a[0][0].field
-    inv = qlinalg.mat_inv(_k_linear_matrix(field, a))
-    return None if inv is None else _k_entries(field, inv)
+    inv = qlinalg.mat_inv(k_matrix(field, a))
+    return None if inv is None else k_entries(field, inv)
 
 
 # --- the datum ------------------------------------------------------------
@@ -141,7 +141,7 @@ def _verdict(datum):
     # a_V = M_a o (a^-1 twist) is bijective iff M_a is, iff S_a has full rank
     semi = []
     for a in group.elements():
-        s_a = _semilinear_k_matrix(datum, a)
+        s_a = k_matrix(action.field, datum.matrices[a], action.elements[group.inv(a)])
         if qlinalg.rank(s_a) != len(s_a):
             return f"component {a} is not bijective", None
         semi.append(s_a)
@@ -243,47 +243,6 @@ def regular_module(algebra):
 
 # --- the equivalence ------------------------------------------------------
 
-def _semilinear_k_matrix(datum, a):
-    """k-matrix of a_V on flattened coordinates: a_V(theta^t e_j) =
-    a^-1(theta^t) M_a e_j, so column (j, t) holds the entries of column j
-    of M_a times a^-1(theta^t)."""
-    field = datum.field
-    deg = field.degree
-    n = datum.dim
-    ainv = datum.action.group.inv(a)
-    twists = [datum.action.apply(ainv, power) for power in field.power_basis()]
-    rows = [[None] * (n * deg) for _ in range(n * deg)]
-    for i, mrow in enumerate(datum.matrices[a]):
-        for j, x in enumerate(mrow):
-            for t, twist in enumerate(twists):
-                for s, c in enumerate((x * twist).coords):
-                    rows[i * deg + s][j * deg + t] = c
-    return rows
-
-
-def _k_linear_matrix(field, kmatrix):
-    """Rational matrix of the K-linear map v -> M v on flattened
-    coordinates: block (i, j) is multiplication by M[i][j]."""
-    deg = field.degree
-    blocks = [[_mult_matrix(field, x) for x in row] for row in kmatrix]
-    return [
-        [x for block in brow for x in block[s]]
-        for brow in blocks
-        for s in range(deg)
-    ]
-
-
-def _k_entries(field, m):
-    """The K-matrix of a K-linear rational matrix m, inverse of
-    _k_linear_matrix: block (i, j) is multiplication by entry (i, j),
-    whose coordinates are that block's first column."""
-    deg = field.degree
-    return tuple(
-        tuple(field.element([m[i + s][j] for s in range(deg)]) for j in range(0, len(m[0]), deg))
-        for i in range(0, len(m), deg)
-    )
-
-
 def to_module(datum, algebra=None):
     """The k-restriction of V as a right module over A_zeta: K acts by
     scalars, e_a acts as a_V.  With S_a = N_a / D_a the k-matrix of a_V,
@@ -297,7 +256,7 @@ def to_module(datum, algebra=None):
         raise ValueError("algebra does not match the datum's twist")
     field = datum.field
     deg = field.degree
-    blocks = [list(zip(*_mult_matrix(field, power))) for power in field.power_basis()]
+    blocks = [list(zip(*k_matrix(field, [[power]]))) for power in field.power_basis()]
     actions = []
     for m in semi:
         n_a, d_a = _scaled_matrix(m)
@@ -358,7 +317,7 @@ def from_module(module):
         raise ValueError("K-scalar action is not free: no K-basis found")
     # M_a is R_{e_a} (e_a is basis element a * deg) in the chosen K-basis
     matrices = [
-        _k_entries(field, qlinalg.mat_mul(inv, qlinalg.mat_mul(module.actions[a * deg], basis_mat)))
+        k_entries(field, qlinalg.mat_mul(inv, qlinalg.mat_mul(module.actions[a * deg], basis_mat)))
         for a in algebra.group.elements()
     ]
     datum = SemilinearDatum(algebra.action, cocycle, n, tuple(matrices))
@@ -429,7 +388,7 @@ def datum_morphisms(src, dst):
     their K-entries (they commute with the K-scalars)."""
     m1 = to_module(src)
     m2 = to_module(dst, algebra=m1.algebra)
-    return [_k_entries(src.field, g) for g in module_morphisms(m1, m2)]
+    return [k_entries(src.field, g) for g in module_morphisms(m1, m2)]
 
 
 def module_morphisms(src, dst):

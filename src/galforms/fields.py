@@ -1,38 +1,40 @@
 """Exact arithmetic in quadratic and cyclotomic extensions of Q.
 
-Fields carry explicit Galois groups acting on elements; norms, quadratic
-Hilbert symbols over Q with their local formulas, the norm test for
-quadratic extensions, and 2-torsion Brauer classes recorded by their
-ramified places.
+K is a k-vector space on its power basis in one place: k_matrix is the
+rational matrix of every K-linear and semilinear map, and k_entries
+reads a K-linear one back.  Fields carry explicit Galois groups acting
+on elements by integer matrices; norms and inverses, quadratic Hilbert
+symbols over Q with their local formulas, the norm test for quadratic
+extensions, and 2-torsion Brauer classes recorded by their ramified
+places.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import qlinalg
 from .qlinalg import _integral
 from .groups import FiniteGroup
 
 INFINITE_PLACE = "inf"
 
 
-# Largest |d| of a quadratic parameter (for a Brauer class, of the
-# numerator and denominator of d): d is tested and factored by trial
-# division up to sqrt|d|, which takes about 0.04 s at the cap.
-QUADRATIC_PARAMETER_CAP = 10**10
+# Largest |n| that _factorize and _squarefree take: both divide n by
+# every f up to sqrt|n|, which takes 0.2-0.3 s at the cap.
+TRIAL_DIVISION_CAP = 10**12
 
 
-def _check_parameter(d):
-    if abs(d) > QUADRATIC_PARAMETER_CAP:
-        raise ValueError(f"|d| is above the cap of {QUADRATIC_PARAMETER_CAP}")
+def _capped(n):
+    n = abs(n)
+    if n > TRIAL_DIVISION_CAP:
+        raise ValueError(f"{n} is above the trial-division cap of {TRIAL_DIVISION_CAP}")
+    return n
 
 
 def _squarefree(d):
-    _check_parameter(d)
-    d = abs(d)
+    d = _capped(d)
     f = 2
     while f * f <= d:
         if d % (f * f) == 0:
@@ -42,7 +44,7 @@ def _squarefree(d):
 
 
 def _factorize(n):
-    n = abs(n)
+    n = _capped(n)
     factors = {}
     f = 2
     while f * f <= n:
@@ -83,9 +85,10 @@ def cyclotomic_polynomial(n):
 class GaloisField:
     """Q, Q(sqrt(d)), or Q(zeta_n), with the power basis."""
 
-    __slots__ = ("kind", "param", "degree", "_reduction")
+    __slots__ = ("kind", "param", "degree", "_reduction", "_galois")
 
     def __init__(self, kind, param=None):
+        self._galois = None  # (group, elements), kept by galois_group
         if kind == "rationals":
             self.kind, self.param, self.degree = kind, None, 1
             self._reduction = None
@@ -182,12 +185,30 @@ class GaloisField:
         return _rationals(out, dx * dy)
 
 
-def _mult_matrix(field, c):
-    """Rational matrix of multiplication by c on the power basis."""
+def k_matrix(field, m, twist=None):
+    """Rational matrix of v -> m twist(v) on K^n, for a matrix m of field
+    elements or rationals and a field automorphism twist (None: the
+    identity), on flattened power-basis coordinates: column t of block
+    (i, j) holds the coordinates of m[i][j] twist(theta^t)."""
+    basis = field.power_basis()
+    if twist is not None:
+        basis = [twist(b) for b in basis]
+    rows = []
+    for mrow in m:
+        blocks = [[(b * x).coords for b in basis] for x in mrow]
+        rows += [[col[s] for cols in blocks for col in cols] for s in range(field.degree)]
+    return rows
+
+
+def k_entries(field, m):
+    """The K-matrix of a K-linear rational matrix m, inverse to k_matrix
+    without a twist: block (i, j) is multiplication by entry (i, j),
+    whose coordinates are that block's first column."""
     deg = field.degree
-    cols = [field._mul_coords(c.coords, tuple(Fraction(s == t) for s in range(deg)))
-            for t in range(deg)]
-    return [[cols[t][s] for t in range(deg)] for s in range(deg)]
+    return tuple(
+        tuple(field.element([m[i + s][j] for s in range(deg)]) for j in range(0, len(m[0]), deg))
+        for i in range(0, len(m), deg)
+    )
 
 
 def _rationals(ints, den):
@@ -264,10 +285,17 @@ class FieldElement:
         return hash((self.field, self.coords))
 
     def inverse(self):
+        """The product of the other Galois conjugates divided by the norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        rhs = [1] + [0] * (self.field.degree - 1)
-        return FieldElement(self.field, tuple(qlinalg.solve(_mult_matrix(self.field, self), rhs)))
+        if self.field.degree == 1:
+            return FieldElement(self.field, (1 / self.coords[0],))
+        _group, elems = galois_group(self.field)
+        others = elems[1].apply(self)
+        for g in elems[2:]:
+            others = others * g.apply(self)
+        norm_value = (self * others).rational_value()
+        return FieldElement(self.field, tuple(c / norm_value for c in others.coords))
 
     def __pow__(self, exponent):
         exponent = int(exponent)
@@ -296,70 +324,52 @@ class FieldElement:
 
 @dataclass(frozen=True)
 class GaloisGroupElement:
-    """Field automorphism given by its matrix on the power basis."""
+    """Field automorphism by its integer matrix on the power basis, as
+    sparse rows ((j, entry), ...): column j holds the coordinates of the
+    image of theta^j."""
 
     field: GaloisField
-    matrix: tuple  # rows of Fractions
-    # the matrix as den and sparse integer rows ((j, entry * den), ...)
-    _den: int = dc_field(init=False, repr=False, compare=False)
-    _rows: tuple = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = len(self.matrix)
-        ints, den = _integral([x for row in self.matrix for x in row])
-        rows = tuple(
-            tuple((j, v) for j, v in enumerate(ints[i * m: (i + 1) * m]) if v)
-            for i in range(m)
-        )
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rows", rows)
+    rows: tuple
 
     def apply(self, x):
         if x.field is not self.field and x.field != self.field:
             raise ValueError("element of a different field")
         xs, dx = _integral(x.coords)
-        coords = [sum(v * xs[j] for j, v in row) for row in self._rows]
-        return FieldElement(self.field, _rationals(coords, self._den * dx))
+        coords = [sum(v * xs[j] for j, v in row) for row in self.rows]
+        return FieldElement(self.field, _rationals(coords, dx))
 
     def __call__(self, x):
         return self.apply(x)
 
 
-def _automorphism_from_generator_image(field, image):
-    """Matrix of the automorphism sending the power-basis generator to
-    the given element (columns = images of basis powers)."""
-    m = field.degree
-    cols = [field.one().coords]
-    current = field.one()
-    for _ in range(1, m):
-        current = current * image
-        cols.append(current.coords)
-    return tuple(
-        tuple(cols[j][i] for j in range(m)) for i in range(m)
-    )
-
-
 def galois_group(field):
-    """(group, elements) for Gal(K/Q); abelian, order = degree."""
+    """(group, elements) for Gal(K/Q), the identity first; abelian, order
+    = degree.  Built once per field and kept on it."""
+    if field._galois is not None:
+        return field._galois
     if field.kind == "rationals":
         raise ValueError("galois_group requires a proper extension")
     if field.kind == "quadratic":
-        elems = [
-            GaloisGroupElement(field, _automorphism_from_generator_image(field, field.generator())),
-            GaloisGroupElement(field, _automorphism_from_generator_image(field, -field.generator())),
-        ]
+        images = [field.generator(), -field.generator()]
         table = [[0, 1], [1, 0]]
-        return FiniteGroup(table, check=False), elems
-    n = field.param
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
-    zeta = field.generator()
-    elems = [
-        GaloisGroupElement(field, _automorphism_from_generator_image(field, zeta ** u))
-        for u in units
-    ]
-    index = {u: i for i, u in enumerate(units)}
-    table = [[index[(u * v) % n] for v in units] for u in units]
-    return FiniteGroup(table, check=False), elems
+    else:
+        n = field.param
+        units = [u for u in range(1, n) if gcd(u, n) == 1]
+        images = [field.generator() ** u for u in units]
+        index = {u: i for i, u in enumerate(units)}
+        table = [[index[(u * v) % n] for v in units] for u in units]
+    elems = []
+    for image in images:
+        powers = [field.one()]
+        for _ in range(1, field.degree):
+            powers.append(powers[-1] * image)
+        rows = tuple(
+            tuple((j, int(p.coords[i])) for j, p in enumerate(powers) if p.coords[i])
+            for i in range(field.degree)
+        )
+        elems.append(GaloisGroupElement(field, rows))
+    field._galois = (FiniteGroup(table, check=False), tuple(elems))
+    return field._galois
 
 
 def norm(field, x):
@@ -403,11 +413,11 @@ def hilbert_symbol(a, b, place):
     or the infinite place 'inf')."""
     a = _as_integer_pair(a)
     b = _as_integer_pair(b)
-    if place in (INFINITE_PLACE, "oo", "infinity"):
+    if place == INFINITE_PLACE:
         return -1 if (a < 0 and b < 0) else 1
     p = int(place)
-    if p < 2:
-        raise ValueError(f"bad place {place!r}")
+    if _factorize(p) != {p: 1}:
+        raise ValueError(f"place {p} is not a prime")
     alpha, u = _valuation(a, p)
     beta, w = _valuation(b, p)
     if p != 2:
@@ -479,7 +489,6 @@ def brauer_class_quaternion(d, c):
     c = Fraction(c)
     if c == 0 or d == 0:
         raise ValueError("nonzero arguments required")
-    _check_parameter(max(abs(d.numerator), d.denominator))
     ramified = {
         v for v in relevant_places(d, c) if hilbert_symbol(d, c, v) == -1
     }

@@ -1,10 +1,11 @@
-"""Brute-force oracles for the cohomology, linear-algebra and descent
-tests: full enumeration of cocycles and coboundaries, bounded searches,
-the dense Smith normal form elimination, Gauss-Jordan elimination over
-Fractions, the descent morphism systems written out in full, and the
-coweight orbits found by closing each point under every matrix.  Desk
-scale only; they check the library's exact algorithms and are not part
-of it."""
+"""Brute-force oracles for the cohomology, linear-algebra, field and
+descent tests: full enumeration of cocycles and coboundaries, bounded
+searches, the boundary map under any choice of lifts, the dense Smith
+normal form elimination, Gauss-Jordan elimination over Fractions, field
+inverses by a linear solve, the descent morphism systems written out in
+full, and the coweight orbits found by closing each point under every
+matrix.  Desk scale only; they check the library's exact algorithms and
+are not part of it."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -18,7 +19,7 @@ from galforms.cohomology import (
 )
 from galforms import qlinalg
 from galforms.exact_linalg import IntMatrix
-from galforms.fields import _mult_matrix
+from galforms.fields import k_matrix
 
 
 def cohomologous_module_cocycles(module, t1, t2):
@@ -114,6 +115,21 @@ def kx_is_coboundary(cocycle, candidates):
         if all(db.values[key] == cocycle.values[key] for key in cocycle.values):
             return b
     return None
+
+
+def boundary_with_lifts(ext, cocycle, lifts):
+    """delta c(a, b) = l(a) a(l(b)) l(ab)^-1 for the given lifts l(a) of
+    c(a) to B, as {(a, b): Z element index}: the boundary map under any
+    choice of lifts, the identity's included."""
+    gamma, bg = ext.z.gamma, ext.b.coeff
+    assert all(ext.projection[lifts[a]] == cocycle[a] for a in gamma.elements())
+    inc_index = {b_idx: z_idx for z_idx, b_idx in enumerate(ext.inclusion)}
+    table = {}
+    for a in gamma.elements():
+        for b in gamma.elements():
+            prod_b = bg.table[lifts[a]][ext.b.act(a, lifts[b])]
+            table[(a, b)] = inc_index[bg.table[prod_b][bg.inverse[lifts[gamma.table[a][b]]]]]
+    return table
 
 
 def one_cocycles_brute(ggroup):
@@ -443,6 +459,13 @@ def fraction_determinant(rows):
     return det
 
 
+def inverse_by_solve(x):
+    """x^-1 as galforms computed it before the product of conjugates: the
+    solution y of (multiplication by x) y = 1 on y's coordinates."""
+    field = x.field
+    return field.element(qlinalg.solve(k_matrix(field, [[x]]), [1] + [0] * (field.degree - 1)))
+
+
 # The descent morphism systems as galforms built them before datum
 # morphisms were read off the module equivalence.
 
@@ -459,7 +482,7 @@ def datum_morphisms_by_rows(src, dst):
     rows = []
     group = src.action.group
     for a in group.elements():
-        gal = src.action.elements[group.inv(a)].matrix
+        twist = src.action.elements[group.inv(a)]
         for i in range(n2):
             for j in range(n1):
                 # (F M_a)_{ij} - (M'_a tau_{a^-1}(F))_{ij} = 0, one row
@@ -468,7 +491,7 @@ def datum_morphisms_by_rows(src, dst):
                 for l in range(n1):
                     c = src.matrices[a][l][j]
                     if c:
-                        mm = _mult_matrix(field, c)
+                        mm = k_matrix(field, [[c]])
                         base = (i * n1 + l) * deg
                         for s in range(deg):
                             for t in range(deg):
@@ -476,7 +499,7 @@ def datum_morphisms_by_rows(src, dst):
                 for l in range(n2):
                     c = dst.matrices[a][i][l]
                     if c:
-                        comb = qlinalg.mat_mul(_mult_matrix(field, c), [list(r) for r in gal])
+                        comb = k_matrix(field, [[c]], twist)
                         base = (l * n1 + j) * deg
                         for s in range(deg):
                             for t in range(deg):

@@ -44,7 +44,6 @@ from galforms.crossed import (
     find_zero_divisor,
 )
 from galforms.descent import (
-    _k_linear_matrix,
     datum_morphisms,
     fixed_space,
     from_module,
@@ -57,6 +56,7 @@ from galforms.fields import (
     brauer_class_quaternion,
     cyclotomic_field,
     hilbert_symbol,
+    k_matrix,
     quadratic_field,
     relevant_places,
 )
@@ -395,7 +395,7 @@ def test_criterion_09_descent_equivalence():
         mm = module_morphisms(m1, m2)
         assert len(mm) == len(dm)
         for f in dm:
-            g = _k_linear_matrix(d1.field, f)
+            g = k_matrix(d1.field, f)
             for rx, rxp in zip(m1.actions, m2.actions):
                 assert qlinalg.mat_mul(g, rx) == qlinalg.mat_mul(rxp, g)
     # untwisted fixed spaces have full rational dimension

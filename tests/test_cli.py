@@ -1110,15 +1110,43 @@ def test_cyclotomic_degree_cap(monkeypatch, capsys, tmp_path, n):
     assert doc["error"] == f"Q(zeta_{n}) has degree above the cap of {cli.CYCLOTOMIC_DEGREE_CAP}"
 
 
+ABOVE_THE_CAP = (10**9 + 7) * (10**9 + 9)
+
+
 @pytest.mark.parametrize("command", ["crossed-product", "brauer-class"])
 def test_quadratic_parameter_cap(capsys, command):
-    """A d above the cap, here (10^9 + 7)(10^9 + 9), is refused before
-    it is divided by trial, which took over a minute."""
+    """A d above the trial-division cap, here (10^9 + 7)(10^9 + 9), is
+    refused before it is divided by trial, which took over a minute."""
     start = time.perf_counter()
-    code, doc = invoke(capsys, command, "-d", str((10**9 + 7) * (10**9 + 9)), "-c", "3")
+    code, doc = invoke(capsys, command, "-d", str(ABOVE_THE_CAP), "-c", "3")
     assert time.perf_counter() - start < 1
     assert (code, doc["kind"]) == (1, "domain-error")
-    assert doc["error"] == f"|d| is above the cap of {fields.QUADRATIC_PARAMETER_CAP}"
+    assert doc["error"] == f"{ABOVE_THE_CAP} is above the trial-division cap of {fields.TRIAL_DIVISION_CAP}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["brauer-class", "-d", "-1", "-c", str(ABOVE_THE_CAP)],
+    ["crossed-product", "-d", "-1", "-c", str(ABOVE_THE_CAP)],
+    ["inner-invariant", "--type", "A1", "--isogeny", "adjoint", "-d", "-1", "--assign", str(ABOVE_THE_CAP)],
+    ["hilbert", "-a", "2", "-b", "3", "-p", str(ABOVE_THE_CAP)],
+], ids=["brauer-class", "crossed-product", "inner-invariant", "hilbert"])
+def test_trial_division_cap_on_c_and_places(capsys, argv):
+    """A c, or a place, above the cap is refused at once: the places of
+    (d, c) come from factoring c, which ran for minutes."""
+    start = time.perf_counter()
+    code, doc = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, doc["kind"]) == (1, "domain-error")
+    assert doc["error"] == f"{ABOVE_THE_CAP} is above the trial-division cap of {fields.TRIAL_DIVISION_CAP}"
+
+
+@pytest.mark.parametrize("place", ["4", "9", "1", "0", str(999979 * 999983)])
+def test_hilbert_place_must_be_a_prime(capsys, place):
+    start = time.perf_counter()
+    code, doc = invoke(capsys, "hilbert", "-a", "2", "-b", "3", "-p", place)
+    assert time.perf_counter() - start < 1
+    assert (code, doc["kind"]) == (1, "domain-error")
+    assert doc["error"] == f"place {place} is not a prime"
 
 
 @pytest.mark.parametrize("n", [13, 21, 26, 28, 36, 42])

@@ -5,7 +5,7 @@ cocycles, and the boundary map of a central extension."""
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -38,6 +38,7 @@ from galforms.exact_linalg import IntMatrix, _mul
 from galforms.fields import cyclotomic_field, quadratic_field
 from galforms.groups import FiniteGroup, cyclic, direct_product, homomorphisms, symmetric
 from oracles import (
+    boundary_with_lifts,
     cohomologous_module_cocycles,
     enumerate_cocycles,
     h2_enumerate,
@@ -411,8 +412,6 @@ def test_boundary_lifting_criterion():
             [x for x in range(4) if ext.projection[x] == f[a]]
             for a in gam.elements()
         ]
-        from itertools import product as iproduct
-
         for choice in iproduct(*candidates):
             if is_one_cocycle(ext.b, tuple(choice)):
                 lifts_found = True
@@ -421,14 +420,21 @@ def test_boundary_lifting_criterion():
 
 
 def test_boundary_class_independent_of_lift():
+    """boundary_map lifts each c(a) to the first element of its fiber;
+    every other choice of lifts, the identity's included, gives a
+    cohomologous cocycle."""
     ext = _mod4_extension()
     gam = ext.z.gamma
     zmod = GModule.trivial(gam, (2,))
     for f in one_cocycles(ext.c):
         t0 = boundary_map(ext, f)
-        t1 = boundary_map(ext, f, lift_choices={1: 1})
-        diff = {k: ((t0[k] - t1[k]) % 2,) for k in t0}
-        assert is_module_coboundary(zmod, diff) is not None
+        fibers = [[x for x in range(4) if ext.projection[x] == f[a]] for a in gam.elements()]
+        choices = list(iproduct(*fibers))
+        assert len(choices) == 4
+        for lifts in choices:
+            t1 = boundary_with_lifts(ext, f, lifts)
+            diff = {k: ((t0[k] - t1[k]) % 2,) for k in t0}
+            assert is_module_coboundary(zmod, diff) is not None, (f, lifts)
 
 
 def test_boundary_rejects_non_cocycle():

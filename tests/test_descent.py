@@ -14,7 +14,6 @@ from galforms.cohomology import (
 from galforms.crossed import CrossedProductAlgebra
 from galforms.descent import (
     AModule,
-    _k_linear_matrix,
     conjugate_datum,
     datum_morphisms,
     dimension_one_witness,
@@ -30,7 +29,7 @@ from galforms.descent import (
     transport_datum,
     validate_datum,
 )
-from galforms.fields import cyclotomic_field, quadratic_field
+from galforms.fields import cyclotomic_field, k_matrix, quadratic_field
 from galforms import qlinalg
 from oracles import datum_morphisms_by_rows, module_morphisms_all_basis
 from random_data import random_datum
@@ -136,7 +135,8 @@ def test_conjugation_by_i_is_valid():
 def test_a_datum_is_checked_once(monkeypatch):
     """validate_datum keeps its verdict and the k-matrices S_a on the
     datum: after it returns True, to_module and fixed_space multiply no
-    K-matrices, and S_a is built once per group element."""
+    K-matrices, and S_a (the k_matrix with a twist) is built once per
+    group element."""
     from galforms import descent
 
     for field in (quadratic_field(-1), cyclotomic_field(5)):
@@ -144,15 +144,16 @@ def test_a_datum_is_checked_once(monkeypatch):
         datum = random_datum(action, 2, random.Random(5), twisted=False)
         calls = {"kmat_mul": 0, "semi": 0}
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted_kmat_mul(*args, fn=descent.kmat_mul):
+            calls["kmat_mul"] += 1
+            return fn(*args)
 
-        monkeypatch.setattr(descent, "kmat_mul", counted("kmat_mul", descent.kmat_mul))
-        monkeypatch.setattr(descent, "_semilinear_k_matrix",
-                            counted("semi", descent._semilinear_k_matrix))
+        def counted_k_matrix(*args, fn=descent.k_matrix):
+            calls["semi"] += len(args) == 3 and args[2] is not None
+            return fn(*args)
+
+        monkeypatch.setattr(descent, "kmat_mul", counted_kmat_mul)
+        monkeypatch.setattr(descent, "k_matrix", counted_k_matrix)
         assert validate_datum(datum) == (True, None)
         checked = calls["kmat_mul"]
         assert checked == action.group.order ** 2
@@ -346,7 +347,7 @@ def test_morphism_spaces_correspond():
         # e_a, so the two solution spaces coincide over the rationals
         assert len(mm) == len(dm)
         for f in dm:
-            g = _k_linear_matrix(d1.field, f)
+            g = k_matrix(d1.field, f)
             # g commutes with every algebra action
             for rx, rxp in zip(m1.actions, m2.actions):
                 from galforms import qlinalg
@@ -404,7 +405,7 @@ def test_morphisms_through_the_module_equivalence(field, maxdim, twisted):
         m1 = to_module(src)
         m2 = to_module(dst, algebra=m1.algebra)
         for f in got:
-            g = _k_linear_matrix(src.field, f)
+            g = k_matrix(src.field, f)
             for rx, rxp in zip(m1.actions, m2.actions):
                 assert qlinalg.mat_mul(g, rx) == qlinalg.mat_mul(rxp, g), dims
         assert module_morphisms(m1, m2) == module_morphisms_all_basis(m1, m2), dims

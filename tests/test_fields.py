@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from galforms import qlinalg
 from galforms.fields import (
     INFINITE_PLACE,
+    TRIAL_DIVISION_CAP,
     BrauerClass,
     brauer_class_quaternion,
     cyclotomic_field,
@@ -20,12 +22,15 @@ from galforms.fields import (
     galois_group,
     hilbert_symbol,
     is_norm_quadratic,
+    k_entries,
+    k_matrix,
     norm,
     quadratic_field,
     relevant_places,
     RATIONALS,
 )
 from galforms.groups import FiniteGroup
+from oracles import inverse_by_solve
 
 
 # --- field arithmetic -----------------------------------------------------
@@ -98,7 +103,7 @@ def test_sparse_kernels_match_dense_fraction_formulas(field):
             image = g.apply(x)
             assert image.coords == tuple(
                 sum((row[j] * x.coords[j] for j in range(field.degree)), Fraction(0))
-                for row in g.matrix
+                for row in k_matrix(field, [[1]], g)
             )
             assert all(type(c) is Fraction for c in image.coords)
 
@@ -171,6 +176,74 @@ def test_norm():
     assert norm(z5, z5.generator() - z5.one()) == Fraction(5)
 
 
+# --- K as a k-vector space -----------------------------------------------
+
+# the quadratic parameters of perfbench's workloads (SQUAREFREE_D there)
+SQUAREFREE_D = [d for d in range(-30, 31) if d not in (0, 1) and all(d % (p * p) for p in (2, 3, 5))]
+K_FIELDS = [quadratic_field(d) for d in SQUAREFREE_D] + [cyclotomic_field(n) for n in (3, 4, 5, 8, 12)]
+
+
+def random_kmatrix(rng, field, rows, cols):
+    return [[random_element(rng, field) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("field", K_FIELDS, ids=repr)
+def test_k_matrix_composes_with_the_galois_group(field):
+    """k_matrix(M, s) k_matrix(N, t) = k_matrix(M s(N), st): the k-matrix
+    of a composite of semilinear maps is the product of their k-matrices,
+    with the group law of galois_group; no twist is the identity's."""
+    rng = random.Random(f"k-matrix-{field!r}")
+    group, elems = galois_group(field)
+    m, n = random_kmatrix(rng, field, 2, 3), random_kmatrix(rng, field, 3, 2)
+    assert k_matrix(field, m) == k_matrix(field, m, elems[group.identity])
+    for s in group.elements():
+        for t in group.elements():
+            sn = [[sum((x * elems[s](y) for x, y in zip(row, col)), field.zero()) for col in zip(*n)]
+                  for row in m]
+            lhs = qlinalg.mat_mul(k_matrix(field, m, elems[s]), k_matrix(field, n, elems[t]))
+            assert lhs == k_matrix(field, sn, elems[group.table[s][t]]), (s, t)
+
+
+@pytest.mark.parametrize("field", K_FIELDS, ids=repr)
+def test_k_entries_inverts_k_matrix(field):
+    rng = random.Random(f"k-entries-{field!r}")
+    for rows, cols in ((1, 1), (2, 3), (3, 2)):
+        m = tuple(tuple(row) for row in random_kmatrix(rng, field, rows, cols))
+        assert k_entries(field, k_matrix(field, m)) == m
+    assert k_matrix(field, [[2]]) == [[2 * (i == j) for j in range(field.degree)] for i in range(field.degree)]
+
+
+@pytest.mark.parametrize("field", K_FIELDS, ids=repr)
+def test_inverse_agrees_with_the_solve(field):
+    """The product of the other conjugates over the norm is the solution
+    of the linear system that inverse used to eliminate."""
+    rng = random.Random(f"inverse-{field!r}")
+    samples = [random_element(rng, field) for _ in range(8)] + [field.one(), field.generator()]
+    for x in filter(None, samples):
+        inv = x.inverse()
+        assert inv == inverse_by_solve(x)
+        assert x * inv == field.one()
+        assert all(type(c) is Fraction for c in inv.coords)
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
+
+
+def test_rational_inverse():
+    assert RATIONALS.element([Fraction(-3, 7)]).inverse() == RATIONALS.element([Fraction(-7, 3)])
+    assert RATIONALS.element([5]).inverse().coords == (Fraction(1, 5),)
+
+
+@pytest.mark.parametrize("field", K_FIELDS, ids=repr)
+def test_galois_group_is_built_once_identity_first(field):
+    kept = galois_group(field)
+    assert galois_group(field) is kept
+    group, elems = kept
+    assert group.identity == 0 and len(elems) == group.order == field.degree
+    identity_rows = tuple(((i, 1),) for i in range(field.degree))
+    assert elems[0].rows == identity_rows
+    assert all(g.rows != identity_rows for g in elems[1:])
+
+
 # --- Hilbert symbols ------------------------------------------------------
 
 def _vp(n, p):
@@ -231,6 +304,30 @@ def test_hilbert_known_values():
     assert hilbert_symbol(2, 3, 3) == -1
     assert hilbert_symbol(5, 2, 5) == -1
     assert hilbert_symbol(1, 7, 7) == 1
+
+
+@pytest.mark.parametrize("place", [4, 9, 1, 0, -3, 561, 999979 * 999983])
+def test_hilbert_symbol_refuses_a_composite_place(place):
+    with pytest.raises(ValueError, match=f"^place {place} is not a prime$"):
+        hilbert_symbol(2, 3, place)
+
+
+@pytest.mark.parametrize("place", ["oo", "infinity"])
+def test_inf_is_the_one_spelling_of_the_infinite_place(place):
+    with pytest.raises(ValueError):
+        hilbert_symbol(-1, -1, place)
+
+
+def test_places_above_the_trial_division_cap_are_refused():
+    """(10^9 + 7)(10^9 + 9) is not tested or factored past the cap."""
+    n = (10**9 + 7) * (10**9 + 9)
+    message = f"^{n} is above the trial-division cap of {TRIAL_DIVISION_CAP}$"
+    for call in (lambda: hilbert_symbol(2, 3, n), lambda: relevant_places(-1, n),
+                 lambda: brauer_class_quaternion(-1, n), lambda: is_norm_quadratic(n, 3),
+                 lambda: quadratic_field(n)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert relevant_places(TRIAL_DIVISION_CAP) == [2, 5, INFINITE_PLACE]
 
 
 def test_hilbert_against_local_oracle():
