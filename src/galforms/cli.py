@@ -501,8 +501,7 @@ def cmd_descend(args):
         if not dim:
             CrossedProductAlgebra(action, cocycle)
         out["module_dimension"] = dim * field.degree
-        one = field.one()
-        if all(v == one for v in cocycle.values.values()):
+        if cocycle == trivial_kx_cocycle(action):
             basis = fixed_space(datum)
             out["fixed_space"] = [[ser_rational(x) for x in vec] for vec in basis]
             out["fixed_dimension"] = len(basis)

@@ -384,10 +384,11 @@ class GaloisAction:
 
 @dataclass(frozen=True)
 class KxCocycle:
-    """Normalized-or-not 2-cocycle Gamma x Gamma -> K^x, as a full table."""
+    """Normalized-or-not 2-cocycle Gamma x Gamma -> K^x, as a full table;
+    two are equal when their actions and tables are."""
 
     action: GaloisAction
-    values: dict = dc_field(compare=False)
+    values: dict = dc_field(hash=False)
 
     def value(self, a, b):
         return self.values[(a, b)]

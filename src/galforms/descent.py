@@ -7,26 +7,24 @@ With these conventions e_a |-> a_V makes the k-restriction of V a right
 module over the crossed product A_zeta, with K acting by its original
 scalar action.
 
-K-linear and semilinear maps are eliminated through their rational
-k-matrices (fields.k_matrix): ranks, kernels and inverses all go through
-qlinalg on rational input.
+Every check runs on the rational k-matrix S_a = N_a / D_a of a_V
+(fields.k_matrix), kept as integers: validity is S_b S_a = S_ab Z, with Z
+the k-matrix of multiplication by zeta(a, b).  No matrix of field
+elements is multiplied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from math import gcd
 
 from . import qlinalg
 from .cohomology import kx_coboundary_of, trivial_kx_cocycle
-from .crossed import CrossedProductAlgebra
+from .crossed import CrossedProductAlgebra, find_zero_divisor
 from .fields import FieldElement, _rationals, k_entries, k_matrix
 from .qlinalg import _integral, _scaled_matrix
 
-
-# --- K-matrix helpers -----------------------------------------------------
 
 def kmat(field, rows):
     """Freeze a list-of-lists of field elements (or rationals) into a
@@ -40,36 +38,6 @@ def kmat(field, rows):
             )
         )
     return tuple(out)
-
-
-def kmat_identity(field, n):
-    return tuple(
-        tuple(field.one() if i == j else field.zero() for j in range(n))
-        for i in range(n)
-    )
-
-
-def kmat_mul(a, b):
-    return tuple(tuple(row) for row in qlinalg.mat_mul([list(r) for r in a], [list(r) for r in b]))
-
-
-def kmat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def kmat_twist(action, g, a):
-    """Apply the Galois automorphism g to every entry."""
-    return tuple(tuple(action.apply(g, x) for x in row) for row in a)
-
-
-def kmat_inv(a):
-    """Inverse of a K-matrix, or None if singular: the inverse of its
-    rational k-matrix, read back as a K-matrix."""
-    if not a:
-        return ()
-    field = a[0][0].field
-    inv = qlinalg.mat_inv(k_matrix(field, a))
-    return None if inv is None else k_entries(field, inv)
 
 
 # --- the datum ------------------------------------------------------------
@@ -91,7 +59,7 @@ class SemilinearDatum:
         """a_V applied to a K-coordinate vector."""
         ainv = self.action.group.inv(a)
         twisted = [self.action.apply(ainv, x) for x in vec]
-        return qlinalg.mat_vec([list(r) for r in self.matrices[a]], twisted)
+        return [sum(m * x for m, x in zip(row, twisted)) for row in self.matrices[a]]
 
 
 def make_datum(action, cocycle, matrices):
@@ -102,7 +70,7 @@ def make_datum(action, cocycle, matrices):
 
 def identity_datum(action, dim):
     """The untwisted datum: a_V = coordinate twist alone."""
-    eye = kmat_identity(action.field, dim)
+    eye = kmat(action.field, [[int(i == j) for j in range(dim)] for i in range(dim)])
     return SemilinearDatum(
         action,
         trivial_kx_cocycle(action),
@@ -114,7 +82,7 @@ def identity_datum(action, dim):
 def validate_datum(datum):
     """Returns (True, None) or (False, violation description with the
     witnessing group element(s)).  A datum is checked once: the verdict
-    is kept on it, with the rational k-matrix S_a of every a_V, which
+    is kept on it, with the k-matrix S_a = N_a / D_a of every a_V, which
     to_module and fixed_space read through _checked_k_matrices."""
     kept = vars(datum).get("_verdict")
     if kept is None:
@@ -123,7 +91,7 @@ def validate_datum(datum):
 
 
 def _verdict(datum):
-    """(violation or None, [S_a for a in Gamma] or None)."""
+    """(violation or None, [(N_a, D_a) for a in Gamma] or None)."""
     action = datum.action
     group = action.group
     n = datum.dim
@@ -133,34 +101,50 @@ def _verdict(datum):
         m = datum.matrices[a]
         if len(m) != n or any(len(row) != n for row in m):
             return f"matrix for element {a} is not {n}x{n}", None
-    eye = kmat_identity(action.field, n)
-    if datum.matrices[group.identity] != eye:
+    unit = datum.matrices[group.identity]
+    if any(x != int(i == j) for i, row in enumerate(unit) for j, x in enumerate(row)):
         return f"identity component is not the identity map (witness {group.identity})", None
     if not datum.cocycle.is_normalized():
         return "cocycle is not normalized", None
     # a_V = M_a o (a^-1 twist) is bijective iff M_a is, iff S_a has full rank
-    semi = []
+    scaled = []
     for a in group.elements():
         s_a = k_matrix(action.field, datum.matrices[a], action.elements[group.inv(a)])
-        if qlinalg.rank(s_a) != len(s_a):
+        n_a, d_a = _scaled_matrix(s_a)
+        if qlinalg.rank(n_a) != len(n_a):
             return f"component {a} is not bijective", None
-        semi.append(s_a)
+        scaled.append((n_a, d_a))
+    # b_V o a_V = (ab)_V o zeta(a, b) is S_b S_a = S_ab Z, Z block diagonal
     for a in group.elements():
+        n_a, d_a = scaled[a]
         for b in group.elements():
-            ab = group.table[a][b]
-            lhs = kmat_mul(
-                datum.matrices[b],
-                kmat_twist(action, group.inv(b), datum.matrices[a]),
-            )
-            scalar = action.apply(group.inv(ab), datum.cocycle.value(a, b))
-            rhs = kmat_scale(scalar, datum.matrices[ab])
+            n_b, d_b = scaled[b]
+            n_ab, d_ab = scaled[group.table[a][b]]
+            block, d_z = _scaled_matrix(k_matrix(action.field, [[datum.cocycle.value(a, b)]]))
+            # N_b N_a / (D_b D_a) = N_ab Z' / (D_ab d_z), with Z = Z' / d_z
+            lhs = [[x * d_ab * d_z for x in row] for row in qlinalg.mat_mul(n_b, n_a)]
+            rhs = [[y * d_b * d_a for y in row] for row in _times_blocks(n_ab, block)]
             if lhs != rhs:
                 return f"twisted composition fails at pair ({a}, {b})", None
-    return None, semi
+    return None, scaled
+
+
+def _times_blocks(n, block):
+    """The integer matrix N diag(B, ..., B), for a square integer block B."""
+    deg = len(block)
+    columns = list(zip(*block))
+    return [
+        [
+            sum(x * y for x, y in zip(row[j: j + deg], col))
+            for j in range(0, len(row), deg)
+            for col in columns
+        ]
+        for row in n
+    ]
 
 
 def _checked_k_matrices(datum):
-    """The kept S_a of a valid datum; an invalid datum raises."""
+    """The kept (N_a, D_a) of a valid datum; an invalid datum raises."""
     ok, why = validate_datum(datum)
     if not ok:
         raise ValueError(f"invalid datum: {why}")
@@ -249,27 +233,18 @@ def to_module(datum, algebra=None):
     v . (theta^t e_a) = a_V(theta^t v) has matrix N_a S_t / D_a, with S_t
     block diagonal, each block the integer matrix B_t of multiplication
     by theta^t."""
-    semi = _checked_k_matrices(datum)
+    scaled = _checked_k_matrices(datum)
     if algebra is None:
         algebra = CrossedProductAlgebra(datum.action, datum.cocycle)
     elif algebra.cocycle.values != datum.cocycle.values or algebra.action != datum.action:
         raise ValueError("algebra does not match the datum's twist")
     field = datum.field
-    deg = field.degree
-    blocks = [list(zip(*k_matrix(field, [[power]]))) for power in field.power_basis()]
+    blocks = [_scaled_matrix(k_matrix(field, [[power]]))[0] for power in field.power_basis()]
     actions = []
-    for m in semi:
-        n_a, d_a = _scaled_matrix(m)
-        for columns in blocks:
-            actions.append([
-                _rationals([
-                    sum(x * int(y) for x, y in zip(row[j: j + deg], col))
-                    for j in range(0, len(row), deg)
-                    for col in columns
-                ], d_a)
-                for row in n_a
-            ])
-    return AModule(algebra, datum.dim * deg, actions)
+    for n_a, d_a in scaled:
+        for block in blocks:
+            actions.append([_rationals(row, d_a) for row in _times_blocks(n_a, block)])
+    return AModule(algebra, datum.dim * field.degree, actions)
 
 
 def from_module(module):
@@ -330,19 +305,15 @@ def from_module(module):
 
 def fixed_space(datum):
     """k-basis of {v : a_V(v) = v for all a} for an untwisted datum, in
-    flattened k-coordinates: the common kernel of the S_a - I.  By
-    Speiser's lemma it has dimension datum.dim and K-spans V."""
-    one = datum.field.one()
-    if any(x != one for x in datum.cocycle.values.values()):
+    flattened k-coordinates: the common kernel of the S_a - I, that is of
+    the integer rows of the N_a - D_a I.  By Speiser's lemma it has
+    dimension datum.dim and K-spans V."""
+    if datum.cocycle != trivial_kx_cocycle(datum.action):
         raise ValueError("fixed spaces only exist for untwisted data")
-    semi = _checked_k_matrices(datum)
-    big = datum.dim * datum.field.degree
-    if big == 0:
-        return []
     rows = []
-    for m in semi:
-        for i in range(big):
-            rows.append([m[i][j] - (i == j) for j in range(big)])
+    for n_a, d_a in _checked_k_matrices(datum):
+        for i, row in enumerate(n_a):
+            rows.append([x - d_a * (i == j) for j, x in enumerate(row)])
     return qlinalg.kernel(rows)
 
 
@@ -355,7 +326,7 @@ def transport_datum(datum, primitive):
     matrices = []
     for a in group.elements():
         scalar = action.apply(group.inv(a), primitive[a])
-        matrices.append(kmat_scale(scalar, datum.matrices[a]))
+        matrices.append(tuple(tuple(scalar * x for x in row) for row in datum.matrices[a]))
     out = SemilinearDatum(action, new_cocycle, datum.dim, tuple(matrices))
     ok, why = validate_datum(out)
     if not ok:
@@ -364,18 +335,25 @@ def transport_datum(datum, primitive):
 
 
 def conjugate_datum(datum, p):
-    """The isomorphic datum P o a_V o P^-1 for an invertible K-matrix P."""
+    """The isomorphic datum P o a_V o P^-1 for an invertible K-matrix P.
+    Its M_a = P o a_V o P^-1 o (a-twist) has the k-matrix P' S_a P'^-1 T_a:
+    P' is P's k-matrix scaled to integers, and T_a, the a-twist's, is
+    block diagonal with the integer matrix of a on K."""
     action = datum.action
     group = action.group
-    p = kmat(datum.field, p)
-    pinv = kmat_inv(p)
-    if pinv is None:
+    field = datum.field
+    p_k = _scaled_matrix(k_matrix(field, p))[0]
+    p_inv = qlinalg.mat_inv(p_k)
+    if p_inv is None:
         raise ValueError("conjugating matrix must be invertible")
+    inv_k, inv_d = _scaled_matrix(p_inv)
     matrices = []
     for a in group.elements():
-        matrices.append(
-            kmat_mul(kmat_mul(p, datum.matrices[a]), kmat_twist(action, group.inv(a), pinv))
-        )
+        s_a = k_matrix(field, datum.matrices[a], action.elements[group.inv(a)])
+        n_a, d_a = _scaled_matrix(s_a)
+        g_a = _scaled_matrix(k_matrix(field, [[1]], action.elements[a]))[0]
+        m_a = _times_blocks(qlinalg.mat_mul(qlinalg.mat_mul(p_k, n_a), inv_k), g_a)
+        matrices.append(k_entries(field, [_rationals(row, d_a * inv_d) for row in m_a]))
     return SemilinearDatum(action, datum.cocycle, datum.dim, tuple(matrices))
 
 
@@ -421,22 +399,16 @@ def module_morphisms(src, dst):
 
 # --- the dimension-one obstruction ----------------------------------------
 
-def dimension_one_witness(action, cocycle, bound=5):
-    """Search exhaustively over a coefficient grid for a single field
-    element m making M = [[m]] a valid datum over the given quadratic
-    cocycle (the condition is m * sigma(m) = zeta(sigma, sigma)).
-    Returns m or None."""
+def dimension_one_witness(action, cocycle):
+    """A field element m making M = [[m]] a valid datum over the given
+    quadratic cocycle, that is m * sigma(m) = zeta(sigma, sigma) = c, or
+    None.  A zero divisor u + v e_sigma of the crossed product has
+    N(u) = c N(v), so m = u / v; find_zero_divisor searches for one."""
     group = action.group
     if group.order != 2:
         raise ValueError("quadratic extensions only")
-    sigma = 1 - group.identity
-    target = cocycle.value(sigma, sigma)
-    field = action.field
-    rng = range(-bound, bound + 1)
-    for coords in iproduct(rng, repeat=field.degree):
-        if not any(coords):
-            continue
-        m = field.element(list(coords))
-        if m * action.apply(sigma, m) == target:
-            return m
-    return None
+    found = find_zero_divisor(CrossedProductAlgebra(action, cocycle), 6)
+    if found is None:
+        return None
+    coeffs = found[0].kcoeffs
+    return coeffs[group.identity] / coeffs[1 - group.identity]

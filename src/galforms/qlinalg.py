@@ -4,9 +4,8 @@ rank, kernel, solve, mat_inv and determinant take matrices of rationals
 (ints or fractions.Fraction) and share one fraction-free elimination:
 each row is cleared to integers by the lcm of its denominators, and each
 updated row is divided by the gcd of its entries (Bareiss, Math. Comp. 22,
-1968; Cohen, GTM 138, 2.2).  mat_mul and mat_vec are generic products for
-any ring elements.  Matrices are lists of rows; no function mutates its
-arguments.
+1968; Cohen, GTM 138, 2.2).  mat_mul is the product of rational
+matrices.  Matrices are lists of rows; no function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -16,16 +15,8 @@ from math import gcd, prod
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j]) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def mat_vec(a, v):
-    return [sum((row[t] * v[t] for t in range(1, len(v))), row[0] * v[0]) for row in a]
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
 
 
 def _integral(coords):

@@ -3,9 +3,9 @@ descent tests: full enumeration of cocycles and coboundaries, bounded
 searches, the boundary map under any choice of lifts, the dense Smith
 normal form elimination, Gauss-Jordan elimination over Fractions, field
 inverses by a linear solve, the descent morphism systems written out in
-full, and the coweight orbits found by closing each point under every
-matrix.  Desk scale only; they check the library's exact algorithms and
-are not part of it."""
+full, descent validity checked on K-matrices, and the coweight orbits
+found by closing each point under every matrix.  Desk scale only; they
+check the library's exact algorithms and are not part of it."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -535,3 +535,42 @@ def module_morphisms_all_basis(src, dst):
         [tuple(vec[i * n1 + j] for j in range(n1)) for i in range(n2)]
         for vec in qlinalg.kernel(rows)
     ]
+
+
+# The descent validity check as galforms ran it before it ran on integer
+# k-matrices: twisted composition on K-matrices of field elements.
+
+def datum_violation(datum):
+    """validate_datum's violation, or None: the shape, identity and
+    normalization checks, bijectivity from the rank of the K-linear
+    k-matrix of each M_a, and M_b b^-1(M_a) = (ab)^-1(zeta(a, b)) M_ab
+    checked on K-matrices, pair by pair in the same order."""
+    action = datum.action
+    group, field, n = action.group, action.field, datum.dim
+    if len(datum.matrices) != group.order:
+        return "one matrix per Galois group element required"
+    for a in group.elements():
+        m = datum.matrices[a]
+        if len(m) != n or any(len(row) != n for row in m):
+            return f"matrix for element {a} is not {n}x{n}"
+    eye = tuple(tuple(field.one() if i == j else field.zero() for j in range(n)) for i in range(n))
+    if datum.matrices[group.identity] != eye:
+        return f"identity component is not the identity map (witness {group.identity})"
+    if not datum.cocycle.is_normalized():
+        return "cocycle is not normalized"
+    for a in group.elements():
+        if qlinalg.rank(k_matrix(field, datum.matrices[a])) != n * field.degree:
+            return f"component {a} is not bijective"
+    for a in group.elements():
+        for b in group.elements():
+            ab = group.table[a][b]
+            twisted = [[action.apply(group.inv(b), x) for x in row] for row in datum.matrices[a]]
+            lhs = [
+                [sum((x * y for x, y in zip(row, col)), field.zero()) for col in zip(*twisted)]
+                for row in datum.matrices[b]
+            ]
+            scalar = action.apply(group.inv(ab), datum.cocycle.value(a, b))
+            rhs = [[scalar * x for x in row] for row in datum.matrices[ab]]
+            if lhs != rhs:
+                return f"twisted composition fails at pair ({a}, {b})"
+    return None

@@ -34,6 +34,7 @@ from galforms.cohomology import (
     transport_to_family,
     trivial_kx_cocycle,
 )
+from galforms.descent import make_datum
 from galforms.exact_linalg import IntMatrix, _mul
 from galforms.fields import cyclotomic_field, quadratic_field
 from galforms.groups import FiniteGroup, cyclic, direct_product, homomorphisms, symmetric
@@ -344,6 +345,20 @@ def test_quadratic_cocycle_refuses_an_irrational_value():
                 quadratic_cocycle(action, c)
         z = quadratic_cocycle(action, k.element([Fraction(-7, 2), 0]))
         assert is_two_cocycle_kx(z)
+
+
+def test_kx_cocycles_compare_their_tables():
+    """Two cocycles are equal when their tables are, with equal hashes,
+    and so are two data that differ only in the cocycle."""
+    action = GaloisAction.of(quadratic_field(-1))
+    assert quadratic_cocycle(action, -1) != quadratic_cocycle(action, 2)
+    z, same = quadratic_cocycle(action, -1), quadratic_cocycle(action, -1)
+    assert z == same and hash(z) == hash(same)
+    assert z != trivial_kx_cocycle(action)
+    i = action.field.generator()
+    untwisted = make_datum(action, trivial_kx_cocycle(action), [[[1]], [[i]]])
+    assert untwisted != make_datum(action, quadratic_cocycle(action, -1), [[[1]], [[i]]])
+    assert untwisted == make_datum(action, trivial_kx_cocycle(action), [[[1]], [[i]]])
 
 
 def test_invalid_cocycle_detected():

@@ -1,8 +1,10 @@
 """Semilinear descent data, module equivalence, fixed spaces, and the
 quaternionic obstruction."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,6 @@ from galforms.descent import (
     from_module,
     identity_datum,
     kmat,
-    kmat_inv,
     make_datum,
     module_morphisms,
     regular_module,
@@ -29,9 +30,17 @@ from galforms.descent import (
     transport_datum,
     validate_datum,
 )
-from galforms.fields import cyclotomic_field, k_matrix, quadratic_field
+from galforms.cli import (
+    parse_cocycle,
+    parse_field,
+    parse_field_element,
+    read_cocycle,
+    read_field,
+    read_field_element,
+)
+from galforms.fields import cyclotomic_field, k_entries, k_matrix, quadratic_field
 from galforms import qlinalg
-from oracles import datum_morphisms_by_rows, module_morphisms_all_basis
+from oracles import datum_morphisms_by_rows, datum_violation, module_morphisms_all_basis
 from random_data import random_datum
 
 
@@ -93,7 +102,7 @@ def test_bijectivity_verdict_matches_inversion_over_k():
             m = [[x, y], second]
             datum = make_datum(action, trivial_kx_cocycle(action), [eye] + [m] * (action.group.order - 1))
             ok, why = validate_datum(datum)
-            invertible = kmat_inv(kmat(field, m)) is not None
+            invertible = qlinalg.rank(k_matrix(field, m)) == 2 * field.degree
             assert (why != "component 1 is not bijective") == invertible, (field, m)
 
 
@@ -133,35 +142,108 @@ def test_conjugation_by_i_is_valid():
 
 
 def test_a_datum_is_checked_once(monkeypatch):
-    """validate_datum keeps its verdict and the k-matrices S_a on the
-    datum: after it returns True, to_module and fixed_space multiply no
-    K-matrices, and S_a (the k_matrix with a twist) is built once per
-    group element."""
+    """validate_datum keeps its verdict and the integer k-matrices
+    (N_a, D_a) on the datum: across validate_datum, to_module,
+    fixed_space and validate_datum again, S_a (the k_matrix with a twist)
+    is built, and its rank taken, once per group element."""
     from galforms import descent
 
     for field in (quadratic_field(-1), cyclotomic_field(5)):
         action = GaloisAction.of(field)
         datum = random_datum(action, 2, random.Random(5), twisted=False)
-        calls = {"kmat_mul": 0, "semi": 0}
-
-        def counted_kmat_mul(*args, fn=descent.kmat_mul):
-            calls["kmat_mul"] += 1
-            return fn(*args)
+        calls = {"semi": 0, "rank": 0}
 
         def counted_k_matrix(*args, fn=descent.k_matrix):
             calls["semi"] += len(args) == 3 and args[2] is not None
             return fn(*args)
 
-        monkeypatch.setattr(descent, "kmat_mul", counted_kmat_mul)
+        def counted_rank(*args, fn=qlinalg.rank):
+            calls["rank"] += 1
+            return fn(*args)
+
         monkeypatch.setattr(descent, "k_matrix", counted_k_matrix)
+        monkeypatch.setattr(qlinalg, "rank", counted_rank)
         assert validate_datum(datum) == (True, None)
-        checked = calls["kmat_mul"]
-        assert checked == action.group.order ** 2
         to_module(datum)
         assert len(fixed_space(datum)) == 2
         assert validate_datum(datum) == (True, None)
-        assert calls == {"kmat_mul": checked, "semi": action.group.order}
+        assert calls == {"semi": action.group.order, "rank": action.group.order}
         monkeypatch.undo()
+
+
+def _random_element(field, rng):
+    return field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+
+
+def _corrupted(datum, rng):
+    """The datum with one non-identity component changed: doubled, one
+    entry moved by 1, or given a row dependent on the first (singular)."""
+    field, n = datum.field, datum.dim
+    a = rng.choice([g for g in datum.action.group.elements() if g != datum.action.group.identity])
+    m = [list(row) for row in datum.matrices[a]]
+    kind = rng.choice(["double", "entry", "singular"])
+    if kind == "double":
+        m = [[2 * x for x in row] for row in m]
+    elif kind == "entry":
+        m[rng.randrange(n)][rng.randrange(n)] += 1
+    elif n > 1:
+        lam = _random_element(field, rng)
+        m[-1] = [lam * x for x in m[0]]
+    else:
+        m = [[field.zero()]]
+    matrices = list(datum.matrices)
+    matrices[a] = kmat(field, m)
+    return make_datum(datum.action, datum.cocycle, matrices)
+
+
+SWEEP_FIELDS = [quadratic_field(-1), quadratic_field(2), quadratic_field(-7), quadratic_field(13),
+                cyclotomic_field(5), cyclotomic_field(8), cyclotomic_field(12)]
+
+
+def test_verdict_matches_the_k_matrix_oracle_on_corrupted_data():
+    """validate_datum, which checks S_b S_a = S_ab Z on integer
+    k-matrices, gives the violation, first failing pair included, that
+    the K-matrix check of tests/oracles.py gives, on valid data conjugated
+    by irrational K-matrices and on one corruption of each."""
+    rng = random.Random(2024)
+    seen = set()
+    corrupted = 0
+    for field in SWEEP_FIELDS:
+        action = GaloisAction.of(field)
+        for twisted in (False, True):
+            for dim in (1, 2, 3) if field.degree == 2 else (1, 2):
+                (datum,) = _data_over_one_twist(action, [dim], twisted, rng)
+                assert datum_violation(datum) is None
+                assert validate_datum(datum) == (True, None)
+                bad = _corrupted(datum, rng)
+                want = datum_violation(bad)
+                assert validate_datum(bad) == (want is None, want), (field, dim)
+                seen.add(want and want.split()[0])
+                corrupted += 1
+    assert corrupted >= 30
+    assert {"twisted", "component"} <= seen
+
+
+GOLDEN_DESCEND = [
+    case for case in json.loads((Path(__file__).parent / "data" / "crossed_golden.json").read_text())
+    if case["argv"] == ["descend"]
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_DESCEND, ids=[c["name"] for c in GOLDEN_DESCEND])
+def test_verdict_matches_the_k_matrix_oracle_on_goldens(case):
+    job = case["job"]
+    field = parse_field(read_field(job["field"]))
+    action = GaloisAction.of(field)
+    cocycle = parse_cocycle(action, read_cocycle(job["cocycle"]))
+    matrices = [
+        kmat(field, [[parse_field_element(field, read_field_element(x)) for x in row] for row in m])
+        for m in job["matrices"]
+    ]
+    datum = make_datum(action, cocycle, matrices)
+    want = datum_violation(datum)
+    assert want == json.loads(case["stdout"])["violation"]
+    assert validate_datum(datum) == (want is None, want)
 
 
 def test_invalid_datum_is_refused_by_to_module_and_fixed_space():
@@ -288,11 +370,17 @@ def test_dimension_one_obstruction():
     action = gaussian_action()
     # Hamilton twist: no m with m * conj(m) = -1 (norms are sums of squares)
     assert dimension_one_witness(action, quadratic_cocycle(action, -1)) is None
-    # split twist: m = 1 + i has norm 2
-    m = dimension_one_witness(action, quadratic_cocycle(action, 2))
-    assert m is not None
-    sigma = 1 - action.group.identity
-    assert m * action.apply(sigma, m) == action.field.from_rational(2)
+    # split twists: m * sigma(m) = c, so [[m]] is a valid datum
+    found = {}
+    for d, c in ((-1, 2), (3, -2), (5, -1), (-7, 2)):
+        action = GaloisAction.of(quadratic_field(d))
+        cocycle = quadratic_cocycle(action, c)
+        m = found[d, c] = dimension_one_witness(action, cocycle)
+        sigma = 1 - action.group.identity
+        assert m * action.apply(sigma, m) == action.field.from_rational(c), (d, c)
+        assert validate_datum(make_datum(action, cocycle, [[[1]], [[m]]])) == (True, None)
+    # no m with both coordinates in [-5, 5] has norm 2 in Q(sqrt(-7))
+    assert found[-7, 2] == quadratic_field(-7).element([Fraction(11, 8), Fraction(1, 8)])
 
 
 # --- transport and conjugation --------------------------------------------
@@ -321,6 +409,32 @@ def test_conjugation_preserves_validity_and_morphisms():
     assert ok, why
     morphs = datum_morphisms(datum, conj)
     assert morphs  # the conjugation itself is a morphism, so nonzero space
+
+
+@pytest.mark.parametrize("field", [quadratic_field(-5), cyclotomic_field(5)], ids=repr)
+def test_conjugating_by_p_then_its_inverse_returns_the_datum(field):
+    """conjugate_datum by an invertible P gives a valid datum, and then
+    by P^-1 (the K-entries of the inverse k-matrix) the datum back, also
+    when the entries are irrational; a singular P is refused, also when
+    its rows are dependent over K only."""
+    rng = random.Random(7)
+    action = GaloisAction.of(field)
+    inverted = 0
+    for _ in range(30):
+        n = rng.randint(1, 3 if field.degree == 2 else 2)
+        datum = random_datum(action, n, rng)
+        p = kmat(field, [[_random_element(field, rng) for _ in range(n)] for _ in range(n)])
+        inv = qlinalg.mat_inv(k_matrix(field, p))
+        if inv is not None:
+            inverted += 1
+            moved = conjugate_datum(datum, p)
+            assert validate_datum(moved) == (True, None)
+            assert conjugate_datum(moved, k_entries(field, inv)).matrices == datum.matrices
+            lam = _random_element(field, rng)
+            p = p[:-1] + (tuple(lam * x for x in p[0]),) if n > 1 else ((field.zero(),),)
+        with pytest.raises(ValueError, match="^conjugating matrix must be invertible$"):
+            conjugate_datum(datum, p)
+    assert inverted >= 20
 
 
 def test_conjugate_by_singular_rejected():
@@ -374,7 +488,7 @@ def _data_over_one_twist(action, dims, twisted, rng):
             datum = transport_datum(datum, primitive)
         while True:
             p = kmat(field, [[element() for _ in range(dim)] for _ in range(dim)])
-            if kmat_inv(p) is not None:
+            if qlinalg.rank(k_matrix(field, p)) == dim * field.degree:
                 break
         data.append(conjugate_datum(datum, p))
     return data

@@ -330,6 +330,29 @@ def test_places_above_the_trial_division_cap_are_refused():
     assert relevant_places(TRIAL_DIVISION_CAP) == [2, 5, INFINITE_PLACE]
 
 
+@pytest.mark.parametrize("d, c", [(-1, 999999999989), (Fraction(-3, 7), Fraction(21, 10))])
+def test_a_brauer_class_factors_each_integer_once(monkeypatch, d, c):
+    """relevant_places factors each distinct |numerator| and denominator
+    of d and c once, and the local symbols at the places it found do not
+    prove them prime again; 999999999989 is a prime just below the cap."""
+    import galforms.fields as fields
+
+    calls = []
+
+    def counted(n, factorize=fields._factorize):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(fields, "_factorize", counted)
+    got = brauer_class_quaternion(d, c)
+    monkeypatch.undo()
+    integers = {abs(q.numerator) for q in (Fraction(d), Fraction(c))}
+    integers |= {Fraction(d).denominator, Fraction(c).denominator}
+    assert sorted(calls) == sorted(integers)
+    want = {v for v in relevant_places(d, c) if hilbert_symbol(d, c, v) == -1}
+    assert got.ramified_places == want
+
+
 def test_hilbert_against_local_oracle():
     rng = random.Random(12)
     pairs = set()

@@ -1,5 +1,4 @@
-"""qlinalg's fraction-free elimination against Gauss-Jordan over Fractions,
-and the K-matrix inverse that runs on it."""
+"""qlinalg's fraction-free elimination against Gauss-Jordan over Fractions."""
 
 import random
 from fractions import Fraction
@@ -7,9 +6,7 @@ from fractions import Fraction
 import pytest
 
 from galforms import qlinalg
-from galforms.descent import kmat, kmat_identity, kmat_inv, kmat_mul
 from galforms.exact_linalg import IntMatrix
-from galforms.fields import cyclotomic_field, quadratic_field
 from oracles import (
     fraction_determinant,
     gauss_kernel,
@@ -93,29 +90,3 @@ def test_outputs_are_fractions():
     assert all(type(x) is Fraction for row in qlinalg.mat_inv([[2, 1], [1, 1]]) for x in row)
     assert all(type(x) is Fraction for row in qlinalg.kernel([[1, 2, 3]]) for x in row)
     assert type(qlinalg.determinant([[2, 1], [1, 1]])) is Fraction
-
-
-@pytest.mark.parametrize("field", [quadratic_field(-5), cyclotomic_field(5)], ids=repr)
-def test_kmat_inv(field):
-    """kmat_inv(P) P = P kmat_inv(P) = I for invertible P over K, and None
-    for singular P, also when the entries are irrational."""
-    rng = random.Random(7)
-
-    def element():
-        return field.element([rng.randint(-2, 2) for _ in range(field.degree)])
-
-    inverted = singular = 0
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        p = kmat(field, [[element() for _ in range(n)] for _ in range(n)])
-        inv = kmat_inv(p)
-        if inv is None:
-            continue
-        inverted += 1
-        assert kmat_mul(inv, p) == kmat_identity(field, n)
-        assert kmat_mul(p, inv) == kmat_identity(field, n)
-        lam = element()
-        dependent = p[:-1] + (tuple(lam * x for x in p[0]),) if n > 1 else ((field.zero(),),)
-        assert kmat_inv(dependent) is None
-        singular += 1
-    assert inverted >= 20 and singular == inverted
