@@ -177,9 +177,3 @@ def build_inner_invariant(brd, d, assignments):
         mu[element] = cls
         parameters[element] = c
     return InnerInvariant(pi1, d, mu, parameters)
-
-
-def component_index(brd):
-    """The group indexing the components of the affine Grassmannian of
-    the dual group: pi_1 of the datum."""
-    return fundamental_group(brd)

@@ -30,7 +30,7 @@ from .cohomology import (
     trivial_kx_cocycle,
 )
 from .crossed import CrossedProductAlgebra, find_zero_divisor
-from .descent import SemilinearDatum, fixed_space, kmat, validate_datum
+from .descent import fixed_space, make_datum, validate_datum
 from .exact_linalg import IntMatrix
 from .fields import (
     INFINITE_PLACE,
@@ -488,19 +488,18 @@ def cmd_descend(args):
         raise MalformedInput("descent needs a nontrivial extension")
     action = GaloisAction.of(field)
     cocycle = parse_cocycle(action, zeta)
-    matrices = [kmat(field, [[parse_field_element(field, x) for x in row] for row in m])
+    matrices = [[[parse_field_element(field, x) for x in row] for row in m]
                 for m in json_list(rows, count, action.group.order)]
-    dim = len(matrices[0])
-    datum = SemilinearDatum(action, cocycle, dim, tuple(matrices))
+    datum = make_datum(action, cocycle, matrices)
     ok, why = validate_datum(datum)
     out = {"schema": "galforms/descend/v1", "valid": ok, "violation": why}
     if ok:
         # a valid datum on V != 0 makes zeta a 2-cocycle (compose a_V, b_V
         # and c_V both ways; (abc)_V is bijective); on V = 0 the crossed
         # product checks zeta
-        if not dim:
+        if not datum.dim:
             CrossedProductAlgebra(action, cocycle)
-        out["module_dimension"] = dim * field.degree
+        out["module_dimension"] = datum.dim * field.degree
         if cocycle == trivial_kx_cocycle(action):
             basis = fixed_space(datum)
             out["fixed_space"] = [[ser_rational(x) for x in vec] for vec in basis]

@@ -57,15 +57,6 @@ class GGroup:
         return GGroup(gamma, coeff, [perm] * gamma.order)
 
 
-def h0(ggroup):
-    """Fixed subgroup A^Gamma, as a sorted list of element indices."""
-    return [
-        x
-        for x in range(ggroup.coeff.order)
-        if all(ggroup.act(g, x) == x for g in range(ggroup.gamma.order))
-    ]
-
-
 def is_one_cocycle(ggroup, f):
     gamma, coeff = ggroup.gamma, ggroup.coeff
     return all(
@@ -166,12 +157,6 @@ class GModule:
     @property
     def rank(self):
         return len(self.moduli)
-
-    def size(self):
-        n = 1
-        for d in self.moduli:
-            n *= d
-        return n
 
     def reduce(self, vec):
         return tuple(x % d for x, d in zip(vec, self.moduli))

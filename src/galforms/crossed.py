@@ -17,7 +17,7 @@ from .cohomology import (
     is_two_cocycle_kx,
     kx_coboundary_of,
 )
-from .fields import FieldElement
+from .fields import FieldElement, brauer_class_quaternion
 
 
 class CrossedProductAlgebra:
@@ -111,11 +111,6 @@ class CrossedProductAlgebra:
                 out[ab] = out[ab] + xa * self.action.apply(a, yb) * self.cocycle.value(a, b)
         return AlgebraElement(self, tuple(out))
 
-    def left_multiplication_matrix(self, x):
-        """k-matrix of y -> x*y on the k-basis (columns = images)."""
-        cols = [self.multiply(x, b).k_coords() for b in self.k_basis()]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
     def _products(self):
         """t[i][j] = k-coordinates of b_i * b_j, for k-basis elements b.
 
@@ -161,28 +156,16 @@ class CrossedProductAlgebra:
             ])
         return [self.from_k_coords(vec) for vec in self._center]
 
-    def _basis_traces(self):
-        """Traces of the k-basis elements.  Left multiplication by
-        b_(a,s) sends block b to block ab, so only the e_1 block, a = 1,
-        has diagonal entries."""
-        t = self._products()
-        traces = [Fraction(0)] * self.dim
-        for k in self._unit_block():
-            traces[k] = sum(t[k][i][i] for i in range(self.dim))
-        return traces
-
-    def _unit_block(self):
-        start = self.group.identity * self.deg
-        return range(start, start + self.deg)
-
-    def trace(self, x):
-        if x.algebra is not self:
-            raise ValueError("element of a different algebra")
-        return sum(c * tr for c, tr in zip(x.k_coords(), self._basis_traces()))
-
     def trace_form_gram(self):
-        t, traces = self._products(), self._basis_traces()
-        block = [(k, traces[k]) for k in self._unit_block()]
+        """Gram matrix of (x, y) -> tr(xy) on the k-basis.  Left
+        multiplication by b_(a,s) sends block b to block ab, so only the
+        basis elements of the e_1 block, a = 1, have a nonzero trace."""
+        t = self._products()
+        start = self.group.identity * self.deg
+        block = [
+            (k, sum(t[k][i][i] for i in range(self.dim)))
+            for k in range(start, start + self.deg)
+        ]
         return [
             [sum(tij[k] * tr for k, tr in block) for tij in ti]
             for ti in t
@@ -210,10 +193,10 @@ class CrossedProductAlgebra:
         return self.field.param, c.rational_value()
 
     def is_split_quaternion(self):
-        from .fields import is_norm_quadratic
-
+        """True iff the Brauer class of (d, c) is trivial; the field
+        checked d when it was built, so d is not checked again."""
         d, c = self.presenting_pair()
-        return is_norm_quadratic(d, c)
+        return brauer_class_quaternion(d, c).is_trivial()
 
 
 @dataclass(frozen=True)
@@ -261,12 +244,6 @@ class AlgebraElement:
 
     def __hash__(self):
         return hash(self.kcoeffs)
-
-    def k_coords(self):
-        out = []
-        for c in self.kcoeffs:
-            out.extend(c.coords)
-        return out
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import qlinalg
-from .cohomology import kx_coboundary_of, trivial_kx_cocycle
-from .crossed import CrossedProductAlgebra, find_zero_divisor
+from .cohomology import trivial_kx_cocycle
+from .crossed import CrossedProductAlgebra
 from .fields import FieldElement, _rationals, k_entries, k_matrix
 from .qlinalg import _integral, _scaled_matrix
 
@@ -63,20 +63,11 @@ class SemilinearDatum:
 
 
 def make_datum(action, cocycle, matrices):
+    """The datum with these K-matrices M_a, one per group element, with
+    entries field elements or rationals; validate_datum checks it."""
     mats = tuple(kmat(action.field, m) for m in matrices)
     dim = len(mats[0])
     return SemilinearDatum(action, cocycle, dim, mats)
-
-
-def identity_datum(action, dim):
-    """The untwisted datum: a_V = coordinate twist alone."""
-    eye = kmat(action.field, [[int(i == j) for j in range(dim)] for i in range(dim)])
-    return SemilinearDatum(
-        action,
-        trivial_kx_cocycle(action),
-        dim,
-        tuple(eye for _ in action.group.elements()),
-    )
 
 
 def validate_datum(datum):
@@ -216,15 +207,6 @@ class AModule:
         )
 
 
-def regular_module(algebra):
-    """The algebra as a right module over itself."""
-    t = algebra._products()
-    n = algebra.dim
-    # column j of R_x is b_j * x
-    actions = [[[t[j][x][i] for j in range(n)] for i in range(n)] for x in range(n)]
-    return AModule(algebra, n, actions)
-
-
 # --- the equivalence ------------------------------------------------------
 
 def to_module(datum, algebra=None):
@@ -317,46 +299,6 @@ def fixed_space(datum):
     return qlinalg.kernel(rows)
 
 
-def transport_datum(datum, primitive):
-    """Replace a_V by b(a)*a_V; the result is a datum over the
-    coboundary-shifted cocycle zeta * db."""
-    action = datum.action
-    group = action.group
-    new_cocycle = datum.cocycle * kx_coboundary_of(action, primitive)
-    matrices = []
-    for a in group.elements():
-        scalar = action.apply(group.inv(a), primitive[a])
-        matrices.append(tuple(tuple(scalar * x for x in row) for row in datum.matrices[a]))
-    out = SemilinearDatum(action, new_cocycle, datum.dim, tuple(matrices))
-    ok, why = validate_datum(out)
-    if not ok:
-        raise ValueError(f"transport produced an invalid datum: {why}")
-    return out
-
-
-def conjugate_datum(datum, p):
-    """The isomorphic datum P o a_V o P^-1 for an invertible K-matrix P.
-    Its M_a = P o a_V o P^-1 o (a-twist) has the k-matrix P' S_a P'^-1 T_a:
-    P' is P's k-matrix scaled to integers, and T_a, the a-twist's, is
-    block diagonal with the integer matrix of a on K."""
-    action = datum.action
-    group = action.group
-    field = datum.field
-    p_k = _scaled_matrix(k_matrix(field, p))[0]
-    p_inv = qlinalg.mat_inv(p_k)
-    if p_inv is None:
-        raise ValueError("conjugating matrix must be invertible")
-    inv_k, inv_d = _scaled_matrix(p_inv)
-    matrices = []
-    for a in group.elements():
-        s_a = k_matrix(field, datum.matrices[a], action.elements[group.inv(a)])
-        n_a, d_a = _scaled_matrix(s_a)
-        g_a = _scaled_matrix(k_matrix(field, [[1]], action.elements[a]))[0]
-        m_a = _times_blocks(qlinalg.mat_mul(qlinalg.mat_mul(p_k, n_a), inv_k), g_a)
-        matrices.append(k_entries(field, [_rationals(row, d_a * inv_d) for row in m_a]))
-    return SemilinearDatum(action, datum.cocycle, datum.dim, tuple(matrices))
-
-
 # --- morphisms ------------------------------------------------------------
 
 def datum_morphisms(src, dst):
@@ -396,19 +338,3 @@ def module_morphisms(src, dst):
         for vec in sols
     ]
 
-
-# --- the dimension-one obstruction ----------------------------------------
-
-def dimension_one_witness(action, cocycle):
-    """A field element m making M = [[m]] a valid datum over the given
-    quadratic cocycle, that is m * sigma(m) = zeta(sigma, sigma) = c, or
-    None.  A zero divisor u + v e_sigma of the crossed product has
-    N(u) = c N(v), so m = u / v; find_zero_divisor searches for one."""
-    group = action.group
-    if group.order != 2:
-        raise ValueError("quadratic extensions only")
-    found = find_zero_divisor(CrossedProductAlgebra(action, cocycle), 6)
-    if found is None:
-        return None
-    coeffs = found[0].kcoeffs
-    return coeffs[group.identity] / coeffs[1 - group.identity]

@@ -51,13 +51,6 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
-    def is_abelian(self):
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a)
-        )
-
     def element_order(self, a):
         k, x = 1, a
         while x != self.identity:

@@ -218,18 +218,15 @@ def build_root_datum(label, isogeny="simply_connected"):
     if not label:
         raise ValueError("empty type label")
     family = label[0].upper()
-    if family == "T":
-        try:
-            rank = int(label[1:])
-        except ValueError:
-            raise ValueError(f"bad torus label {label!r}") from None
-        return torus(rank)
     try:
         n = int(label[1:])
     except ValueError:
-        raise ValueError(f"bad type label {label!r}") from None
+        kind = "torus" if family == "T" else "type"
+        raise ValueError(f"bad {kind} label {label!r}") from None
     if n > 8:
         raise ValueError("rank > 8 not supported")
+    if family == "T":
+        return torus(n)
     return _cartan_datum(family, n, isogeny)
 
 
@@ -268,6 +265,8 @@ def _cartan_datum(family, n, isogeny):
 
 
 def torus(rank):
+    if rank < 0:
+        raise ValueError("T_n needs n >= 0")
     return BasedRootDatum(RootDatum(rank, (), ()), ())
 
 
@@ -282,12 +281,8 @@ def dual(brd):
 def fundamental_group(brd):
     """pi_1 = X^vee / (span of coroots), including any free part from
     central torus directions."""
-    n = brd.datum.rank
     coroots = brd.datum.coroots
-    if coroots:
-        m = IntMatrix([[cr[i] for cr in coroots] for i in range(n)])
-    else:
-        m = IntMatrix.zero(n, 1) if n else IntMatrix([[0]])
+    m = IntMatrix([[cr[i] for cr in coroots] for i in range(brd.datum.rank)])
     group, _proj = cokernel(m)
     return group
 
@@ -301,12 +296,6 @@ class OuterAutomorphism:
     char_matrix: IntMatrix    # action on X
     cochar_matrix: IntMatrix  # action on X^vee (transpose-inverse)
     simple_permutation: tuple
-
-    def act_on_coweight(self, coweight):
-        return self.cochar_matrix.apply(coweight)
-
-    def act_on_weight(self, weight):
-        return self.char_matrix.apply(weight)
 
 
 def outer_automorphisms(brd):

@@ -8,13 +8,12 @@ import pytest
 from galforms.classify import (
     build_inner_invariant,
     classify_quasisplit,
-    component_index,
     quasisplit_cocharacter_data,
 )
 from galforms.exact_linalg import coinvariants, fixed_sublattice
 from galforms.fields import BrauerClass
 from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
-from galforms.root_datum import build_root_datum, fundamental_group, outer_automorphisms
+from galforms.root_datum import build_root_datum, outer_automorphisms
 from oracles import coweight_orbits
 from random_data import presented_algebra
 
@@ -230,12 +229,6 @@ def test_assignment_count_checked():
 def test_free_pi1_rejected():
     with pytest.raises(ValueError):
         build_inner_invariant(build_root_datum("T1"), -1, [])
-
-
-def test_component_index():
-    for label, iso in (("A2", "adjoint"), ("A1", "simply_connected")):
-        brd = build_root_datum(label, iso)
-        assert component_index(brd) == fundamental_group(brd)
 
 
 def test_coweight_box_budget(monkeypatch):

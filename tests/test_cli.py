@@ -47,6 +47,21 @@ def test_pi1(capsys):
     assert doc["free_rank"] == 0
 
 
+@pytest.mark.parametrize("argv, code, want", [
+    (["pi1", "--type", "T0"], 0, {"invariant_factors": [], "free_rank": 0}),
+    (["pi1", "--type", "T8"], 0, {"invariant_factors": [], "free_rank": 8}),
+    (["inner-invariant", "--type", "T0", "-d", "-1"], 0, {"pi1": {"invariant_factors": [], "free_rank": 0}}),
+    (["pi1", "--type", "T9"], 1, {"error": "rank > 8 not supported"}),
+    (["dual", "--type", "T-1"], 1, {"error": "T_n needs n >= 0"}),
+], ids=["pi1 T0", "pi1 T8", "inner-invariant T0", "pi1 T9", "dual T-1"])
+def test_torus_ranks(capsys, argv, code, want):
+    """pi_1 of the rank-0 torus is 0, and a torus rank is capped at 8 like
+    a Cartan rank and is never negative."""
+    got, doc = invoke(capsys, *argv)
+    assert got == code
+    assert {key: doc[key] for key in want} == want
+
+
 def test_outer(capsys):
     code, doc = invoke(capsys, "outer", "--type", "D4")
     assert code == 0

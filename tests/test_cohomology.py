@@ -1,4 +1,4 @@
-"""Group cohomology: H^0/H^1 by enumeration, H^2 via the bar resolution
+"""Group cohomology: H^1 by enumeration, H^2 via the bar resolution
 with a full-enumeration oracle, Hom-module transport, K^x-valued
 cocycles, and the boundary map of a central extension."""
 
@@ -18,7 +18,6 @@ from galforms.cohomology import (
     GaloisAction,
     boundary_map,
     family_to_transport,
-    h0,
     h1_nonabelian,
     h2_bar,
     hom_module,
@@ -48,12 +47,11 @@ from oracles import (
 )
 
 
-# --- H^0 and H^1 ----------------------------------------------------------
+# --- H^1 ------------------------------------------------------------------
 
-def test_h0_and_h1_trivial_action():
+def test_h1_trivial_action():
     gam = cyclic(2)
     gg = GGroup.trivial_action(gam, cyclic(4))
-    assert sorted(h0(gg)) == [0, 1, 2, 3]
     # H^1(Z/2, Z/4 trivial) = Hom = Z/2
     assert len(h1_nonabelian(gg)) == 2
 

@@ -13,21 +13,16 @@ from galforms.cohomology import (
     quadratic_cocycle,
     trivial_kx_cocycle,
 )
-from galforms.crossed import CrossedProductAlgebra
+from galforms.crossed import CrossedProductAlgebra, find_zero_divisor
 from galforms.descent import (
     AModule,
-    conjugate_datum,
     datum_morphisms,
-    dimension_one_witness,
     fixed_space,
     from_module,
-    identity_datum,
     kmat,
     make_datum,
     module_morphisms,
-    regular_module,
     to_module,
-    transport_datum,
     validate_datum,
 )
 from galforms.cli import (
@@ -41,7 +36,7 @@ from galforms.cli import (
 from galforms.fields import cyclotomic_field, k_entries, k_matrix, quadratic_field
 from galforms import qlinalg
 from oracles import datum_morphisms_by_rows, datum_violation, module_morphisms_all_basis
-from random_data import random_datum
+from random_data import conjugate_datum, identity_datum, random_datum, regular_module, transport_datum
 
 
 def gaussian_action():
@@ -367,16 +362,19 @@ def test_module_axioms_reject_every_perturbed_action(module):
 
 
 def test_dimension_one_obstruction():
+    """[[m]] is a valid datum over the quadratic cocycle c iff
+    m * sigma(m) = c.  A zero divisor u + v e_sigma of the crossed product
+    has N(u) = c N(v), so m = u / v."""
     action = gaussian_action()
     # Hamilton twist: no m with m * conj(m) = -1 (norms are sums of squares)
-    assert dimension_one_witness(action, quadratic_cocycle(action, -1)) is None
-    # split twists: m * sigma(m) = c, so [[m]] is a valid datum
+    assert find_zero_divisor(CrossedProductAlgebra(action, quadratic_cocycle(action, -1)), 6) is None
     found = {}
     for d, c in ((-1, 2), (3, -2), (5, -1), (-7, 2)):
         action = GaloisAction.of(quadratic_field(d))
         cocycle = quadratic_cocycle(action, c)
-        m = found[d, c] = dimension_one_witness(action, cocycle)
         sigma = 1 - action.group.identity
+        coeffs = find_zero_divisor(CrossedProductAlgebra(action, cocycle), 6)[0].kcoeffs
+        m = found[d, c] = coeffs[action.group.identity] / coeffs[sigma]
         assert m * action.apply(sigma, m) == action.field.from_rational(c), (d, c)
         assert validate_datum(make_datum(action, cocycle, [[[1]], [[m]]])) == (True, None)
     # no m with both coordinates in [-5, 5] has norm 2 in Q(sqrt(-7))

@@ -194,12 +194,12 @@ def test_outer_elements_act_correctly():
     coroots = set(brd.datum.coroots)
     for el in elements:
         for r in brd.datum.roots:
-            assert tuple(el.act_on_weight(r)) in roots
+            assert tuple(el.char_matrix.apply(r)) in roots
         for cr in brd.datum.coroots:
-            assert tuple(el.act_on_coweight(cr)) in coroots
+            assert tuple(el.cochar_matrix.apply(cr)) in coroots
         # pairing preserved
         for r, cr in zip(brd.datum.roots, brd.datum.coroots):
-            assert pairing(el.act_on_weight(r), el.act_on_coweight(cr)) == 2
+            assert pairing(el.char_matrix.apply(r), el.cochar_matrix.apply(cr)) == 2
 
 
 def test_outer_requires_semisimple():
