@@ -93,16 +93,20 @@ def quasisplit_cocharacter_data(brd, form, height=4):
     # Over Q, V = V^Gamma + sum im(g - 1) for a finite group, so the free
     # rank of the coinvariants is the rank of the fixed sublattice.
     group, projection = coinvariants(rank, matrices)
-    dominant = [w for w in iproduct(range(height + 1), repeat=rank)
-                if brd.is_dominant_coweight(w)]
-    dominant_set = set(dominant)
+    # The dominant coweights of the box in order, as the keys of a dict,
+    # once per datum and height.
+    cache = vars(brd).setdefault("_dominant", {})
+    if height not in cache:
+        cache[height] = dict.fromkeys(w for w in iproduct(range(height + 1), repeat=rank)
+                                      if brd.is_dominant_coweight(w))
+    dominant = cache[height]
     orbits = []
     placed = set()
     for w in dominant:
         if w in placed:
             continue
         orbit = {w}.union(m.apply(w) for m in matrices[1:])
-        if not orbit <= dominant_set:
+        if not orbit <= dominant.keys():
             raise ValueError("outer action does not preserve dominance")
         placed |= orbit
         orbits.append(tuple(sorted(orbit)))

@@ -46,7 +46,7 @@ from .classify import (
     QuasiSplitForm, _NotAHomomorphism, build_inner_invariant, classify_quasisplit,
     quasisplit_cocharacter_data,
 )
-from .root_datum import build_root_datum, dual, fundamental_group, outer_automorphisms
+from .root_datum import TYPE_LABEL, build_root_datum, dual, fundamental_group, outer_automorphisms
 
 
 class MalformedInput(Exception):
@@ -69,6 +69,13 @@ def argv_int(text):
     if not DECIMAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
+
+
+def type_label(text):
+    """argparse type of --type: a label in the syntax TYPE_LABEL states."""
+    if not TYPE_LABEL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"bad type label {text!r}")
+    return text
 
 
 def json_int(value, error, low=None):
@@ -534,7 +541,7 @@ ISOGENIES = ["simply_connected", "sc", "adjoint"]
 
 
 def _add_datum_flags(p):
-    p.add_argument("--type", required=True, help="Cartan label, e.g. A2, D4, T1")
+    p.add_argument("--type", type=type_label, required=True, help="Cartan label, e.g. A2, D4, T1")
     p.add_argument("--isogeny", default="simply_connected", choices=ISOGENIES, help="isogeny type")
 
 
@@ -560,7 +567,7 @@ def build_parser():
     p = sub.add_parser("classify-quasisplit", help="Hom(Gamma, Out)/conjugation")
     p.add_argument("--gamma", required=True, help="group spec, e.g. C2, S3, C2xC2")
     p.add_argument("--out", help="target group spec (alternative to --type)")
-    p.add_argument("--type", help="Cartan label whose Out(G) is the target")
+    p.add_argument("--type", type=type_label, help="Cartan label whose Out(G) is the target")
     p.add_argument("--isogeny", default="simply_connected", choices=ISOGENIES)
     p.set_defaults(func=cmd_classify_quasisplit)
 

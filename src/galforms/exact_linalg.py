@@ -380,7 +380,7 @@ def kernel_basis(matrix):
     """Basis of the integer kernel {x : M x = 0}, as an IntMatrix whose
     columns are the basis vectors.  The kernel of an integer matrix is
     automatically saturated."""
-    s, _u, v = smith_normal_form(matrix)
+    s, _u, v = _smith(matrix, v=True)[:3]
     r = sum(1 for t in range(min(s.rows, s.cols)) if s[t, t] != 0)
     cols = list(range(r, matrix.cols))
     return v.submatrix(range(matrix.cols), cols)
@@ -393,17 +393,18 @@ def cokernel(matrix):
     coordinates on the generators of the quotient (torsion generators
     first, then free generators), one row per generator.
     """
-    s, u, _v = smith_normal_form(matrix)
+    s, u = _smith(matrix, u=True)[:2]
+    group, generators = _quotient(s)
+    return group, u.submatrix(generators, range(s.rows))
+
+
+def _quotient(s):
+    """The cokernel of a matrix with Smith form s, and the indices of the
+    rows of U that project onto its generators, torsion first."""
     diag = [s[t, t] for t in range(min(s.rows, s.cols))]
     torsion_rows = [t for t, d in enumerate(diag) if d not in (0, 1)]
-    free_rows = [t for t, d in enumerate(diag) if d == 0] + list(
-        range(min(s.rows, s.cols), s.rows)
-    )
-    group = FiniteAbelianGroup(
-        tuple(diag[t] for t in torsion_rows), len(free_rows)
-    )
-    projection = u.submatrix(torsion_rows + free_rows, range(s.rows if s.rows else 0))
-    return group, projection
+    free_rows = [t for t, d in enumerate(diag) if d == 0] + list(range(len(diag), s.rows))
+    return FiniteAbelianGroup(tuple(diag[t] for t in torsion_rows), len(free_rows)), torsion_rows + free_rows
 
 
 def _check_actions(rank, action):

@@ -14,16 +14,18 @@ outer automorphisms are computed once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .exact_linalg import IntMatrix, cokernel
+from .exact_linalg import IntMatrix, _quotient, _smith
 from .groups import FiniteGroup
 from . import qlinalg
 from .qlinalg import _scaled_matrix
 
-_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+# A type label: a family, or T for a torus, and a plain decimal rank.
+TYPE_LABEL = re.compile(r"([A-GT])([0-9]+)")
 
 
 def cartan_matrix(family, n):
@@ -94,8 +96,13 @@ class RootDatum:
     coroots: tuple        # tuple of X^vee-coordinate tuples, in bijection
 
     def __post_init__(self):
-        """Check <alpha, alpha^vee> = 2, s_alpha(R) = R and
+        """Check a rank of at least 0, rank coordinates on every root and
+        coroot, <alpha, alpha^vee> = 2, s_alpha(R) = R and
         s_alpha^vee(R^vee) = R^vee for every pair."""
+        if self.rank < 0:
+            raise ValueError("rank must be >= 0")
+        if any(len(v) != self.rank for v in (*self.roots, *self.coroots)):
+            raise ValueError(f"roots and coroots need {self.rank} coordinates")
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots must be in bijection")
         for a, av in zip(self.roots, self.coroots):
@@ -214,15 +221,10 @@ def build_root_datum(label, isogeny="simply_connected"):
     torus 'T<rank>'.  isogeny: 'simply_connected' or 'adjoint' (ignored
     for tori).  A Cartan type gives one shared datum per (family, rank,
     isogeny) for the life of the process."""
-    label = label.strip()
-    if not label:
-        raise ValueError("empty type label")
-    family = label[0].upper()
-    try:
-        n = int(label[1:])
-    except ValueError:
-        kind = "torus" if family == "T" else "type"
-        raise ValueError(f"bad {kind} label {label!r}") from None
+    match = TYPE_LABEL.fullmatch(label)
+    if not match:
+        raise ValueError(f"bad type label {label!r}")
+    family, n = match[1], int(match[2])
     if n > 8:
         raise ValueError("rank > 8 not supported")
     if family == "T":
@@ -265,8 +267,6 @@ def _cartan_datum(family, n, isogeny):
 
 
 def torus(rank):
-    if rank < 0:
-        raise ValueError("T_n needs n >= 0")
     return BasedRootDatum(RootDatum(rank, (), ()), ())
 
 
@@ -280,10 +280,12 @@ def dual(brd):
 
 def fundamental_group(brd):
     """pi_1 = X^vee / (span of coroots), including any free part from
-    central torus directions."""
-    coroots = brd.datum.coroots
+    central torus directions.  The simple coroots are a base of the
+    coroots, so they span the same lattice; the invariant factors are
+    canonical, so the Smith form needs no transforms."""
+    coroots = brd.simple_coroots
     m = IntMatrix([[cr[i] for cr in coroots] for i in range(brd.datum.rank)])
-    group, _proj = cokernel(m)
+    group, _generators = _quotient(_smith(m)[0])
     return group
 
 

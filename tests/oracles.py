@@ -3,9 +3,10 @@ descent tests: full enumeration of cocycles and coboundaries, bounded
 searches, the boundary map under any choice of lifts, the dense Smith
 normal form elimination, Gauss-Jordan elimination over Fractions, field
 inverses by a linear solve, the descent morphism systems written out in
-full, descent validity checked on K-matrices, and the coweight orbits
-found by closing each point under every matrix.  Desk scale only; they
-check the library's exact algorithms and are not part of it."""
+full, descent validity checked on K-matrices, the coweight orbits found
+by closing each point under every matrix, and pi_1 from every coroot.
+Desk scale only; they check the library's exact algorithms and are not
+part of it."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -18,7 +19,7 @@ from galforms.cohomology import (
     normalize_module_cocycle,
 )
 from galforms import qlinalg
-from galforms.exact_linalg import IntMatrix
+from galforms.exact_linalg import IntMatrix, cokernel
 from galforms.fields import k_matrix
 
 
@@ -189,6 +190,15 @@ def coweight_orbits(brd, matrices, height):
         placed |= orbit
         orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
+
+
+def pi1_all_coroots(brd):
+    """pi_1 = X^vee / (span of coroots) as galforms computed it: the
+    cokernel of the n x |R| matrix of every coroot."""
+    coroots = brd.datum.coroots
+    m = IntMatrix([[cr[i] for cr in coroots] for i in range(brd.datum.rank)])
+    group, _proj = cokernel(m)
+    return group
 
 
 def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False):

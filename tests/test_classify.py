@@ -2,6 +2,7 @@
 inner-form invariant."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,7 @@ from galforms.classify import (
 from galforms.exact_linalg import coinvariants, fixed_sublattice
 from galforms.fields import BrauerClass
 from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
-from galforms.root_datum import build_root_datum, outer_automorphisms
+from galforms.root_datum import BasedRootDatum, build_root_datum, outer_automorphisms
 from oracles import coweight_orbits
 from random_data import presented_algebra
 
@@ -169,6 +170,50 @@ def test_orbits_and_coinvariants_match_the_search_over_gamma(label, isogeny):
                 data = quasisplit_cocharacter_data(brd, form, height)
                 assert data.orbits == coweight_orbits(brd, matrices, height), (form, height)
                 assert data.coinvariants == group, form
+
+
+# Largest box the dominant-coweight tests scan, to keep them at desk
+# scale: every type has heights 0 to 2 inside it, and rank 6 and below
+# have 0 to 4.
+TEST_BOX = 5**6
+
+
+@pytest.mark.parametrize("label", CARTAN_TYPES)
+def test_dominant_coweights_are_the_box_scan(label):
+    """The dominant coweights kept on the datum at each height are the
+    points of the box [0, height]^rank that is_dominant_coweight accepts,
+    in box order, whatever heights were asked for before."""
+    for isogeny in ("simply_connected", "adjoint"):
+        brd = build_root_datum(label, isogeny)
+        rank = brd.datum.rank
+        heights = [h for h in range(5) if (h + 1) ** rank <= TEST_BOX]
+        for height in heights:
+            quasisplit_cocharacter_data(brd, (0,), height)
+        for height in heights:
+            scan = [w for w in product(range(height + 1), repeat=rank) if brd.is_dominant_coweight(w)]
+            assert list(vars(brd)["_dominant"][height]) == scan, (isogeny, height)
+
+
+def test_dominant_coweights_once_per_datum_and_height(monkeypatch):
+    """A second job on the same datum and height scans no box point;
+    another height scans its own box, and a height over the budget is
+    refused before any scan."""
+    built = build_root_datum("A3", "adjoint")
+    brd = BasedRootDatum(built.datum, built.simple_indices)  # nothing kept on it yet
+    calls = []
+    is_dominant = BasedRootDatum.is_dominant_coweight
+    monkeypatch.setattr(BasedRootDatum, "is_dominant_coweight",
+                        lambda self, w: calls.append(w) or is_dominant(self, w))
+    first = quasisplit_cocharacter_data(brd, (0, 1), 3)
+    assert len(calls) == 4**3
+    assert quasisplit_cocharacter_data(brd, (0, 1), 3) == first
+    assert quasisplit_cocharacter_data(brd, (0,), 3).orbits != first.orbits
+    assert len(calls) == 4**3
+    quasisplit_cocharacter_data(brd, (0, 1), 2)
+    assert len(calls) == 4**3 + 3**3
+    with pytest.raises(ValueError, match="budget"):
+        quasisplit_cocharacter_data(brd, (0,), 100)
+    assert len(calls) == 4**3 + 3**3 and 100 not in vars(brd)["_dominant"]
 
 
 def test_invalid_rho_rejected():

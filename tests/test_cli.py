@@ -52,7 +52,7 @@ def test_pi1(capsys):
     (["pi1", "--type", "T8"], 0, {"invariant_factors": [], "free_rank": 8}),
     (["inner-invariant", "--type", "T0", "-d", "-1"], 0, {"pi1": {"invariant_factors": [], "free_rank": 0}}),
     (["pi1", "--type", "T9"], 1, {"error": "rank > 8 not supported"}),
-    (["dual", "--type", "T-1"], 1, {"error": "T_n needs n >= 0"}),
+    (["dual", "--type", "T-1"], 2, {"error": "argument --type: bad type label 'T-1'"}),
 ], ids=["pi1 T0", "pi1 T8", "inner-invariant T0", "pi1 T9", "dual T-1"])
 def test_torus_ranks(capsys, argv, code, want):
     """pi_1 of the rank-0 torus is 0, and a torus rank is capped at 8 like
@@ -869,7 +869,7 @@ def test_negative_height_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["--type", "Z9", "--rho", "x"], "bad rho 'x'"),
+    (["--type", "A9", "--rho", "x"], "bad rho 'x'"),
     (["--type", "E9", "--rho", "0,1", "--height", "-1"], "height must be non-negative, got -1"),
 ])
 def test_coinvariants_reads_rho_and_height_before_the_datum(capsys, argv, error):
@@ -919,6 +919,29 @@ def test_group_specs_follow_the_schema(monkeypatch, capsys, tmp_path, spec):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     assert invoke(capsys, "h1", "--job", str(path)) == (2, doc)
+
+
+TYPE_COMMANDS = [["dual"], ["pi1"], ["outer"], ["classify-quasisplit", "--gamma", "C2"],
+                 ["coinvariants", "--rho", "0"], ["inner-invariant", "-d", "-1"]]
+
+
+@pytest.mark.parametrize("label", ["A+2", " A2", "A2 ", "a2", "A\u0662", "T+1", "T-1", "H2", ""])
+def test_type_labels_follow_one_pattern(monkeypatch, capsys, label):
+    """--type is [A-GT][0-9]+ on every command that takes it.  strip(),
+    upper() and int() read ' A2', 'a2', 'A+2' and 'A\u0662' as A2 and
+    'T+1' as T1; each other spelling exits 2 before a datum is built."""
+    from galforms import cli
+
+    def refuse(*args):
+        raise AssertionError("datum built")
+
+    monkeypatch.setattr(cli, "build_root_datum", refuse)
+    with pytest.raises(AssertionError, match="datum built"):
+        run(["pi1", "--type", "A2"])
+    for argv in TYPE_COMMANDS:
+        code, doc = invoke(capsys, *argv, "--type", label)
+        assert (code, doc["kind"]) == (2, "malformed-input"), argv
+        assert doc["error"] == f"argument --type: bad type label {label!r}", argv
 
 
 # --- the job schema states the syntax the CLI reads -------------------------

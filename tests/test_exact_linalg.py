@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galforms.exact_linalg import (
@@ -192,6 +192,23 @@ def test_cokernel_projection_kills_image(m):
             assert image[t] % d == 0
         for t in range(k, k + group.free_rank):
             assert image[t] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+@example(IntMatrix.zero(3, 0))
+@example(IntMatrix.zero(0, 3))
+def test_cokernel_and_kernel_equal_their_reading_of_the_full_form(m):
+    """cokernel asks the elimination for U alone and kernel_basis for V
+    alone; each returns what it read off smith_normal_form's U and V."""
+    s, u, v = smith_normal_form(m)
+    diag = [s[t, t] for t in range(min(m.rows, m.cols))]
+    torsion = [t for t, d in enumerate(diag) if d > 1]
+    free = [t for t, d in enumerate(diag) if d == 0] + list(range(len(diag), m.rows))
+    group = FiniteAbelianGroup(tuple(diag[t] for t in torsion), len(free))
+    assert cokernel(m) == (group, u.submatrix(torsion + free, range(m.rows)))
+    rank = sum(1 for d in diag if d)
+    assert kernel_basis(m) == v.submatrix(range(m.cols), range(rank, m.cols))
 
 
 def test_solve_integer():

@@ -17,6 +17,7 @@ from galforms.root_datum import (
     outer_automorphisms,
     pairing,
 )
+from oracles import pi1_all_coroots
 
 ALL_LABELS = (
     ["A%d" % n for n in range(1, 9)]
@@ -149,6 +150,38 @@ def test_torus_pi1():
     assert group.free_rank == 2
 
 
+@pytest.mark.parametrize("label", ["D3"] + ALL_LABELS + [f"T{n}" for n in range(9)])
+def test_pi1_from_the_simple_coroots_is_pi1_from_every_coroot(label):
+    """The simple coroots span the coroot lattice: pi_1 read off them
+    without transforms is the cokernel of every coroot, in both
+    isogenies and on the duals."""
+    for isogeny in ("simply_connected", "adjoint"):
+        brd = build_root_datum(label, isogeny)
+        for b in (brd, dual(brd)):
+            assert fundamental_group(b) == pi1_all_coroots(b), (label, isogeny, b is brd)
+
+
+@pytest.mark.parametrize("label", ["A+2", " A2", "a2", "A\u0662", "T+1", "T-1", "  e8\n", "H2", "A", ""])
+def test_type_labels_follow_one_pattern(label):
+    """A type label is [A-GT][0-9]+; int(), strip() and upper() no longer
+    read '+2', spaces, a lower-case family or non-ASCII digits."""
+    with pytest.raises(ValueError, match="bad type label"):
+        build_root_datum(label)
+
+
+@pytest.mark.parametrize("rank, roots, coroots, error", [
+    (-1, (), (), "rank must be >= 0"),
+    (2, ((2,), (-2,)), ((1,), (-1,)), "need 2 coordinates"),
+    (1, ((2,), (-2,)), ((1, 0), (-1, 0)), "need 1 coordinates"),
+])
+def test_root_datum_checks_rank_and_coordinates(rank, roots, coroots, error):
+    """The public constructor refuses a negative rank and a root or coroot
+    without rank coordinates, which fundamental_group would index past."""
+    with pytest.raises(ValueError, match=error):
+        RootDatum(rank, roots, coroots)
+    assert RootDatum(1, ((2,), (-2,)), ((1,), (-1,))).rank == 1
+
+
 def _cartan_filter(c):
     """Oracle: permutations of the simple roots preserving the Cartan
     matrix, filtered from all of them."""
@@ -231,11 +264,10 @@ def test_bad_labels():
 # --- memoisation --------------------------------------------------------
 
 def test_build_root_datum_is_shared():
-    """One datum per (family, rank, isogeny), whatever the label's
-    spelling; the isogenies stay apart; tori are built afresh."""
+    """One datum per (family, rank, isogeny); the isogenies stay apart;
+    tori are built afresh."""
     e8 = build_root_datum("E8", "adjoint")
     assert build_root_datum("E8", "adjoint") is e8
-    assert build_root_datum("  e8\n", "adjoint") is e8
     assert build_root_datum("A2") is build_root_datum("A2", "simply_connected")
     sc, ad = build_root_datum("A2", "simply_connected"), build_root_datum("A2", "adjoint")
     assert sc is not ad
