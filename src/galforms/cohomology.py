@@ -185,32 +185,28 @@ class GModule:
 # --- bar complex ---------------------------------------------------------
 
 def _bar_rows(module, p):
-    """The bar differential C^p -> C^(p+1) as sparse rows, one per
-    (g_0, ..., g_p, coordinate) in lexicographic order: (d f)(g_0..g_p) =
-    g_0 f(g_1..g_p) + sum_i (-1)^i f(..g_(i-1) g_i..) + (-1)^(p+1)
+    """The bar differential C^p -> C^(p+1), p = 1 or 2, as sparse rows, one
+    per (g_0, ..., g_p, coordinate) in lexicographic order: (d f)(g_0..g_p)
+    = g_0 f(g_1..g_p) + sum_i (-1)^i f(..g_(i-1) g_i..) + (-1)^(p+1)
     f(g_0..g_(p-1)).  A cochain's coordinate (g_1..g_p, i) is column
     index(g_1..g_p) * k + i, the index read in base |Gamma|."""
     gamma, k = module.gamma, module.rank
     n, table = gamma.order, gamma.table
     acts = [[{j: x for j, x in enumerate(row) if x} for row in mat._data] for mat in module.action]
-
-    def index(gs):
-        c = 0
-        for g in gs:
-            c = c * n + g
-        return c * k
-
     rows = []
-    for g in product(range(n), repeat=p + 1):
-        faces = [(-1 if i % 2 else 1, index(g[:i - 1] + (table[g[i - 1]][g[i]],) + g[i + 1:]))
-                 for i in range(1, p + 1)]
-        faces.append((-1 if p % 2 == 0 else 1, index(g[:p])))
-        first = index(g[1:])
-        for i in range(k):
-            row = {first + j: x for j, x in acts[g[0]][i].items()}
-            for sign, c in faces:
-                row[c + i] = row.get(c + i, 0) + sign
-            rows.append({c: x for c, x in row.items() if x})
+    for a, ab in enumerate(table):
+        for tail in range(n ** p):  # the index of (g_1..g_p): f(g_1..g_p) is columns tail * k..
+            if p == 1:
+                faces = ((-1, ab[tail] * k), (1, a * k))
+            else:
+                b, c = divmod(tail, n)
+                faces = ((-1, (ab[b] * n + c) * k), (1, (a * n + table[b][c]) * k),
+                         (-1, (a * n + b) * k))
+            for i, act in enumerate(acts[a]):
+                row = {tail * k + j: x for j, x in act.items()}
+                for sign, col in faces:
+                    row[col + i] = row.get(col + i, 0) + sign
+                rows.append({col: x for col, x in row.items() if x})
     return rows
 
 
@@ -244,7 +240,13 @@ def h2_bar(module):
     H^2 = K / (im d1 + moduli lattice of C^2), K the integer 2-cochains x
     with d2 x = 0 mod the C^3 moduli.  A Smith normal form gives K a basis
     bk and, by its inverse transform, integer coordinates in bk.  All
-    matrices are sparse rows; bk is kept by columns.
+    matrices are sparse rows; bk is kept by columns.  With one modulus it
+    reads the diagonal of S and all of V and V^-1 for d2; with several,
+    only the columns n3.. of V and the rows n3.. of V^-1 for [d2 | D],
+    which the elimination stopped at a diagonal already gives.  The last
+    elimination, of the coordinates of the generators in bk, gives the
+    invariant factors (its S) and the representatives (the columns of
+    U^-1, read in bk).
     """
     gamma, k = module.gamma, module.rank
     n = gamma.order
@@ -268,7 +270,7 @@ def h2_bar(module):
         # lifts to (w, -D^-1 d2 w), with coordinates the rows r.. of V^-1.
         stacked = [{**row, n2 + i: d} for i, (row, d) in enumerate(zip(d2, moduli_c3))]
         lifts = [_divide_exactly(row, -d) for row, d in zip(_mul(d2, gens), moduli_c3)]
-        _s, _u, v, _u_inv, v_inv = _sparse_smith(stacked, n2 + n3, v=True, v_inv=True)
+        _s, _u, v, _u_inv, v_inv = _sparse_smith(stacked, n2 + n3, v=True, v_inv=True, normalize=False)
         bk = [{i: x for i, x in col.items() if i < n2} for col in v[n3:]]
         coords = _mul(v_inv[n3:], gens + lifts)
     s, _u, _v, u_inv, _v_inv = _sparse_smith(coords, n1 + n2, u_inv=True)

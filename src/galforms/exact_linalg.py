@@ -186,25 +186,29 @@ def smith_normal_form(matrix):
     return _smith(matrix, u=True, v=True)[:3]
 
 
-def _smith(matrix, u=False, v=False, u_inv=False, v_inv=False):
+def _smith(matrix, u=False, v=False, u_inv=False, v_inv=False, normalize=True):
     """The elimination behind smith_normal_form: (S, U, V, U^-1, V^-1),
     with None for the transforms not asked for."""
     m, n = matrix.rows, matrix.cols
-    s, *transforms = _sparse_smith(_rows(matrix), n, u, v, u_inv, v_inv)
+    s, *transforms = _sparse_smith(_rows(matrix), n, u, v, u_inv, v_inv, normalize)
     return (_dense(s, n),) + tuple(
         None if x is None else _dense(x, k, columns)
         for x, k, columns in zip(transforms, (m, n, m, n), (False, True, True, False))
     )
 
 
-def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False):
+def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False, normalize=True):
     """Smith normal form of the matrix with sparse rows s, eliminated in
     place: (S, U, V, U^-1, V^-1), S, U and V^-1 as sparse rows, V and U^-1
     as sparse columns, None for the transforms not asked for.  Pivot:
     smallest nonzero absolute value, then lowest row, then lowest column;
     the scan stops at the first entry of absolute value 1.  On the
     inverses, row_i -= q*row_j on U is col_j += q*col_i on U^-1, and
-    col_i -= q*col_j on V is row_j += q*row_i on V^-1."""
+    col_i -= q*col_j on V is row_j += q*row_i on V^-1.  With normalize
+    false, S stops at a diagonal: its nonzero entries come first, of
+    either sign and in no divisibility chain, and the rows of U and V^-1
+    and the columns of V and U^-1 from the rank on are the normalized
+    ones."""
     m, n = len(s), ncols
     # the rows keep the input's column keys: column j is key at[j], and
     # key c is column pos[c], so a column swap touches no row
@@ -236,9 +240,9 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False):
         swap(i, j, at, v_cols, v_inv_rows)
         pos[at[i]], pos[at[j]] = i, j
 
-    def row_op(i, j, q):  # row_i -= q * row_j
+    def row_op(i, j, q, items):  # row_i -= q * row_j, whose entries are items
         dst = s[i]
-        for k, x in s[j].items():
+        for k, x in items:
             if k in dst:
                 y = dst[k] - q * x
                 if y:
@@ -308,10 +312,11 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False):
                 swap_cols(t, pj)
             c = at[t]
             p = s[t][c]
-            column = [i for i in holding[c] if c in s[i]]
+            column, items = [i for i in holding[c] if c in s[i]], list(s[t].items())
             for i in column:
-                if i != t and s[i][c] // p:
-                    row_op(i, t, s[i][c] // p)
+                q = s[i][c] // p
+                if q and i != t:
+                    row_op(i, t, q, items)
             column = [i for i in column if c in s[i]]  # row t and the remainders
             holding[c] = set(column)
             for key, x in list(s[t].items()):
@@ -323,8 +328,8 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False):
             break
         del live[0]
 
-    # normalize signs
-    r = min(m, n)
+    # normalize signs; r = 0 skips them and the chain
+    r = min(m, n) if normalize else 0
     for t in range(r):
         if entry(t, t) < 0:
             negate_row(t)
@@ -344,7 +349,7 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False):
                         if entry(t, t) == 0 or abs(entry(t + 1, t)) < abs(entry(t, t)):
                             swap(t, t + 1, s, u_rows, u_inv_cols)
                         if entry(t + 1, t):
-                            row_op(t + 1, t, entry(t + 1, t) // entry(t, t))
+                            row_op(t + 1, t, entry(t + 1, t) // entry(t, t), list(s[t].items()))
                     if entry(t, t + 1):
                         if entry(t, t) == 0 or abs(entry(t, t + 1)) < abs(entry(t, t)):
                             swap_cols(t, t + 1)
@@ -361,8 +366,9 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False):
 
 
 def solve_integer(matrix, b):
-    """An integer solution x of M x = b, or None if none exists."""
-    s, u, v = smith_normal_form(matrix)
+    """An integer solution x of M x = b, or None if none exists.  It
+    divides (U b)_t by s_t, so a diagonal S does."""
+    s, u, v = _smith(matrix, u=True, v=True, normalize=False)[:3]
     ub = u.apply(b)
     y = [0] * matrix.cols
     r = min(s.rows, s.cols)

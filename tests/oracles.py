@@ -1,10 +1,11 @@
 """Brute-force oracles for the cohomology, linear-algebra, field and
 descent tests: full enumeration of cocycles and coboundaries, bounded
 searches, the boundary map under any choice of lifts, the dense Smith
-normal form elimination, Gauss-Jordan elimination over Fractions, field
-inverses by a linear solve, the descent morphism systems written out in
-full, descent validity checked on K-matrices, the coweight orbits found
-by closing each point under every matrix, and pi_1 from every coroot.
+normal form elimination, the bar differentials built from tuples of
+group elements, Gauss-Jordan elimination over Fractions, field inverses
+by a linear solve, the descent morphism systems written out in full,
+descent validity checked on K-matrices, the coweight orbits found by
+closing each point under every matrix, and pi_1 from every coroot.
 Desk scale only; they check the library's exact algorithms and are not
 part of it."""
 
@@ -192,6 +193,35 @@ def coweight_orbits(brd, matrices, height):
     return tuple(orbits)
 
 
+def bar_rows(module, p):
+    """The bar differential C^p -> C^(p+1) as galforms built it before it
+    read the faces off index arithmetic: sparse rows, one per (g_0, ...,
+    g_p, coordinate) in lexicographic order, each face found by slicing
+    the tuple g and reading the result in base |Gamma|."""
+    gamma, k = module.gamma, module.rank
+    n, table = gamma.order, gamma.table
+    acts = [[{j: x for j, x in enumerate(row) if x} for row in mat._data] for mat in module.action]
+
+    def index(gs):
+        c = 0
+        for g in gs:
+            c = c * n + g
+        return c * k
+
+    rows = []
+    for g in product(range(n), repeat=p + 1):
+        faces = [(-1 if i % 2 else 1, index(g[:i - 1] + (table[g[i - 1]][g[i]],) + g[i + 1:]))
+                 for i in range(1, p + 1)]
+        faces.append((-1 if p % 2 == 0 else 1, index(g[:p])))
+        first = index(g[1:])
+        for i in range(k):
+            row = {first + j: x for j, x in acts[g[0]][i].items()}
+            for sign, c in faces:
+                row[c + i] = row.get(c + i, 0) + sign
+            rows.append({c: x for c, x in row.items() if x})
+    return rows
+
+
 def pi1_all_coroots(brd):
     """pi_1 = X^vee / (span of coroots) as galforms computed it: the
     cokernel of the n x |R| matrix of every coroot."""
@@ -201,13 +231,15 @@ def pi1_all_coroots(brd):
     return group
 
 
-def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False):
+def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False, normalize=True):
     """The Smith normal form elimination on dense rows, as galforms ran it
     before the sparse one: (S, U, V, U^-1, V^-1), with None for the
     transforms not asked for.  The reference for galforms'
     exact_linalg._smith, which must take the same pivots.  On the
     inverses, row_i -= q*row_j on U is col_j += q*col_i on U^-1, and
-    col_i -= q*col_j on V is row_j += q*row_i on V^-1."""
+    col_i -= q*col_j on V is row_j += q*row_i on V^-1.  With normalize
+    false, the elimination stops at a diagonal: no sign normalization and
+    no divisibility chain."""
     m, n = matrix.rows, matrix.cols
     s = [list(row) for row in matrix._data]
     # U and V^-1 are kept as lists of rows, V and U^-1 as lists of
@@ -296,7 +328,8 @@ def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False):
         # pivot clean; move on (divisibility fixed below)
 
     # normalize signs
-    for t in range(min(m, n)):
+    r = min(m, n) if normalize else 0
+    for t in range(r):
         if s[t][t] < 0:
             negate_row(t)
 
@@ -304,7 +337,7 @@ def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False):
     changed = True
     while changed:
         changed = False
-        for t in range(min(m, n) - 1):
+        for t in range(r - 1):
             a, b = s[t][t], s[t + 1][t + 1]
             if a and b % a != 0:
                 # fold entry (t+1, t+1) into the pivot position and rediagonalize

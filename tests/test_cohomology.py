@@ -38,6 +38,7 @@ from galforms.exact_linalg import IntMatrix, _mul
 from galforms.fields import cyclotomic_field, quadratic_field
 from galforms.groups import FiniteGroup, cyclic, direct_product, homomorphisms, symmetric
 from oracles import (
+    bar_rows,
     boundary_with_lifts,
     cohomologous_module_cocycles,
     enumerate_cocycles,
@@ -176,6 +177,32 @@ def test_bar_rows_form_a_complex(gamma, moduli, action):
             for b in range(n):
                 base = (a * n + b) * k
                 assert mod.reduce(image[base: base + k]) == table[(a, b)]
+
+
+# every spec of order at most 8, products of factors of order >= 2
+BAR_FACTORS = {f"C{n}": n for n in range(2, 9)} | {"S2": 2, "S3": 6}
+SMALL_SPECS = ["C1", "S1"] + [
+    "x".join(parts)
+    for r in (1, 2, 3)
+    for parts in iproduct(BAR_FACTORS, repeat=r)
+    if math.prod(BAR_FACTORS[f] for f in parts) <= 8
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_bar_rows_are_the_tuple_slicing_rows(spec):
+    """d1 and d2 by index arithmetic are the rows, in order, that slicing
+    tuples of group elements gives, under the trivial action and under a
+    sign character, on one coordinate and on two."""
+    gamma = parse_group(spec)
+    sign = homomorphisms(gamma, cyclic(2))[-1]
+    for moduli in ((3,), (2, 4)):
+        k = len(moduli)
+        signed = [IntMatrix.identity(k) if sign[g] == 0 else -IntMatrix.identity(k)
+                  for g in range(gamma.order)]
+        for mod in (GModule.trivial(gamma, moduli), GModule(gamma, moduli, signed)):
+            for p in (1, 2):
+                assert _bar_rows(mod, p) == bar_rows(mod, p), (spec, moduli, p)
 
 
 # --- H^2 ------------------------------------------------------------------

@@ -86,8 +86,8 @@ TRANSFORM_FLAGS = list(product([False, True], repeat=4))
 @pytest.mark.parametrize("seed", range(3))
 def test_sparse_smith_takes_the_dense_pivots(seed):
     """S, U, V, U^-1 and V^-1 equal the dense elimination's, for every set
-    of requested transforms, on sparse, dense, rectangular and zero-row
-    matrices."""
+    of requested transforms, normalized or stopped at a diagonal, on
+    sparse, dense, rectangular and zero-row matrices."""
     rng = random.Random(seed)
     for _ in range(150):
         rows, cols = rng.randint(0, 9), rng.randint(0, 9)
@@ -98,8 +98,8 @@ def test_sparse_smith_takes_the_dense_pivots(seed):
         if rows and rng.random() < 0.3:
             entries[rng.randrange(rows)] = [0] * cols
         m = IntMatrix(entries)
-        for flags in TRANSFORM_FLAGS:
-            assert _smith(m, *flags) == dense_smith(m, *flags), (entries, flags)
+        for flags, normalize in product(TRANSFORM_FLAGS, (True, False)):
+            assert _smith(m, *flags, normalize) == dense_smith(m, *flags, normalize), (entries, flags)
 
 
 @pytest.mark.parametrize("gamma, moduli", [
@@ -112,8 +112,34 @@ def test_sparse_smith_on_bar_differentials(gamma, moduli):
     n, k = gamma.order, len(moduli)
     for p, cols in ((1, n * k), (2, n * n * k)):
         m = _dense(_bar_rows(mod, p), cols)
-        for flags in [(False, True, False, True), (True, True, True, True)]:
+        for flags in [(False, True, False, True, True), (True, True, True, True, True),
+                      (False, True, False, True, False), (True, True, True, True, False)]:
             assert _smith(m, *flags) == dense_smith(m, *flags)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_diagonal_only_smith_keeps_the_kernel_of_a_full_row_rank_block(seed):
+    """On [A | D], D a positive diagonal, of full row rank m, the
+    elimination stopped at a diagonal gives the normalized form's columns
+    m.. of V and rows m.. of V^-1, the part h2_bar reads: a kernel basis
+    of [A | D] and the coordinates in it.  Coprime entries of D leave
+    diagonals off the chain, which the normalization must repair."""
+    rng = random.Random(seed)
+    repaired = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(0, 7)
+        a = [[rng.choice([0, 0, 1, -1, rng.randint(-6, 6)]) for _ in range(cols)] for _ in range(rows)]
+        d = [rng.choice([1, 2, 3, 4, 5, 6, 8, 9]) for _ in range(rows)]
+        m = IntMatrix([row + [d[i] if j == i else 0 for j in range(rows)] for i, row in enumerate(a)])
+        _s, _u, v, _u_inv, v_inv = _smith(m, v=True, v_inv=True)
+        s_diag, _u, v_diag, _u_inv, v_inv_diag = _smith(m, v=True, v_inv=True, normalize=False)
+        n = m.cols
+        assert all(s_diag[t, t] for t in range(rows))
+        assert v_diag.submatrix(range(n), range(rows, n)) == v.submatrix(range(n), range(rows, n))
+        assert v_inv_diag.submatrix(range(rows, n), range(n)) == v_inv.submatrix(range(rows, n), range(n))
+        diag = [abs(s_diag[t, t]) for t in range(rows)]
+        repaired += any(b % a for a, b in zip(diag, diag[1:]))
+    assert repaired > 5
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,6 +249,17 @@ def test_solve_integer():
         sol = solve_integer(a, b)
         assert sol is not None
         assert a.apply(sol) == tuple(b)
+    for _ in range(50):
+        # b need not be in the image: solvable iff the normalized form says so
+        a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 6)
+        b = [rng.randint(-9, 9) for _ in range(a.rows)]
+        s, u, _v = smith_normal_form(a)
+        ub = u.apply(b)
+        solvable = all(ub[t] % s[t, t] == 0 if t < s.cols and s[t, t] else ub[t] == 0
+                       for t in range(a.rows))
+        sol = solve_integer(a, b)
+        assert (sol is not None) == solvable
+        assert sol is None or a.apply(sol) == tuple(b)
 
 
 def test_invariant_factor_validation():
