@@ -63,6 +63,13 @@ def test_snf_properties(m):
     assert v * v_inv == IntMatrix.identity(m.cols)
     assert _smith(m, u_inv=True, v_inv=True) == (s, None, None, u_inv, v_inv)
     diag = [s[t, t] for t in range(min(s.rows, s.cols))]
+    # stopped at a diagonal, the transforms agree from the rank on
+    r, rows, cols = sum(1 for d in diag if d), range(m.rows), range(m.cols)
+    _s, u3, v3, u_inv3, v_inv3 = _smith(m, True, True, True, True, normalize=False)
+    assert u3.submatrix(range(r, m.rows), rows) == u.submatrix(range(r, m.rows), rows)
+    assert u_inv3.submatrix(rows, range(r, m.rows)) == u_inv.submatrix(rows, range(r, m.rows))
+    assert v3.submatrix(cols, range(r, m.cols)) == v.submatrix(cols, range(r, m.cols))
+    assert v_inv3.submatrix(range(r, m.cols), cols) == v_inv.submatrix(range(r, m.cols), cols)
     for i in range(s.rows):
         for j in range(s.cols):
             if i != j:
