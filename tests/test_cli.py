@@ -1029,6 +1029,33 @@ def test_a_repeated_cocycle_pair_exits_2(capsys, tmp_path):
                    "error": "cocycle table repeats pair (1, 1)"}
 
 
+Q = {"kind": "rationals"}
+Q_JOBS = [
+    ("crossed product over Q", "crossed-product", {"field": Q},
+     "crossed products need a nontrivial extension"),
+    ("crossed product over Q, c = 3", "crossed-product", {"field": Q, "cocycle": {"c": "3"}},
+     "crossed products need a nontrivial extension"),
+    ("descent over Q", "descend", {"field": Q, "cocycle": "trivial", "matrices": [[["2"]]]},
+     "descent needs a nontrivial extension"),
+    # the cocycle is read before the field is refused
+    ("Q, then c 1e3", "crossed-product", {"field": Q, "cocycle": {"c": "1e3"}}, "bad rational '1e3'"),
+    ("Q, then value x", "crossed-product", {"field": Q, "cocycle": [[0, 0, "x"]]}, "bad rational 'x'"),
+    ("Q, then c 1e3, descent", "descend", {"field": Q, "cocycle": {"c": "1e3"}, "matrices": [[["2"]]]},
+     "bad rational '1e3'"),
+]
+
+
+@pytest.mark.parametrize("command, job, error", [c[1:] for c in Q_JOBS], ids=[c[0] for c in Q_JOBS])
+def test_q_is_refused_after_the_cocycle_is_read(capsys, tmp_path, command, job, error):
+    """The job schema admits the field kind 'rationals', but Q has no
+    nontrivial Galois group: crossed products and descent refuse it with
+    exit 2, and a malformed cocycle beside it is reported first."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out = invoke(capsys, command, "--job", str(path))
+    assert (code, out) == (2, {"schema": "galforms/error/v1", "kind": "malformed-input", "error": error})
+
+
 def test_scalar_field_elements_and_a_null_cocycle(capsys, tmp_path):
     """Two forms the CLI has always read: a rational as a field element,
     and "cocycle": null for the trivial cocycle."""
