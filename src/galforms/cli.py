@@ -39,7 +39,6 @@ from .fields import (
     euler_phi,
     hilbert_symbol,
     quadratic_field,
-    RATIONALS,
 )
 from .groups import cyclic, direct_product, symmetric
 from .classify import (
@@ -198,13 +197,12 @@ def parse_group(spec):
 
 
 def parse_field(descriptor):
-    """The field of a (kind, d or n) pair read_field has read.
+    """The field of a quadratic or cyclotomic (kind, d or n) pair that
+    read_field has read.
     [Q(zeta_n):Q] = phi(n) >= sqrt(n/2) may not exceed
     CYCLOTOMIC_DEGREE_CAP; n is read against that bound before phi(n)
     factors it."""
     kind, param = descriptor
-    if kind == "rationals":
-        return RATIONALS
     if kind == "quadratic":
         return quadratic_field(param)
     if param > 0 and (param > 2 * CYCLOTOMIC_DEGREE_CAP**2 or euler_phi(param) > CYCLOTOMIC_DEGREE_CAP):
@@ -213,8 +211,6 @@ def parse_field(descriptor):
 
 
 def ser_field(field):
-    if field.kind == "rationals":
-        return {"kind": "rationals"}
     if field.kind == "quadratic":
         return {"kind": "quadratic", "d": field.param}
     return {"kind": "cyclotomic", "n": field.param}
@@ -445,9 +441,9 @@ def _algebra_from_args(args):
     if args.job:
         doc = load_job(args)
         descriptor, zeta = read_field(doc.get("field", {})), read_cocycle(doc.get("cocycle"))
-        field = parse_field(descriptor)
-        if field.degree == 1:
+        if descriptor[0] == "rationals":
             raise MalformedInput("crossed products need a nontrivial extension")
+        field = parse_field(descriptor)
         action = GaloisAction.of(field)
         cocycle = parse_cocycle(action, zeta)
     else:
@@ -490,9 +486,9 @@ def cmd_descend(args):
     bad, count = "matrices must be lists of rows", "need one matrix per Galois group element"
     rows = [[[read_field_element(x) for x in json_list(row, bad)] for row in json_list(m, bad)]
             for m in json_list(doc.get("matrices"), count)]
-    field = parse_field(descriptor)
-    if field.degree == 1:
+    if descriptor[0] == "rationals":
         raise MalformedInput("descent needs a nontrivial extension")
+    field = parse_field(descriptor)
     action = GaloisAction.of(field)
     cocycle = parse_cocycle(action, zeta)
     matrices = [[[parse_field_element(field, x) for x in row] for row in m]

@@ -173,9 +173,6 @@ class GModule:
     def act(self, g, vec):
         return self.reduce(self.action[g].apply(vec))
 
-    def elements(self):
-        return product(*(range(d) for d in self.moduli))
-
     @staticmethod
     def trivial(gamma, moduli):
         k = len(moduli)
@@ -288,10 +285,8 @@ def h2_bar(module):
                 base = (a * n + b) * k
                 table[(a, b)] = module.reduce(vec.get(base + i, 0) for i in range(k))
         reps.append(normalize_module_cocycle(module, table))
-    order = sorted(range(len(factors)), key=lambda i: factors[i])
-    group = FiniteAbelianGroup(tuple(factors[i] for i in order), 0)
-    reps = [reps[i] for i in order]
-    return group, reps
+    # s is normalized, a divisibility chain with its zeros last: factors ascend
+    return FiniteAbelianGroup(tuple(factors), 0), reps
 
 
 def is_module_cocycle(module, table):
@@ -521,9 +516,6 @@ class CyclicNormClasses:
         raise NotImplementedError(
             "norm-class triviality is only decidable here for quadratic extensions"
         )
-
-    def is_trivial(self, cocycle):
-        return self.is_trivial_element(self.class_element(cocycle))
 
     def same_class(self, c1, c2):
         return self.is_trivial_element(Fraction(c1) / Fraction(c2))

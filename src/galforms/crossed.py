@@ -58,12 +58,6 @@ class CrossedProductAlgebra:
             raise ValueError("one K-coefficient per group element required")
         return AlgebraElement(self, coeffs)
 
-    def zero(self):
-        return self.element([0] * self.group.order)
-
-    def one(self):
-        return self.basis_element(self.group.identity)
-
     def basis_element(self, a, scalar=1):
         coeffs = [self.field.zero()] * self.group.order
         coeffs[a] = (

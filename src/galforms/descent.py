@@ -55,12 +55,6 @@ class SemilinearDatum:
     def field(self):
         return self.action.field
 
-    def apply(self, a, vec):
-        """a_V applied to a K-coordinate vector."""
-        ainv = self.action.group.inv(a)
-        twisted = [self.action.apply(ainv, x) for x in vec]
-        return [sum(m * x for m, x in zip(row, twisted)) for row in self.matrices[a]]
-
 
 def make_datum(action, cocycle, matrices):
     """The datum with these K-matrices M_a, one per group element, with

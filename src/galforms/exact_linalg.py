@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from . import qlinalg
-
 
 class IntMatrix:
     """Immutable integer matrix, row-major.  The public constructor checks
@@ -39,10 +37,6 @@ class IntMatrix:
         return matrix
 
     @staticmethod
-    def zero(rows, cols):
-        return IntMatrix._trusted(((0,) * cols,) * rows, cols)
-
-    @staticmethod
     def identity(n):
         return _dense([{i: 1} for i in range(n)], n)
 
@@ -66,12 +60,6 @@ class IntMatrix:
             return _dense(_mul(_rows(self), _rows(other)), other.cols)
         return NotImplemented
 
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch")
-        data = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self._data, other._data))
-        return IntMatrix._trusted(data, self.cols)
-
     def __neg__(self):
         return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self._data), self.cols)
 
@@ -84,30 +72,6 @@ class IntMatrix:
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch")
         return tuple(sum(map(mul, row, vector)) for row in self._data)
-
-    def stack(self, other):
-        """Vertical concatenation."""
-        if self.cols != other.cols:
-            raise ValueError("dimension mismatch")
-        return IntMatrix._trusted(self._data + other._data, self.cols)
-
-    def hcat(self, other):
-        """Horizontal concatenation."""
-        if self.rows != other.rows:
-            raise ValueError("dimension mismatch")
-        data = tuple(r1 + r2 for r1, r2 in zip(self._data, other._data))
-        return IntMatrix._trusted(data, self.cols + other.cols)
-
-    def submatrix(self, row_indices, col_indices):
-        """The entries in the given rows and columns (sequences of indices)."""
-        data = tuple(tuple(self._data[i][j] for j in col_indices) for i in row_indices)
-        return IntMatrix._trusted(data, len(col_indices))
-
-    def determinant(self):
-        """Exact determinant, by qlinalg's fraction-free elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        return qlinalg.determinant(self._data).numerator
 
 
 def _rows(matrix):
@@ -388,8 +352,7 @@ def kernel_basis(matrix):
     automatically saturated."""
     s, _u, v = _smith(matrix, v=True)[:3]
     r = sum(1 for t in range(min(s.rows, s.cols)) if s[t, t] != 0)
-    cols = list(range(r, matrix.cols))
-    return v.submatrix(range(matrix.cols), cols)
+    return IntMatrix._trusted(tuple(row[r:] for row in v._data), matrix.cols - r)
 
 
 def cokernel(matrix):
@@ -401,7 +364,7 @@ def cokernel(matrix):
     """
     s, u = _smith(matrix, u=True)[:2]
     group, generators = _quotient(s)
-    return group, u.submatrix(generators, range(s.rows))
+    return group, IntMatrix._trusted(tuple(u._data[i] for i in generators), s.rows)
 
 
 def _quotient(s):
@@ -414,10 +377,13 @@ def _quotient(s):
 
 
 def _check_actions(rank, action):
+    """Each action matrix is rank x rank and unimodular: every entry of
+    its Smith diagonal is 1 or -1."""
     for g in action:
         if g.rows != rank or g.cols != rank:
             raise ValueError("action matrix has wrong shape")
-        if abs(g.determinant()) != 1:
+        diagonal = _sparse_smith(_rows(g), rank, normalize=False)[0]
+        if any(abs(row.get(t, 0)) != 1 for t, row in enumerate(diagonal)):
             raise ValueError("action matrix is not a lattice automorphism")
 
 
@@ -426,20 +392,18 @@ def coinvariants(rank, action):
     trivially: Z^rank / span{ g*x - x }, the span of the columns of the
     g - I side by side, as (group, projection)."""
     _check_actions(rank, action)
-    identity = IntMatrix.identity(rank)
-    moved = IntMatrix.zero(rank, 0)
-    for g in action:
-        moved = moved.hcat(g - identity)
-    return cokernel(moved)
+    moved = tuple(
+        tuple(x - (i == j) for g in action for j, x in enumerate(g._data[i])) for i in range(rank)
+    )
+    return cokernel(IntMatrix._trusted(moved, rank * len(action)))
 
 
 def fixed_sublattice(rank, action):
     """Fixed points of the action on Z^rank: kernel of the stacked
     (g - I), as (rank, embedding matrix whose columns are a basis)."""
     _check_actions(rank, action)
-    identity = IntMatrix.identity(rank)
-    stacked = IntMatrix.zero(0, rank)
-    for g in action:
-        stacked = stacked.stack(g - identity)
-    basis = kernel_basis(stacked)
+    stacked = tuple(
+        tuple(x - (i == j) for j, x in enumerate(row)) for g in action for i, row in enumerate(g._data)
+    )
+    basis = kernel_basis(IntMatrix._trusted(stacked, rank))
     return basis.cols, basis

@@ -72,16 +72,13 @@ def cyclotomic_polynomial(n):
 
 
 class GaloisField:
-    """Q, Q(sqrt(d)), or Q(zeta_n), with the power basis."""
+    """Q(sqrt(d)) or Q(zeta_n), with the power basis."""
 
     __slots__ = ("kind", "param", "degree", "_reduction", "_galois")
 
     def __init__(self, kind, param=None):
         self._galois = None  # (group, elements), kept by galois_group
-        if kind == "rationals":
-            self.kind, self.param, self.degree = kind, None, 1
-            self._reduction = None
-        elif kind == "quadratic":
+        if kind == "quadratic":
             d = int(param)
             if d in (0, 1) or not _squarefree(d):
                 raise ValueError("quadratic parameter must be squarefree and != 0, 1")
@@ -120,8 +117,6 @@ class GaloisField:
         return hash((self.kind, self.param))
 
     def __repr__(self):
-        if self.kind == "rationals":
-            return "Q"
         if self.kind == "quadratic":
             return f"Q(sqrt({self.param}))"
         return f"Q(zeta_{self.param})"
@@ -146,14 +141,10 @@ class GaloisField:
         return [self.element([int(s == t) for s in range(self.degree)]) for t in range(self.degree)]
 
     def generator(self):
-        """sqrt(d) or zeta_n (the identity for Q)."""
-        if self.degree == 1:
-            return self.one()
+        """sqrt(d) or zeta_n."""
         return self.element([0, 1] + [0] * (self.degree - 2))
 
     def _mul_coords(self, x, y):
-        if self.kind == "rationals":
-            return (x[0] * y[0],)
         xs, dx = _integral(x)
         ys, dy = _integral(y)
         if self.kind == "quadratic":
@@ -205,9 +196,6 @@ def _rationals(ints, den):
     if den == 1:
         return tuple(Fraction(v) for v in ints)
     return tuple(Fraction(v, den) for v in ints)
-
-
-RATIONALS = GaloisField("rationals")
 
 
 def quadratic_field(d):
@@ -277,8 +265,6 @@ class FieldElement:
         """The product of the other Galois conjugates divided by the norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.field.degree == 1:
-            return FieldElement(self.field, (1 / self.coords[0],))
         _group, elems = galois_group(self.field)
         others = elems[1].apply(self)
         for g in elems[2:]:
@@ -336,8 +322,6 @@ def galois_group(field):
     = degree.  Built once per field and kept on it."""
     if field._galois is not None:
         return field._galois
-    if field.kind == "rationals":
-        raise ValueError("galois_group requires a proper extension")
     if field.kind == "quadratic":
         images = [field.generator(), -field.generator()]
         table = [[0, 1], [1, 0]]
@@ -363,8 +347,6 @@ def galois_group(field):
 
 def norm(field, x):
     """Product of all Galois conjugates; a rational number."""
-    if field.kind == "rationals":
-        return Fraction(x.coords[0])
     _group, elems = galois_group(field)
     product = field.one()
     for g in elems:

@@ -1,6 +1,6 @@
 """Exact dense linear algebra over Q: the one elimination over the rationals.
 
-rank, kernel, solve, mat_inv and determinant take matrices of rationals
+rank, kernel, solve and mat_inv take matrices of rationals
 (ints or fractions.Fraction) and share one fraction-free elimination:
 each row is cleared to integers by the lcm of its denominators, and each
 updated row is divided by the gcd of its entries (Bareiss, Math. Comp. 22,
@@ -11,7 +11,7 @@ matrices.  Matrices are lists of rows; no function mutates its arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 
 def mat_mul(a, b):
@@ -40,25 +40,21 @@ def _scaled_matrix(m):
 
 def _echelon(a):
     """Fraction-free row echelon form of the rational matrix a: (pivots,
-    rows, scale).  rows[k] is an integer row whose leading entry lies in
-    column pivots[k]; zero rows are dropped.  A row is updated only by the
-    pivots it has a nonzero entry under, r <- (p r - c pivot) / g with g
-    the gcd of the result.  scale is a pair (num, den): when a is square of
-    full rank, det(a) is num / den times the product of the pivot entries."""
-    rows, num, den = [], 1, 1  # det(a) = +-num/den * det(rows kept)
+    rows).  rows[k] is an integer row whose leading entry lies in column
+    pivots[k]; zero rows are dropped.  A row is updated only by the pivots
+    it has a nonzero entry under, r <- (p r - c pivot) / g with g the gcd
+    of the result."""
+    rows = []
     for row in a:
-        ints, d = _integral(row)
+        ints, _den = _integral(row)
         if any(ints):
             rows.append(ints)
-            den *= d
-    sign, pivots, done = 1, [], []
+    pivots, done = [], []
     for col in range(len(a[0])):
         k = next((i for i, r in enumerate(rows) if r[col]), None)
         if k is None:
             continue
         pivot = rows.pop(k)
-        if k & 1:
-            sign = -sign
         p = pivot[col]
         kept = []
         for r in rows:
@@ -68,7 +64,6 @@ def _echelon(a):
                 g = gcd(*r)
                 if not g:
                     continue
-                num, den = num * g, den * p
                 if g > 1:
                     r = [x // g for x in r]
             kept.append(r)
@@ -77,7 +72,7 @@ def _echelon(a):
         rows = kept
         if not rows:
             break
-    return pivots, done, (sign * num, den)
+    return pivots, done
 
 
 def _reduce(pivots, rows):
@@ -101,24 +96,13 @@ def rank(a):
     return len(_echelon(a)[0])
 
 
-def determinant(a):
-    """Determinant of a square rational matrix, as a Fraction."""
-    n = len(a)
-    if not n:
-        return Fraction(1)
-    pivots, rows, (num, den) = _echelon(a)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(num * prod(row[col] for col, row in zip(pivots, rows)), den)
-
-
 def solve(a, b):
     """Solve the square system a x = b; b may be a matrix (list of rows)
     or a vector.  Returns None if a is singular."""
     vector = b and not isinstance(b[0], list)
     rhs = [[x] for x in b] if vector else b
     n = len(a)
-    pivots, rows, _ = _echelon([list(ra) + list(rb) for ra, rb in zip(a, rhs)])
+    pivots, rows = _echelon([list(ra) + list(rb) for ra, rb in zip(a, rhs)])
     if pivots[:n] != list(range(n)):
         return None
     sol = [[Fraction(x, row[k]) for x in row[n:]] for k, row in enumerate(_reduce(pivots, rows))]
@@ -139,7 +123,7 @@ def kernel(a):
     if not a:
         return []
     ncols = len(a[0])
-    pivots, rows, _ = _echelon(a)
+    pivots, rows = _echelon(a)
     rows = _reduce(pivots, rows)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):

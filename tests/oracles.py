@@ -5,8 +5,8 @@ normal form elimination, the bar differentials built from tuples of
 group elements, Gauss-Jordan elimination over Fractions, field inverses
 by a linear solve, the descent morphism systems written out in full,
 descent validity checked on K-matrices, the coweight orbits found by
-closing each point under every matrix, and pi_1 from every coroot.
-Desk scale only; they check the library's exact algorithms and are not
+closing each point under every matrix, pi_1 from every coroot, and the
+readings of library objects that only the tests take.  Desk scale only; they check the library's exact algorithms and are not
 part of it."""
 
 from fractions import Fraction
@@ -24,6 +24,26 @@ from galforms.exact_linalg import IntMatrix, cokernel
 from galforms.fields import k_matrix
 
 
+# Readings of library objects that only the tests take.
+
+def module_elements(module):
+    """Every element of a finite Gamma-module, as a coordinate tuple."""
+    return product(*(range(d) for d in module.moduli))
+
+
+def algebra_one(algebra):
+    """The unit e_1 of a crossed-product algebra."""
+    return algebra.basis_element(algebra.group.identity)
+
+
+def datum_apply(datum, a, vec):
+    """a_V = M_a o (a^-1 coordinate twist) applied to a K-coordinate
+    vector."""
+    ainv = datum.action.group.inv(a)
+    twisted = [datum.action.apply(ainv, x) for x in vec]
+    return [sum(m * x for m, x in zip(row, twisted)) for row in datum.matrices[a]]
+
+
 def cohomologous_module_cocycles(module, t1, t2):
     diff = {key: module.sub(t1[key], t2[key]) for key in t1}
     return is_module_coboundary(module, diff) is not None
@@ -37,7 +57,7 @@ def enumerate_cocycles(module):
     e = gamma.identity
     others = [g for g in range(n) if g != e]
     pairs = [(a, b) for a in others for b in others]
-    elems = list(module.elements())
+    elems = list(module_elements(module))
     zero = module.zero()
     results = []
     table = {}
@@ -86,7 +106,7 @@ def h2_enumerate(module):
     e = gamma.identity
     others = [g for g in range(n) if g != e]
     coboundaries = set()
-    elems = list(module.elements())
+    elems = list(module_elements(module))
     for values in product(elems, repeat=len(others)):
         f = {e: module.zero()}
         for g, v in zip(others, values):

@@ -35,7 +35,7 @@ from galforms.cli import (
 )
 from galforms.fields import cyclotomic_field, k_entries, k_matrix, quadratic_field
 from galforms import qlinalg
-from oracles import datum_morphisms_by_rows, datum_violation, module_morphisms_all_basis
+from oracles import datum_apply, datum_morphisms_by_rows, datum_violation, module_morphisms_all_basis
 from random_data import conjugate_datum, identity_datum, random_datum, regular_module, transport_datum
 
 
@@ -121,7 +121,7 @@ def test_to_module_matches_the_definitions():
                         for j in range(dim) for t in range(deg)]
         want = []
         for a in datum.action.group.elements():
-            semi = k_matrix([datum.apply(a, v) for v in unit_vectors])
+            semi = k_matrix([datum_apply(datum, a, v) for v in unit_vectors])
             for lam in basis:
                 scalar = k_matrix([[lam * x for x in v] for v in unit_vectors])
                 want.append(tuple(tuple(row) for row in qlinalg.mat_mul(semi, scalar)))

@@ -15,6 +15,7 @@ from galforms.fields import (
     INFINITE_PLACE,
     TRIAL_DIVISION_CAP,
     BrauerClass,
+    GaloisField,
     brauer_class_quaternion,
     cyclotomic_field,
     cyclotomic_polynomial,
@@ -27,7 +28,6 @@ from galforms.fields import (
     norm,
     quadratic_field,
     relevant_places,
-    RATIONALS,
 )
 from galforms.groups import FiniteGroup
 from oracles import inverse_by_solve
@@ -229,8 +229,11 @@ def test_inverse_agrees_with_the_solve(field):
 
 
 def test_rational_inverse():
-    assert RATIONALS.element([Fraction(-3, 7)]).inverse() == RATIONALS.element([Fraction(-7, 3)])
-    assert RATIONALS.element([5]).inverse().coords == (Fraction(1, 5),)
+    """A rational element's inverse, through the Galois conjugates, is
+    the rational inverse."""
+    for field in K_FIELDS:
+        assert field.from_rational(Fraction(-3, 7)).inverse() == field.from_rational(Fraction(-7, 3))
+        assert field.from_rational(5).inverse().coords == (Fraction(1, 5),) + (0,) * (field.degree - 1)
 
 
 @pytest.mark.parametrize("field", K_FIELDS, ids=repr)
@@ -470,6 +473,6 @@ def test_tensor_is_symmetric_difference():
 
 
 def test_rationals_field():
-    assert RATIONALS.degree == 1
-    with pytest.raises(ValueError):
-        galois_group(RATIONALS)
+    """Q is no field kind: every field is a proper extension of Q."""
+    with pytest.raises(ValueError, match="unknown field kind 'rationals'"):
+        GaloisField("rationals")

@@ -46,16 +46,21 @@ def test_the_scan_finds_an_unused_import():
 
 def test_a_module_loads_only_its_imports():
     """The package re-exports nothing, so importing galforms.fields loads
-    what fields imports and no other galforms module."""
+    what fields imports and no other galforms module, and the lattice
+    layer galforms.exact_linalg loads no other galforms module at all."""
     script = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import galforms.fields; "
+        "import importlib, sys; sys.path.insert(0, sys.argv[1]); importlib.import_module(sys.argv[2]); "
         "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'galforms'))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script, str(ROOT / "src")], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["galforms", "galforms.fields", "galforms.groups", "galforms.qlinalg"]
+    for module, loaded in (
+        ("galforms.fields", ["galforms", "galforms.fields", "galforms.groups", "galforms.qlinalg"]),
+        ("galforms.exact_linalg", ["galforms", "galforms.exact_linalg"]),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script, str(ROOT / "src"), module], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == loaded, module
 
 
 def public_definitions(source):
@@ -100,7 +105,10 @@ def test_every_public_name_has_a_caller():
     """Every public function, class and method of src/ is read by src/,
     imported by the acceptance gate or patched by the benchmark's tracer;
     code that only the other tests reach belongs in tests/.  References
-    are matched by name."""
+    are matched by name, so the audit does not see a method that only
+    tests call when a method of another class has the same name (as
+    CrossedProductAlgebra.one hid behind GaloisField.one): such a method
+    passes here and must be found by reading its callers."""
     used = {name for _module, _cls, name in tracer_targets()}
     for path in SOURCES + [ROOT / "tests" / "test_acceptance.py"]:
         used |= referenced_names(path.read_text())

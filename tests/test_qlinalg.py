@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from galforms import qlinalg
-from galforms.exact_linalg import IntMatrix
 from oracles import (
     fraction_determinant,
     gauss_kernel,
@@ -55,16 +54,12 @@ def test_core_matches_gauss_jordan(denominators):
         if any(x for row in m for x in row):
             assert qlinalg.kernel(m) == gauss_kernel(q), m
         if rows == cols:
-            det = qlinalg.determinant(m)
-            assert det == fraction_determinant(q), m
-            assert (det == 0) == (gauss_mat_inv(q) is None)
+            assert (fraction_determinant(q) == 0) == (qlinalg.mat_inv(m) is None), m
             assert qlinalg.mat_inv(m) == gauss_mat_inv(q), m
             b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rows)]
             assert qlinalg.solve(m, b) == gauss_solve(q, b), m
             bm = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(rows)]
             assert qlinalg.solve(m, bm) == gauss_solve(q, as_fractions(bm)), m
-            if not denominators:
-                assert IntMatrix(m).determinant() == det
 
 
 def test_empty_matrices():
@@ -72,7 +67,6 @@ def test_empty_matrices():
     assert qlinalg.rank([[]]) == 0
     assert qlinalg.kernel([]) == gauss_kernel([]) == []
     assert qlinalg.mat_inv([]) == gauss_mat_inv([]) == []
-    assert qlinalg.determinant([]) == 1 == IntMatrix([]).determinant()
 
 
 def test_kernel_of_zero_matrix_is_the_standard_basis():
@@ -89,4 +83,3 @@ def test_outputs_are_fractions():
     """Integer input still gives Fraction entries, never floats."""
     assert all(type(x) is Fraction for row in qlinalg.mat_inv([[2, 1], [1, 1]]) for x in row)
     assert all(type(x) is Fraction for row in qlinalg.kernel([[1, 2, 3]]) for x in row)
-    assert type(qlinalg.determinant([[2, 1], [1, 1]])) is Fraction
