@@ -5,9 +5,10 @@ normal form elimination, the bar differentials built from tuples of
 group elements, Gauss-Jordan elimination over Fractions, field inverses
 by a linear solve, the descent morphism systems written out in full,
 descent validity checked on K-matrices, the coweight orbits found by
-closing each point under every matrix, pi_1 from every coroot, and the
-readings of library objects that only the tests take.  Desk scale only; they check the library's exact algorithms and are not
-part of it."""
+closing each point under every matrix, pi_1 from every coroot, Out(G)
+from the inverses of both simple bases over Q, and the readings of
+library objects that only the tests take.  Desk scale only; they check
+the library's exact algorithms and are not part of it."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -22,6 +23,9 @@ from galforms.cohomology import (
 from galforms import qlinalg
 from galforms.exact_linalg import IntMatrix, cokernel
 from galforms.fields import k_matrix
+from galforms.groups import FiniteGroup
+from galforms.qlinalg import _scaled_matrix
+from galforms.root_datum import OuterAutomorphism, _cartan_permutations
 
 
 # Readings of library objects that only the tests take.
@@ -249,6 +253,49 @@ def pi1_all_coroots(brd):
     m = IntMatrix([[cr[i] for cr in coroots] for i in range(brd.datum.rank)])
     group, _proj = cokernel(m)
     return group
+
+
+def outer_automorphisms_two_bases(brd):
+    """(group, elements) of root_datum.outer_automorphisms as galforms
+    computed it before it used one Smith form: both bases inverted over Q,
+    both maps tested for integrality, and the images of R and R^vee
+    looked up in the root and coroot sets."""
+    datum = brd.datum
+    if (qlinalg.rank(datum.roots) if datum.roots else 0) != datum.rank:
+        raise ValueError("outer automorphism enumeration requires a semisimple datum")
+    n = datum.rank
+    bases = []
+    for basis in (brd.simple_roots, brd.simple_coroots):
+        inverse, den = _scaled_matrix(qlinalg.mat_inv([[v[i] for v in basis] for i in range(n)]))
+        bases.append((basis, inverse, den))
+    root_set = set(datum.roots)
+    coroot_set = set(datum.coroots)
+    valid = []
+    for perm in _cartan_permutations(brd.cartan_matrix()):
+        maps = []
+        for basis, inverse, den in bases:
+            target = [[basis[p][i] for p in perm] for i in range(n)]
+            m = qlinalg.mat_mul(target, inverse)
+            if any(x % den for row in m for x in row):
+                break
+            maps.append(IntMatrix([[x // den for x in row] for row in m]))
+        else:
+            m, mv = maps
+            if all(m.apply(r) in root_set for r in datum.roots) and all(
+                mv.apply(cr) in coroot_set for cr in datum.coroots
+            ):
+                valid.append(OuterAutomorphism(m, mv, perm))
+
+    perms = [aut.simple_permutation for aut in valid]
+    index = {p: i for i, p in enumerate(perms)}
+    table = []
+    for a in valid:
+        row = []
+        for b in valid:
+            composed = tuple(a.simple_permutation[i] for i in b.simple_permutation)
+            row.append(index[composed])
+        table.append(row)
+    return FiniteGroup(table), tuple(valid)
 
 
 def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False, normalize=True):

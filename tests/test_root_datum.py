@@ -1,5 +1,6 @@
 """Root data, duality, fundamental groups, outer automorphisms."""
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -17,7 +18,7 @@ from galforms.root_datum import (
     outer_automorphisms,
     pairing,
 )
-from oracles import pi1_all_coroots
+from oracles import gauss_mat_inv, outer_automorphisms_two_bases, pi1_all_coroots
 
 ALL_LABELS = (
     ["A%d" % n for n in range(1, 9)]
@@ -73,7 +74,7 @@ def test_duality_involution_all_types():
 def test_built_and_dual_data_pass_the_public_constructors():
     """build_root_datum and dual skip the constructors' checks; the data
     they make pass them."""
-    for label in SMALL_LABELS + ["B5", "D6", "E6"]:
+    for label in ALL_LABELS:
         for iso in ("simply_connected", "adjoint"):
             for brd in (build_root_datum(label, iso), dual(build_root_datum(label, iso))):
                 d = brd.datum
@@ -114,6 +115,9 @@ def test_public_based_datum_rejects_a_non_base():
     for simple in ((a1, a12), (a1, minus_a1), (a1,)):
         with pytest.raises(ValueError):
             BasedRootDatum(brd.datum, tuple(roots.index(r) for r in simple))
+    # more simple roots than the rank: a ValueError, not an IndexError
+    with pytest.raises(ValueError, match="linearly dependent"):
+        BasedRootDatum(brd.datum, tuple(roots.index(r) for r in (a1, a2, a12)))
 
 
 def test_dual_swaps_pi1_direction():
@@ -220,19 +224,87 @@ def test_cartan_permutations_match_the_filter():
             assert [e.simple_permutation for e in elements] == expected, (label, iso)
 
 
-def test_outer_elements_act_correctly():
-    brd = build_root_datum("D4", "simply_connected")
+def _rebased(brd, basis):
+    """brd on the lattice whose basis is the columns of basis, a full-rank
+    integer matrix given by rows, inside X and holding every root: each
+    root in the coordinates of that basis, each coroot in the dual ones
+    (basis^T times it), built by the public constructors."""
+    inverse = gauss_mat_inv([[Fraction(x) for x in row] for row in basis])
+    roots = tuple(tuple(sum(x * y for x, y in zip(row, r)) for row in inverse) for r in brd.datum.roots)
+    assert all(x.denominator == 1 for r in roots for x in r)
+    roots = tuple(tuple(int(x) for x in r) for r in roots)
+    coroots = tuple(IntMatrix(basis).transpose().apply(c) for c in brd.datum.coroots)
+    return BasedRootDatum(RootDatum(brd.datum.rank, roots, coroots), brd.simple_indices)
+
+
+# A GL_4(Z) matrix; the lattice of SO(8) in the simply connected D4's
+# weight coordinates: the root lattice and the leaf's weight omega_1, with
+# basis omega_1, omega_2, omega_3 + omega_4, alpha_3 (Bourbaki numbering).
+MOVE = [[2, 2, -1, -1], [1, -1, 1, 0], [3, -2, 4, 3], [1, 0, 1, 1]]
+SO8 = [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 2], [0, 0, 1, 0]]
+
+OUTER_DATA = (
+    [f"{label}-{iso}{side}" for label in ALL_LABELS
+     for iso in ("simply_connected", "adjoint") for side in ("", "-dual")]
+    + ["T0", "D4-adjoint-moved", "D4-so8"]
+)
+
+
+def _outer_datum(name):
+    """The datum an OUTER_DATA name stands for."""
+    if name == "T0":
+        return build_root_datum("T0")
+    if name == "D4-adjoint-moved":
+        return _rebased(build_root_datum("D4", "adjoint"), MOVE)
+    if name == "D4-so8":
+        return _rebased(build_root_datum("D4", "simply_connected"), SO8)
+    label, iso, *side = name.split("-")
+    brd = build_root_datum(label, iso)
+    return dual(brd) if side else brd
+
+
+@pytest.mark.parametrize("name", OUTER_DATA)
+def test_outer_automorphisms_match_the_two_basis_oracle(name):
+    """One Smith form of the simple roots gives the permutations, group
+    table and both matrices that inverting both bases over Q and checking
+    R and R^vee gave."""
+    brd = _outer_datum(name)
     group, elements = outer_automorphisms(brd)
-    roots = set(brd.datum.roots)
-    coroots = set(brd.datum.coroots)
-    for el in elements:
-        for r in brd.datum.roots:
-            assert tuple(el.char_matrix.apply(r)) in roots
-        for cr in brd.datum.coroots:
-            assert tuple(el.cochar_matrix.apply(cr)) in coroots
-        # pairing preserved
-        for r, cr in zip(brd.datum.roots, brd.datum.coroots):
-            assert pairing(el.char_matrix.apply(r), el.cochar_matrix.apply(cr)) == 2
+    want_group, want = outer_automorphisms_two_bases(brd)
+    assert [e.simple_permutation for e in elements] == [e.simple_permutation for e in want]
+    assert group.table == want_group.table
+    assert [e.char_matrix for e in elements] == [e.char_matrix for e in want]
+    assert [e.cochar_matrix for e in elements] == [e.cochar_matrix for e in want]
+
+
+def test_out_of_so8_fixes_the_leaf_in_its_lattice():
+    """Of the six symmetries of D4, SO(8)'s lattice keeps the identity and
+    the swap of the two leaves whose weights it does not hold: the
+    permutation that would move omega_1 does not extend."""
+    sc = build_root_datum("D4", "simply_connected")
+    c = cartan_matrix("D", 4)
+    # node j of Bourbaki's numbering is simple root node[j] of the datum
+    node = [sc.simple_roots.index(tuple(row[j] for row in c)) for j in range(4)]
+    swap = [0] * 4
+    for j, k in enumerate((0, 1, 3, 2)):
+        swap[node[j]] = node[k]
+    group, elements = outer_automorphisms(_rebased(sc, SO8))
+    assert group.order == 2
+    assert [e.simple_permutation for e in elements] == [(0, 1, 2, 3), tuple(swap)]
+
+
+@pytest.mark.parametrize("name", OUTER_DATA)
+def test_outer_elements_act_correctly(name):
+    """Each element maps R onto R and R^vee onto R^vee, sends the simple
+    roots by its permutation, and its matrices are inverse transposes."""
+    brd = _outer_datum(name)
+    roots, coroots = set(brd.datum.roots), set(brd.datum.coroots)
+    simple = brd.simple_roots
+    for el in outer_automorphisms(brd)[1]:
+        assert {el.char_matrix.apply(r) for r in roots} == roots
+        assert {el.cochar_matrix.apply(cr) for cr in coroots} == coroots
+        assert [el.char_matrix.apply(a) for a in simple] == [simple[p] for p in el.simple_permutation]
+        assert el.char_matrix * el.cochar_matrix.transpose() == IntMatrix.identity(brd.datum.rank)
 
 
 def test_outer_requires_semisimple():
