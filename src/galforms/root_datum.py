@@ -6,10 +6,12 @@ the standard dot product).  Supports the classical and exceptional types
 up to rank 8, both isogeny types, tori, duality, the fundamental group,
 and the group of based-datum (diagram) automorphisms together with its
 action on coweights.  The public constructors validate their input; the
-builders here check the coordinates their reflection closure carries and
-construct through `_trusted`.  The builders are memoised: every label of
-one type and isogeny gives the same shared, immutable datum, and its
-outer automorphisms are computed once.
+builders here construct through `_trusted` and check nothing: the
+reflection closure of a Cartan matrix's simple pairs is a root datum
+(Bourbaki VI.1), so the coordinates it carries need no check.  The
+builders are memoised: every label of one type and isogeny gives the
+same shared, immutable datum, and its outer automorphisms are computed
+once.  Only the integer layer `exact_linalg` is used.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .exact_linalg import IntMatrix, _quotient, _smith
+from .exact_linalg import IntMatrix, _quotient, _smith, _sparse_smith
 from .groups import FiniteGroup
-from . import qlinalg
-from .qlinalg import _scaled_matrix
 
 # A type label: a family, or T for a torus, and a plain decimal rank.
 TYPE_LABEL = re.compile(r"([A-GT])([0-9]+)")
@@ -116,11 +116,6 @@ class RootDatum:
             if any(coreflect(y, a, av) not in coroot_set for y in self.coroots):
                 raise ValueError(f"reflection in {av} does not preserve coroots")
 
-    def is_semisimple(self):
-        if not self.roots:
-            return self.rank == 0
-        return qlinalg.rank(self.roots) == self.rank
-
 
 def pairing(x, y):
     return sum(map(mul, x, y))
@@ -151,7 +146,9 @@ class BasedRootDatum:
         pair from a simple pair, and the coordinates have one sign each."""
         datum = self.datum
         simple = [(datum.roots[i], datum.coroots[i]) for i in self.simple_indices]
-        if qlinalg.rank(self.simple_roots) != len(simple):
+        rows = [{j: x for j, x in enumerate(root) if x} for root, _ in simple]
+        diagonal = _sparse_smith(rows, datum.rank, normalize=False)[0]
+        if not all(row.get(t) for t, row in enumerate(diagonal)):
             raise ValueError("simple roots are linearly dependent")
         coords = _closure(simple)
         if set(coords) != set(zip(datum.roots, datum.coroots)):
@@ -252,14 +249,10 @@ def _cartan_datum(family, n, isogeny):
     else:
         raise ValueError(f"unknown isogeny {isogeny!r}")
     # The closure is stable under every s_beta: beta = w(alpha_i) gives
-    # s_beta = w s_i w^-1, and dually on the coroots (Bourbaki VI.1.5), so
-    # only <alpha, alpha^vee> = 2 and the signs remain to check.
-    coords = _closure(simple_pairs)
-    all_pairs = sorted(coords)
-    for root, coroot in all_pairs:
-        if pairing(root, coroot) != 2:
-            raise ValueError(f"<alpha, alpha^vee> != 2 for {root}, {coroot}")
-    _check_signs(coords)
+    # s_beta = w s_i w^-1, and dually on the coroots; w preserves the
+    # pairing, and every root of a base is a combination of one sign
+    # (Bourbaki VI.1.5-1.6), so nothing remains to check.
+    all_pairs = sorted(_closure(simple_pairs))
     simple_set = set(simple_pairs)
     simple_indices = tuple(i for i, p in enumerate(all_pairs) if p in simple_set)
     roots, coroots = zip(*all_pairs)
@@ -316,48 +309,32 @@ def outer_automorphisms(brd):
 
 
 def _outer_automorphisms(brd):
-    datum = brd.datum
-    if not datum.is_semisimple():
+    n = brd.datum.rank
+    if len(brd.simple_indices) != n:
         raise ValueError("outer automorphism enumeration requires a semisimple datum")
-    n = datum.rank
-    # The map of X sending alpha_j to alpha_perm(j) has the inverse
-    # transpose sending alpha_j^vee to alpha_perm(j)^vee, as the Cartan
-    # matrix is preserved; so it is invertible over Z iff both are integral.
-    # Each basis matrix has inverse N / D with N integral, and target * N
-    # must be divisible by D.
-    bases = []
-    for basis in (brd.simple_roots, brd.simple_coroots):
-        inverse, den = _scaled_matrix(qlinalg.mat_inv([[v[i] for v in basis] for i in range(n)]))
-        bases.append((basis, inverse, den))
-    root_set = set(datum.roots)
-    coroot_set = set(datum.coroots)
-    valid = []
+    # B has the simple roots as columns and U B V = S.  The map of X sending
+    # alpha_j to alpha_p(j) is m_p = T B^-1 = (T V) S^-1 U, T the permuted
+    # columns: integral iff column t of T V is divisible by s_t.  It has
+    # finite order, so then its inverse m_(p^-1), a power of it, is
+    # integral too, and the action on X^vee is that inverse transposed.
+    simple = brd.simple_roots
+    s, u, v = _smith(IntMatrix._trusted(tuple(zip(*simple)), n), u=True, v=True, normalize=False)[:3]
+    diagonal = [s[t, t] for t in range(n)]
+    maps = {}
     for perm in _cartan_permutations(brd.cartan_matrix()):
-        maps = []
-        for basis, inverse, den in bases:
-            target = [[basis[p][i] for p in perm] for i in range(n)]
-            m = qlinalg.mat_mul(target, inverse)
-            if any(x % den for row in m for x in row):
-                break
-            maps.append(IntMatrix([[x // den for x in row] for row in m]))
-        else:
-            m, mv = maps
-            if all(m.apply(r) in root_set for r in datum.roots) and all(
-                mv.apply(cr) in coroot_set for cr in datum.coroots
-            ):
-                valid.append(OuterAutomorphism(m, mv, perm))
+        tv = (IntMatrix._trusted(tuple(zip(*(simple[p] for p in perm))), n) * v)._data
+        if not any(x % d for row in tv for x, d in zip(row, diagonal)):
+            scaled = tuple(tuple(x // d for x, d in zip(row, diagonal)) for row in tv)
+            maps[perm] = IntMatrix._trusted(scaled, n) * u
 
-    perms = [aut.simple_permutation for aut in valid]
+    perms = list(maps)
     index = {p: i for i, p in enumerate(perms)}
-    table = []
-    for a in valid:
-        row = []
-        for b in valid:
-            composed = tuple(a.simple_permutation[i] for i in b.simple_permutation)
-            row.append(index[composed])
-        table.append(row)
-    group = FiniteGroup(table)
-    return group, tuple(valid)
+    valid = tuple(
+        OuterAutomorphism(maps[p], maps[tuple(p.index(i) for i in range(n))].transpose(), p)
+        for p in perms
+    )
+    table = [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
+    return FiniteGroup(table), valid
 
 
 def _cartan_permutations(c, perm=()):

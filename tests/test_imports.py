@@ -46,8 +46,9 @@ def test_the_scan_finds_an_unused_import():
 
 def test_a_module_loads_only_its_imports():
     """The package re-exports nothing, so importing galforms.fields loads
-    what fields imports and no other galforms module, and the lattice
-    layer galforms.exact_linalg loads no other galforms module at all."""
+    what fields imports and no other galforms module, the lattice layer
+    galforms.exact_linalg loads no other galforms module at all, and
+    galforms.root_datum stays on the integer layer, without qlinalg."""
     script = (
         "import importlib, sys; sys.path.insert(0, sys.argv[1]); importlib.import_module(sys.argv[2]); "
         "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'galforms'))"
@@ -55,6 +56,7 @@ def test_a_module_loads_only_its_imports():
     for module, loaded in (
         ("galforms.fields", ["galforms", "galforms.fields", "galforms.groups", "galforms.qlinalg"]),
         ("galforms.exact_linalg", ["galforms", "galforms.exact_linalg"]),
+        ("galforms.root_datum", ["galforms", "galforms.exact_linalg", "galforms.groups", "galforms.root_datum"]),
     ):
         proc = subprocess.run(
             [sys.executable, "-I", "-S", "-c", script, str(ROOT / "src"), module], capture_output=True, text=True
