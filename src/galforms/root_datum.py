@@ -153,7 +153,11 @@ class BasedRootDatum:
         coords = _closure(simple)
         if set(coords) != set(zip(datum.roots, datum.coroots)):
             raise ValueError("simple reflections do not carry the simple roots onto every root")
-        _check_signs(coords)
+        for (root, coroot), (c, d) in coords.items():
+            if min(c) < 0 < max(c):
+                raise ValueError(f"root {root} is not +/- integral combination of simple roots")
+            if min(d) < 0 < max(d):
+                raise ValueError(f"coroot {coroot} is not +/- integral combination of simple coroots")
 
     @cached_property
     def simple_roots(self):
@@ -193,14 +197,6 @@ def _closure(simple_pairs):
                 coords[new] = (tuple(new_c), tuple(new_d))
                 frontier.append(new)
     return coords
-
-
-def _check_signs(coords):
-    for (root, coroot), (c, d) in coords.items():
-        if min(c) < 0 < max(c):
-            raise ValueError(f"root {root} is not +/- integral combination of simple roots")
-        if min(d) < 0 < max(d):
-            raise ValueError(f"coroot {coroot} is not +/- integral combination of simple coroots")
 
 
 def _trusted(rank, roots, coroots, simple_indices):
@@ -333,8 +329,15 @@ def _outer_automorphisms(brd):
         OuterAutomorphism(maps[p], maps[tuple(p.index(i) for i in range(n))].transpose(), p)
         for p in perms
     )
-    table = [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
-    return FiniteGroup(table), valid
+    table = []
+    for a in valid:
+        row = []
+        for b in valid:
+            composed = tuple(a.simple_permutation[i] for i in b.simple_permutation)
+            row.append(index[composed])
+        table.append(row)
+    group = FiniteGroup(table)
+    return group, valid
 
 
 def _cartan_permutations(c, perm=()):
