@@ -831,22 +831,28 @@ def test_group_spec_needs_positive_n(monkeypatch, capsys, spec):
 
 
 @pytest.mark.parametrize(
-    "argv, budget",
+    "argv, job, error",
     [
-        (["classify-quasisplit", "--gamma", "x".join(["C2"] * 9), "--out", "S6"],
-         groups.ENUMERATION_BUDGET),
-        (["coinvariants", "--type", "E8", "--rho", "0", "--height", "40"],
-         classify.COWEIGHT_BOX_BUDGET),
+        (["classify-quasisplit", "--gamma", "x".join(["C2"] * 9), "--out", "S6"], None,
+         f"enumeration budget exceeded: 720^9 candidates above the budget of {groups.ENUMERATION_BUDGET}"),
+        (["h1"], {"gamma": "C2xC2xC2xC2xC2", "coefficients": "S5"},
+         f"enumeration budget exceeded: 120^5 candidates above the budget of {groups.ENUMERATION_BUDGET}"),
+        (["coinvariants", "--type", "E8", "--rho", "0", "--height", "40"], None,
+         f"coweight box of 41^8 points exceeds the budget of {classify.COWEIGHT_BOX_BUDGET}"),
     ],
-    ids=["homomorphisms", "coweight-box"],
+    ids=["homomorphisms", "one-cocycles", "coweight-box"],
 )
-def test_enumeration_budgets_exit_1(capsys, argv, budget):
+def test_enumeration_budgets_exit_1(capsys, tmp_path, argv, job, error):
     """Inputs that would enumerate for hours are refused at once, with an
     error that names the budget."""
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = [*argv, "--job", str(path)]
     code, doc = invoke(capsys, *argv)
     assert code == 1
     assert doc["kind"] == "domain-error"
-    assert f"budget of {budget}" in doc["error"]
+    assert doc["error"] == error
 
 
 def test_default_height_is_within_the_coweight_budget(capsys, monkeypatch):

@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+from galforms.cli import parse_group
+from galforms.cohomology import GGroup
 from galforms.groups import (
     FiniteGroup,
     cyclic,
@@ -13,6 +15,8 @@ from galforms.groups import (
     subgroup_closure,
     symmetric,
 )
+from galforms.root_datum import build_root_datum, outer_automorphisms
+from oracles import one_cocycles_brute
 
 
 def test_cyclic_basics():
@@ -83,6 +87,18 @@ def test_homomorphisms_match_the_definition(source):
     g = SMALL_GROUPS[source]
     for target, h in SMALL_GROUPS.items():
         assert homomorphisms(g, h) == _homomorphisms_by_definition(g, h), (source, target)
+
+
+@pytest.mark.parametrize("source", ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C2xC2", "C2xC4",
+                                    "C4xC2", "C2xC2xC2", "S3", "C3xC2"])
+def test_homomorphisms_match_a_generator_blind_search(source):
+    """A homomorphism is a 1-cocycle for the trivial action, so the
+    exhaustive cocycle search, which never looks at generators of the
+    source, lists Hom(g, h) too, in lexicographic order."""
+    g = parse_group(source)
+    for target in ("C1", "C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "C3xC2", "Out(D4)"):
+        h = outer_automorphisms(build_root_datum("D4"))[0] if target == "Out(D4)" else parse_group(target)
+        assert homomorphisms(g, h) == one_cocycles_brute(GGroup.trivial_action(g, h)), (source, target)
 
 
 def test_homomorphisms_from_order_12_and_24():
