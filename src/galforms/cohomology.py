@@ -16,7 +16,7 @@ from math import gcd
 
 from .exact_linalg import FiniteAbelianGroup, IntMatrix, _dense, _mul, _sparse_smith, solve_integer
 from .fields import FieldElement, GaloisField, galois_group, is_norm_quadratic
-from .groups import ENUMERATION_BUDGET, FiniteGroup, _extend, check_enumeration, generators
+from .groups import FiniteGroup, _maps
 
 
 # ---------------------------------------------------------------------------
@@ -66,22 +66,10 @@ def is_one_cocycle(ggroup, f):
     )
 
 
-def one_cocycles(ggroup, budget=ENUMERATION_BUDGET):
-    """All 1-cocycles Gamma -> A, each a tuple indexed by Gamma, sorted.
-    Tries every image in A of a greedy generating set of Gamma, extends it
-    along the Cayley graph by f(x s) = f(x) x(f(s)) and keeps the maps
-    that satisfy the cocycle condition everywhere.  The budget bounds the
-    |A|^#gens maps tried."""
-    gamma, coeff = ggroup.gamma, ggroup.coeff
-    m = coeff.order
-    gens = generators(gamma)
-    check_enumeration(m, gens, budget)
-    cocycles = []
-    for values in product(range(m), repeat=len(gens)):
-        f = _extend(gamma, coeff, gens, values, ggroup.action)
-        if f is not None and is_one_cocycle(ggroup, f):
-            cocycles.append(tuple(f))
-    return sorted(cocycles)
+def one_cocycles(ggroup):
+    """All 1-cocycles Gamma -> A, each a tuple indexed by Gamma, in
+    lexicographic order (see `groups._maps`)."""
+    return _maps(ggroup.gamma, ggroup.coeff, ggroup.action)
 
 
 def h1_nonabelian(ggroup):

@@ -114,38 +114,34 @@ def direct_product(g, h):
 ENUMERATION_BUDGET = 10**7
 
 
-def check_enumeration(target_order, gens, budget=ENUMERATION_BUDGET):
-    """Refuse trying all target_order^len(gens) generator images when
-    that count is above the budget."""
-    if target_order ** len(gens) > budget:
-        raise ValueError(
-            f"enumeration budget exceeded: {target_order}^{len(gens)} candidates "
-            f"above the budget of {budget}"
-        )
-
-
 def homomorphisms(g, h):
     """All group homomorphisms g -> h, each as a tuple indexed by g's
-    elements, in lexicographic order.  Tries every image in h of a greedy
-    generating set of g (|h|^#gens candidates, at most
-    ENUMERATION_BUDGET), extends it along the Cayley graph and keeps the
-    maps that respect the full table.  Each element is a generator or
-    lies in the subgroup of the generators before it, which fixes its
-    image; so generator images tried in lexicographic order give the maps
-    in lexicographic order."""
+    elements, in lexicographic order (see `_maps`)."""
+    return _maps(g, h)
+
+
+def _maps(g, h, action=None):
+    """Every map g -> h that `_extend` builds from images of a greedy
+    generating set of g, as tuples in lexicographic order: the
+    homomorphisms, or the 1-cocycles for an action.  `_extend` checks
+    f(x*s) = f(x) * x(f(s)) on every Cayley edge (x, s), and every element
+    is a word in the generators, so no map needs a further check.  Each
+    element is a generator or lies in the subgroup of the generators
+    before it, which fixes its image; so images tried in lexicographic
+    order give the maps in lexicographic order.  Refuses when the
+    |h|^#gens images to try exceed ENUMERATION_BUDGET."""
     gens = generators(g)
-    check_enumeration(h.order, gens)
-    n = g.order
-    homs = []
-    for gen_images in product(range(h.order), repeat=len(gens)):
-        images = _extend(g, h, gens, gen_images)
-        if images is not None and all(
-            images[g.table[a][b]] == h.table[images[a]][images[b]]
-            for a in range(n)
-            for b in range(n)
-        ):
-            homs.append(tuple(images))
-    return homs
+    if h.order ** len(gens) > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"enumeration budget exceeded: {h.order}^{len(gens)} candidates "
+            f"above the budget of {ENUMERATION_BUDGET}"
+        )
+    maps = []
+    for images in product(range(h.order), repeat=len(gens)):
+        f = _extend(g, h, gens, images, action)
+        if f is not None:
+            maps.append(tuple(f))
+    return maps
 
 
 def generators(g):

@@ -1,12 +1,14 @@
 """A record of what the tests build, for test_theorems.py.
 
-The library checks its inputs once, where they enter, and trusts three
-theorems instead of re-checking their conclusions: a valid descent datum
-is a module over the crossed product, an untwisted one has a k-form of
-full dimension (Speiser's lemma), and the quaternion class (d, c) is
-bilinear in c.  test_theorems.py checks those conclusions on every
-descent datum, inner-form invariant and coboundary isomorphism that any
-test, golden included, builds; its tests run after all the others.
+The library checks its inputs once, where they enter, and trusts four
+theorems instead of re-checking their conclusions: a map built from
+generator images that agrees on every Cayley edge is a homomorphism or a
+1-cocycle, a valid descent datum is a module over the crossed product,
+an untwisted one has a k-form of full dimension (Speiser's lemma), and
+the quaternion class (d, c) is bilinear in c.  test_theorems.py checks
+those conclusions on every enumeration of maps, descent datum,
+inner-form invariant and coboundary isomorphism that any test, golden
+included, builds; its tests run after all the others.
 
 Each recorded function is replaced in every galforms namespace that binds
 it before the test modules import it, so `from galforms.x import f`
@@ -18,7 +20,7 @@ import pytest
 
 import galforms.cli  # loads every galforms module
 
-BUILT = {"data": {}, "invariants": {}, "isomorphisms": {}}
+BUILT = {"maps": {}, "data": {}, "invariants": {}, "isomorphisms": {}}
 
 
 def _record(module, name, kind, pick):
@@ -39,6 +41,7 @@ def _record(module, name, kind, pick):
                 setattr(namespace, attr, wrapper)
 
 
+_record(galforms.groups, "_maps", "maps", lambda args, result: (args, result))
 _record(galforms.descent, "validate_datum", "data", lambda args, result: args[0])
 _record(galforms.classify, "build_inner_invariant", "invariants", lambda args, result: result)
 _record(galforms.crossed, "coboundary_isomorphism", "isomorphisms", lambda args, result: result)

@@ -437,12 +437,13 @@ def dense_smith(matrix, u=False, v=False, u_inv=False, v_inv=False, normalize=Tr
     )
 
 
-# Gauss-Jordan elimination over an exact field, as galforms ran it before
-# qlinalg's fraction-free elimination: the reference that rank, solve,
-# mat_inv, kernel and the determinant must match.
+# Gauss-Jordan elimination over Q, as galforms ran it before qlinalg's
+# fraction-free elimination: the reference that rank, solve, mat_inv,
+# kernel and the determinant must match.  Entries are read as Fractions,
+# so integer input is eliminated exactly too.
 
 def _copy(a):
-    return [list(row) for row in a]
+    return [[Fraction(x) for x in row] for row in a]
 
 
 def gauss_rank(a):
@@ -471,7 +472,7 @@ def gauss_solve(a, b):
     """Solve the square system a x = b; b may be a matrix (list of rows)
     or a vector.  Returns None if a is singular."""
     vector = b and not isinstance(b[0], list)
-    rhs = [[x] for x in b] if vector else _copy(b)
+    rhs = _copy([[x] for x in b] if vector else b)
     m = [list(ra) + list(rb) for ra, rb in zip(_copy(a), rhs)]
     n = len(a)
     width = len(m[0])
@@ -495,15 +496,7 @@ def gauss_mat_inv(a):
     n = len(a)
     if n == 0:
         return []
-    one = a[0][0] / a[0][0] if a[0][0] else None
-    if one is None:
-        # find any nonzero entry to manufacture 1
-        nz = next((x for row in a for x in row if x), None)
-        if nz is None:
-            return None
-        one = nz / nz
-    zero = one - one
-    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     return gauss_solve(a, eye)
 
 

@@ -36,6 +36,7 @@ from galforms.cohomology import (
 from galforms.descent import make_datum
 from galforms.exact_linalg import IntMatrix, _mul
 from galforms.fields import cyclotomic_field, quadratic_field
+from galforms import groups
 from galforms.groups import FiniteGroup, cyclic, direct_product, homomorphisms, symmetric
 from oracles import (
     bar_rows,
@@ -131,24 +132,27 @@ def test_one_cocycles_match_brute_force(gamma_spec):
     assert actions >= len(H1_COEFFICIENTS)
 
 
-def test_one_cocycles_budget():
+def test_one_cocycles_budget(monkeypatch):
     """The budget counts the |A|^#gens maps tried: C2^3 needs three
     generators."""
     ggroup = GGroup.trivial_action(parse_group("C2xC2xC2"), symmetric(3))
-    with pytest.raises(ValueError, match=r"enumeration budget exceeded: 6\^3 candidates"):
-        one_cocycles(ggroup, budget=6**3 - 1)
-    assert one_cocycles(ggroup, budget=6**3) == one_cocycles_brute(ggroup)
+    monkeypatch.setattr(groups, "ENUMERATION_BUDGET", 6**3 - 1)
+    with pytest.raises(ValueError, match=r"enumeration budget exceeded: 6\^3 candidates above the budget of 215$"):
+        one_cocycles(ggroup)
+    monkeypatch.setattr(groups, "ENUMERATION_BUDGET", 6**3)
+    assert one_cocycles(ggroup) == one_cocycles_brute(ggroup)
 
 
-def test_one_cocycles_of_a_large_cyclic_group():
+def test_one_cocycles_of_a_large_cyclic_group(monkeypatch):
     """C12 on S3 tries 6 maps, far inside the budget, though |A|^(|Gamma|-1)
     is 6^11; every action agrees with the exhaustive search."""
     gamma, coeff = cyclic(12), symmetric(3)
     aut, perms = _automorphisms(coeff)
+    monkeypatch.setattr(groups, "ENUMERATION_BUDGET", 6)
     for rho in homomorphisms(gamma, aut):
         ggroup = GGroup(gamma, coeff, [perms[x] for x in rho])
         brute = one_cocycles_brute(ggroup)
-        assert one_cocycles(ggroup, budget=6) == brute, rho
+        assert one_cocycles(ggroup) == brute, rho
         assert h1_nonabelian(ggroup) == _h1_classes(ggroup, brute), rho
     assert len(h1_nonabelian(GGroup.trivial_action(gamma, coeff))) == 3
 

@@ -83,3 +83,36 @@ def test_outputs_are_fractions():
     """Integer input still gives Fraction entries, never floats."""
     assert all(type(x) is Fraction for row in qlinalg.mat_inv([[2, 1], [1, 1]]) for x in row)
     assert all(type(x) is Fraction for row in qlinalg.kernel([[1, 2, 3]]) for x in row)
+
+
+def _entries(x):
+    if isinstance(x, list):
+        for y in x:
+            yield from _entries(y)
+    else:
+        yield x
+
+
+def test_gauss_jordan_oracles_are_exact_on_integers():
+    """Integer input gives Fractions, never floats, and qlinalg's answers;
+    0.5 == Fraction(1, 2), so the types are checked apart from the values."""
+    assert gauss_solve([[2, 0], [0, 4]], [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
+    assert gauss_kernel([[2, 4, 6]]) == [[-2, 1, 0], [-3, 0, 1]]
+    assert gauss_mat_inv([[0, 2], [3, 0]]) == [[0, Fraction(1, 3)], [Fraction(1, 2), 0]]
+    rng = random.Random(13)
+    for rows, cols, r in shapes(rng):
+        m = random_rational_matrix(rng, rows, cols, r, False)
+        got = [gauss_rank(m)]
+        assert qlinalg.rank(m) == got[-1], m
+        if any(x for row in m for x in row):
+            got.append(gauss_kernel(m))
+            assert qlinalg.kernel(m) == got[-1], m
+        if rows == cols:
+            got.append(gauss_mat_inv(m))
+            assert qlinalg.mat_inv(m) == got[-1], m
+            b = [rng.randint(-5, 5) for _ in range(rows)]
+            got.append(gauss_solve(m, b))
+            assert qlinalg.solve(m, b) == got[-1], m
+            got.append(fraction_determinant(m))
+            assert (got[-1] == 0) == (qlinalg.mat_inv(m) is None), m
+        assert not any(isinstance(x, float) for x in _entries(got)), m

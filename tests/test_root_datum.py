@@ -1,6 +1,5 @@
 """Root data, duality, fundamental groups, outer automorphisms."""
 
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -229,7 +228,7 @@ def _rebased(brd, basis):
     integer matrix given by rows, inside X and holding every root: each
     root in the coordinates of that basis, each coroot in the dual ones
     (basis^T times it), built by the public constructors."""
-    inverse = gauss_mat_inv([[Fraction(x) for x in row] for row in basis])
+    inverse = gauss_mat_inv(basis)
     roots = tuple(tuple(sum(x * y for x, y in zip(row, r)) for row in inverse) for r in brd.datum.roots)
     assert all(x.denominator == 1 for r in roots for x in r)
     roots = tuple(tuple(int(x) for x in r) for r in roots)

@@ -1,10 +1,14 @@
 """The theorems the library trusts, checked on everything the tests build.
 
-conftest.py records every descent datum that validate_datum sees, every
-inner-form invariant and every coboundary isomorphism; these tests run
-after all the others and check on each what the library does not
-re-check per call:
+conftest.py records every enumeration of maps out of a group, every
+descent datum that validate_datum sees, every inner-form invariant and
+every coboundary isomorphism; these tests run after all the others and
+check on each what the library does not re-check per call:
 
+- each map `groups._maps` returns is a homomorphism, or for an action a
+  1-cocycle, on the full table, and the maps come out in strictly
+  ascending order (`_extend` checks the Cayley edges only, and
+  `classify-quasisplit` and `h1` print the maps in the order they come);
 - a valid datum on V != 0 is a right module over A_zeta of k-dimension
   dim * [K:k] (the module equivalence; `descend` prints that number
   without building the module);
@@ -18,8 +22,8 @@ re-check per call:
 - a coboundary isomorphism is unital and multiplicative.
 
 The descend goldens are replayed here, so their data are checked whatever
-the selection; the invariants and isomorphisms come from the other test
-modules, so run alone these tests find none and fail."""
+the selection; the maps, invariants and isomorphisms come from the other
+test modules, so run alone these tests find none and fail."""
 
 import contextlib
 import io
@@ -51,6 +55,22 @@ def valid_data(built, tmp_path_factory):
     data = [datum for datum in list(built["data"].values()) if validate_datum(datum)[0]]
     assert data
     return data
+
+
+def test_every_enumerated_map_is_a_cocycle_and_the_maps_ascend(built):
+    """f(1) = 1 and f(ab) = f(a) a(f(b)), a acting trivially when there is
+    no action: a homomorphism or a 1-cocycle."""
+    calls = list(built["maps"].values())
+    assert any(len(args) == 2 for args, _ in calls) and any(len(args) == 3 for args, _ in calls)
+    for args, maps in calls:
+        g, h = args[:2]
+        acts = args[2] if len(args) == 3 else [range(h.order)] * g.order
+        assert all(f < f_next for f, f_next in zip(maps, maps[1:])), args
+        for f in maps:
+            assert f[g.identity] == h.identity
+            for a in g.elements():
+                row, act = h.table[f[a]], acts[a]
+                assert all(f[g.table[a][b]] == row[act[f[b]]] for b in g.elements()), (args, f)
 
 
 def test_every_valid_datum_is_a_module_of_dimension_dim_times_degree(valid_data):
