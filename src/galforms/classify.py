@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact_linalg import coinvariants
+from .exact_linalg import _coinvariants
 from .fields import BrauerClass, brauer_class_quaternion, quadratic_field
 from .groups import homomorphisms
 from .root_datum import fundamental_group, outer_automorphisms
@@ -91,8 +91,9 @@ def quasisplit_cocharacter_data(brd, form, height=4):
     # the set of its images under them.
     matrices = [out_elements[x].cochar_matrix for x in image]
     # Over Q, V = V^Gamma + sum im(g - 1) for a finite group, so the free
-    # rank of the coinvariants is the rank of the fixed sublattice.
-    group, projection = coinvariants(rank, matrices)
+    # rank of the coinvariants is the rank of the fixed sublattice.  The
+    # matrices are integral of finite order, so not checked again.
+    group, projection = _coinvariants(rank, matrices)
     # The dominant coweights of the box in order, as the keys of a dict,
     # once per datum and height.
     cache = vars(brd).setdefault("_dominant", {})

@@ -3,20 +3,23 @@
 A = sum over a in Gamma of K * e_a with e_a e_b = zeta(a, b) e_{ab} and
 the commutation rule e_a * lam = a(lam) * e_a.  (This is the rule forced
 by associativity together with the standard cocycle identity; it makes
-e_a act as the a^-1-semilinear descent map on right modules.)
+e_a act as the a^-1-semilinear descent map on right modules.)  The table
+of products of k-basis elements is kept as integer rows over one
+denominator, and the center and the trace form are read from it with
+exact_linalg's integer routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from . import qlinalg
 from .cohomology import (
     CyclicNormClasses,
     is_two_cocycle_kx,
     kx_coboundary_of,
 )
+from .exact_linalg import kernel, rank
 from .fields import FieldElement, brauer_class_quaternion
 
 
@@ -41,8 +44,8 @@ class CrossedProductAlgebra:
         self.group = action.group
         self.deg = self.field.degree
         self.dim = self.group.order * self.deg
-        # Plain lists of Fractions, never AlgebraElements: an element points
-        # back at its algebra, and that cycle would keep dead algebras alive.
+        # Integer rows over one denominator, never AlgebraElements: an element
+        # points back at its algebra, a cycle that would keep dead algebras alive.
         self._table = None
         self._center = None
 
@@ -106,29 +109,30 @@ class CrossedProductAlgebra:
         return AlgebraElement(self, tuple(out))
 
     def _products(self):
-        """t[i][j] = k-coordinates of b_i * b_j, for k-basis elements b.
-
+        """(t, L): t[i][j] is L times the k-coordinates of b_i * b_j, for
+        k-basis elements b, and L the lcm of the cocycle's denominators.
         With b_(a,s) = theta^s e_a, b_(a,s) b_(b,t) = theta^s a(theta^t)
-        zeta(a, b) e_ab: the |Gamma|^2 deg products a(theta^t) zeta(a, b)
-        are formed once, then multiplied by each power theta^s.  Only
-        block ab of the product is nonzero."""
+        zeta(a, b) e_ab, and a(theta^t) L zeta(a, b) has integer
+        coordinates, the Galois matrices being integral: these |Gamma|^2
+        deg products are formed once, then multiplied by each power
+        theta^s.  Only block ab of the product is nonzero."""
         if self._table is None:
             field, group, deg, dim = self.field, self.group, self.deg, self.dim
-            zero = Fraction(0)
-            powers = field.power_basis()
+            den = lcm(*[c.denominator for zeta in self.cocycle.values.values() for c in zeta.coords])
+            powers = [[int(s == t) for s in range(deg)] for t in range(deg)]
             table = [[None] * dim for _ in range(dim)]
             for a in group.elements():
-                images = [self.action.apply(a, power) for power in powers]
+                images = [[int(c) for c in self.action.apply(a, x).coords] for x in field.power_basis()]
                 for b in group.elements():
                     start = group.table[a][b] * deg
-                    zeta = self.cocycle.value(a, b)
+                    zeta = [c.numerator * (den // c.denominator) for c in self.cocycle.value(a, b).coords]
                     for t, image in enumerate(images):
-                        y = (image * zeta).coords
+                        y = field._mul_ints(image, zeta)
                         for s, power in enumerate(powers):
-                            row = [zero] * dim
-                            row[start: start + deg] = field._mul_coords(power.coords, y) if s else y
+                            row = [0] * dim
+                            row[start: start + deg] = field._mul_ints(power, y) if s else y
                             table[a * deg + s][b * deg + t] = row
-            self._table = table
+            self._table = table, den
         return self._table
 
     def _generators(self):
@@ -142,8 +146,8 @@ class CrossedProductAlgebra:
         """k-basis of the center, as AlgebraElements: the commutant of the
         generators theta and e_a."""
         if self._center is None:
-            t = self._products()
-            self._center = qlinalg.kernel([
+            t = self._products()[0]
+            self._center = kernel([
                 [t[g][j][i] - t[j][g][i] for j in range(self.dim)]
                 for g in self._generators()
                 for i in range(self.dim)
@@ -151,19 +155,17 @@ class CrossedProductAlgebra:
         return [self.from_k_coords(vec) for vec in self._center]
 
     def trace_form_gram(self):
-        """Gram matrix of (x, y) -> tr(xy) on the k-basis.  Left
-        multiplication by b_(a,s) sends block b to block ab, so only the
-        basis elements of the e_1 block, a = 1, have a nonzero trace."""
-        t = self._products()
+        """Gram matrix G / L^2 of (x, y) -> tr(xy) on the k-basis, as
+        (G, L^2), G integer rows.  Left multiplication by b_(a,s) sends
+        block b to block ab, so only the basis elements of the e_1 block,
+        a = 1, have a nonzero trace, L tr(b_k) = sum_i t[k][i][i]."""
+        t, den = self._products()
         start = self.group.identity * self.deg
         block = [
             (k, sum(t[k][i][i] for i in range(self.dim)))
             for k in range(start, start + self.deg)
         ]
-        return [
-            [sum(tij[k] * tr for k, tr in block) for tij in ti]
-            for ti in t
-        ]
+        return [[sum(tij[k] * tr for k, tr in block) for tij in ti] for ti in t], den * den
 
     def is_central_simple(self):
         """Center = k and trace form nondegenerate (semisimplicity in
@@ -172,7 +174,7 @@ class CrossedProductAlgebra:
         basis products."""
         if len(self.center_basis()) != 1:
             return False
-        return qlinalg.rank(self.trace_form_gram()) == self.dim
+        return rank(self.trace_form_gram()[0]) == self.dim
 
     def is_quaternion(self):
         return self.field.kind == "quadratic" and self.group.order == 2

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from . import qlinalg
 from .cohomology import trivial_kx_cocycle
 from .crossed import CrossedProductAlgebra
-from .fields import FieldElement, _rationals, k_entries, k_matrix
-from .qlinalg import _integral, _scaled_matrix
+from .exact_linalg import kernel, mat_mul, rank, solve
+from .fields import FieldElement, _integral, _rationals, _scaled_matrix, k_entries, k_matrix
 
 
 def kmat(field, rows):
@@ -96,7 +95,7 @@ def _verdict(datum):
     for a in group.elements():
         s_a = k_matrix(action.field, datum.matrices[a], action.elements[group.inv(a)])
         n_a, d_a = _scaled_matrix(s_a)
-        if qlinalg.rank(n_a) != len(n_a):
+        if rank(n_a) != len(n_a):
             return f"component {a} is not bijective", None
         scaled.append((n_a, d_a))
     # b_V o a_V = (ab)_V o zeta(a, b) is S_b S_a = S_ab Z, Z block diagonal
@@ -107,7 +106,7 @@ def _verdict(datum):
             n_ab, d_ab = scaled[group.table[a][b]]
             block, d_z = _scaled_matrix(k_matrix(action.field, [[datum.cocycle.value(a, b)]]))
             # N_b N_a / (D_b D_a) = N_ab Z' / (D_ab d_z), with Z = Z' / d_z
-            lhs = [[x * d_ab * d_z for x in row] for row in qlinalg.mat_mul(n_b, n_a)]
+            lhs = [[x * d_ab * d_z for x in row] for row in mat_mul(n_b, n_a)]
             rhs = [[y * d_b * d_a for y in row] for row in _times_blocks(n_ab, block)]
             if lhs != rhs:
                 return f"twisted composition fails at pair ({a}, {b})", None
@@ -163,7 +162,7 @@ class AModule:
         and D_x the lcm of its denominators; both sides are compared as
         integer matrices."""
         algebra = self.algebra
-        table = algebra._products()
+        table, lden = algebra._products()
         scaled = [_scaled_matrix(m) for m in self.actions]
         unit, den = scaled[algebra.group.identity * algebra.deg]
         if any(x != den * (i == j) for i, row in enumerate(unit) for j, x in enumerate(row)):
@@ -176,11 +175,8 @@ class AModule:
                 # right modules: v.(xg) = (v.x).g, so R_{xg} = R_g R_x.
                 # b_x b_g = sum_z (C_z / L) b_z; with delta the lcm of the
                 # D_z, L delta R_{xg} = sum_z C_z (delta / D_z) N_z
-                coeffs, lden = _integral(table[x_idx][g])
-                terms = [(c, scaled[z]) for z, c in enumerate(coeffs) if c]
-                delta = 1
-                for _c, (_n, d_z) in terms:
-                    delta = delta * d_z // gcd(delta, d_z)
+                terms = [(c, scaled[z]) for z, c in enumerate(table[x_idx][g]) if c]
+                delta = lcm(*[d_z for _c, (_n, d_z) in terms])
                 terms = [(c * (delta // d_z), n_z) for c, (n_z, d_z) in terms]
                 lhs_scale, rhs_scale = d_g * d_x, lden * delta
                 for i, row_g in enumerate(n_g):
@@ -243,39 +239,35 @@ def from_module(module):
     # rational matrices for the scalar action of the field power basis
     ident = algebra.group.identity
     scalar_mats = [module.actions[ident * deg + t] for t in range(deg)]
-    # greedy K-basis from the standard k-basis
-    span_cols = []
-    chosen = []
+    # greedy K-basis from the standard k-basis: e_v joins it, with its
+    # theta^t e_v, unless it lies in the span of the columns so far
+    basis, span_ints = [], []
     for v_idx in range(big):
-        vec = [Fraction(0)] * big
-        vec[v_idx] = Fraction(1)
-        if span_cols:
-            trial = [list(col) for col in span_cols] + [vec]
-            mat = [[trial[c][r] for c in range(len(trial))] for r in range(big)]
-            if qlinalg.rank(mat) == len(span_cols):
-                continue
-        chosen.append(v_idx)
+        vec = [int(r == v_idx) for r in range(big)]
+        if rank(span_ints + [vec]) == len(span_ints):
+            continue
         for t in range(deg):
             col = [scalar_mats[t][r][v_idx] for r in range(big)]
-            span_cols.append(col)
-        if len(chosen) == n:
+            basis.append(col)
+            span_ints.append(_integral(col)[0])
+        if len(basis) == big:
             break
-    if len(chosen) < n:
+    if len(basis) < big:
         raise ValueError("K-scalar action is not free: no K-basis found")
-    basis_mat = [[span_cols[c][r] for c in range(big)] for r in range(big)]
-    inv = qlinalg.mat_inv(basis_mat)
-    if inv is None:
-        raise ValueError("K-scalar action is not free: no K-basis found")
-    # M_a is R_{e_a} (e_a is basis element a * deg) in the chosen K-basis
-    matrices = [
-        k_entries(field, qlinalg.mat_mul(inv, qlinalg.mat_mul(module.actions[a * deg], basis_mat)))
-        for a in algebra.group.elements()
-    ]
+    # M_a is R_{e_a} (basis element a * deg) in the chosen K-basis: with
+    # B = N / D and R_{e_a} = N_a / D_a, B^-1 R_{e_a} B is N^-1 N_a N / D_a
+    n_basis = _scaled_matrix(list(zip(*basis)))[0]
+    matrices = []
+    for a in algebra.group.elements():
+        n_a, d_a = _scaled_matrix(module.actions[a * deg])
+        m_a = solve(n_basis, mat_mul(n_a, n_basis))
+        if m_a is None:
+            raise ValueError("K-scalar action is not free: no K-basis found")
+        matrices.append(k_entries(field, [[x / d_a for x in row] for row in m_a]))
     datum = SemilinearDatum(algebra.action, cocycle, n, tuple(matrices))
     ok, why = validate_datum(datum)
     if not ok:
         raise ValueError(f"module does not come from a valid datum: {why}")
-    basis = [[basis_mat[r][c] for r in range(big)] for c in range(big)]
     return datum, basis
 
 
@@ -290,7 +282,7 @@ def fixed_space(datum):
     for n_a, d_a in _checked_k_matrices(datum):
         for i, row in enumerate(n_a):
             rows.append([x - d_a * (i == j) for j, x in enumerate(row)])
-    return qlinalg.kernel(rows)
+    return kernel(rows)
 
 
 # --- morphisms ------------------------------------------------------------
@@ -326,7 +318,7 @@ def module_morphisms(src, dst):
                 for l in range(n2):
                     row[l * n1 + j] -= rxp[i][l]
                 rows.append(row)
-    sols = qlinalg.kernel(rows)
+    sols = kernel([_integral(row)[0] for row in rows])
     return [
         [tuple(vec[i * n1 + j] for j in range(n1)) for i in range(n2)]
         for vec in sols

@@ -2,12 +2,17 @@
 
 Matrices with arbitrary-precision integer entries, Smith normal form,
 integer kernels, lattice quotients (cokernels), coinvariants and fixed
-sublattices for finite groups of lattice automorphisms.
+sublattices for finite groups of lattice automorphisms.  Over Q, on
+integer rows: the rank, from the Smith diagonal, and kernels and
+solutions, as Fractions, from one fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968; Cohen, GTM 138, 2.2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from operator import mul
 
 
@@ -329,6 +334,80 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False, normaliz
     return s, u_rows, v_cols, u_inv_cols, v_inv_rows
 
 
+def mat_mul(a, b):
+    """The product of two matrices given as lists of rows."""
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
+
+
+def rank(rows):
+    """The rank of a matrix given as integer rows: the number of nonzero
+    entries of its Smith diagonal."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    return sum(map(bool, _sparse_smith(sparse, len(rows[0]) if rows else 0, normalize=False)[0]))
+
+
+def _eliminate(r, pivot, col):
+    """p r - c pivot over its gcd, p and c the entries of pivot and r in
+    column col; None if it is zero."""
+    p, c = pivot[col], r[col]
+    r = [p * x - c * y for x, y in zip(r, pivot)]
+    g = gcd(*r)
+    return None if not g else [x // g for x in r] if g > 1 else r
+
+
+def _echelon(a):
+    """Fraction-free reduced row echelon form of the matrix with integer
+    rows a: (pivots, rows), zero rows dropped.  rows[k] is an integer row
+    whose leading entry lies in column pivots[k], and row k over that
+    entry is row k of the reduced echelon form.  Each pivot is eliminated
+    from the rows below it with a nonzero entry in its column, then, by
+    back-substitution, from the pivot rows above it."""
+    rows = [row for row in a if any(row)]
+    pivots, done = [], []
+    for col in range(len(a[0])):
+        k = next((i for i, r in enumerate(rows) if r[col]), None)
+        if k is None:
+            continue
+        pivot = rows.pop(k)
+        rows = [r for r in (_eliminate(r, pivot, col) if r[col] else r for r in rows) if r is not None]
+        pivots.append(col)
+        done.append(pivot)
+        if not rows:
+            break
+    for k in reversed(range(len(done))):
+        for j in range(k):
+            if done[j][pivots[k]]:
+                done[j] = _eliminate(done[j], done[k], pivots[k])
+    return pivots, done
+
+
+def kernel(rows):
+    """Basis of the right kernel {x : A x = 0} over Q of the matrix with
+    integer rows A, as Fraction vectors: the free-column basis of the
+    reduced echelon form, which does not depend on how A was scaled."""
+    if not rows:
+        return []
+    pivots, reduced = _echelon(rows)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        vec = [Fraction(int(c == fc)) for c in range(len(rows[0]))]
+        for col, row in zip(pivots, reduced):
+            vec[col] = Fraction(-row[fc], row[col])
+        basis.append(vec)
+    return basis
+
+
+def solve(a, b):
+    """The solution X over Q of the square system A X = B, for integer
+    rows A and B, as Fraction rows; None if A is singular."""
+    n = len(a)
+    pivots, rows = _echelon([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [[Fraction(x, row[k]) for x in row[n:]] for k, row in enumerate(rows)]
+
+
 def solve_integer(matrix, b):
     """An integer solution x of M x = b, or None if none exists.  It
     divides (U b)_t by s_t, so a diagonal S does."""
@@ -392,6 +471,11 @@ def coinvariants(rank, action):
     trivially: Z^rank / span{ g*x - x }, the span of the columns of the
     g - I side by side, as (group, projection)."""
     _check_actions(rank, action)
+    return _coinvariants(rank, action)
+
+
+def _coinvariants(rank, action):
+    """coinvariants of matrices known to be lattice automorphisms."""
     moved = tuple(
         tuple(x - (i == j) for g in action for j, x in enumerate(g._data[i])) for i in range(rank)
     )

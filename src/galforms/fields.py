@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .qlinalg import _integral
 from .groups import FiniteGroup
 
 INFINITE_PLACE = "inf"
@@ -144,12 +143,11 @@ class GaloisField:
         """sqrt(d) or zeta_n."""
         return self.element([0, 1] + [0] * (self.degree - 2))
 
-    def _mul_coords(self, x, y):
-        xs, dx = _integral(x)
-        ys, dy = _integral(y)
+    def _mul_ints(self, xs, ys):
+        """Coordinates of the product of elements with integer coordinates."""
         if self.kind == "quadratic":
             (a0, a1), (b0, b1) = xs, ys
-            return _rationals((a0 * b0 + self.param * a1 * b1, a0 * b1 + a1 * b0), dx * dy)
+            return a0 * b0 + self.param * a1 * b1, a0 * b1 + a1 * b0
         m = self.degree
         conv = [0] * (2 * m - 1)
         for i, a in enumerate(xs):
@@ -162,7 +160,7 @@ class GaloisField:
             if c:
                 for i, r in red:
                     out[i] += c * r
-        return _rationals(out, dx * dy)
+        return out
 
 
 def k_matrix(field, m, twist=None):
@@ -189,6 +187,20 @@ def k_entries(field, m):
         tuple(field.element([m[i + s][j] for s in range(deg)]) for j in range(0, len(m[0]), deg))
         for i in range(0, len(m), deg)
     )
+
+
+def _integral(coords):
+    """(integer numerators, common denominator) of rationals: the inverse of _rationals."""
+    den = lcm(*[c.denominator for c in coords])
+    if den == 1:
+        return [c.numerator for c in coords], 1
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _scaled_matrix(m):
+    """(N, D) with m = N / D: D the lcm of m's denominators, N integral."""
+    den = lcm(*[x.denominator for row in m for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 
 
 def _rationals(ints, den):
@@ -235,8 +247,8 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field._mul_coords(self.coords, o.coords))
+        (xs, dx), (ys, dy) = _integral(self.coords), _integral(self._coerce(other).coords)
+        return FieldElement(self.field, _rationals(self.field._mul_ints(xs, ys), dx * dy))
 
     __rmul__ = __mul__
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .exact_linalg import IntMatrix, _quotient, _smith, _sparse_smith
+from .exact_linalg import IntMatrix, _quotient, _smith, rank
 from .groups import FiniteGroup
 
 # A type label: a family, or T for a torus, and a plain decimal rank.
@@ -146,9 +146,7 @@ class BasedRootDatum:
         pair from a simple pair, and the coordinates have one sign each."""
         datum = self.datum
         simple = [(datum.roots[i], datum.coroots[i]) for i in self.simple_indices]
-        rows = [{j: x for j, x in enumerate(root) if x} for root, _ in simple]
-        diagonal = _sparse_smith(rows, datum.rank, normalize=False)[0]
-        if not all(row.get(t) for t, row in enumerate(diagonal)):
+        if rank([root for root, _ in simple]) != len(simple):
             raise ValueError("simple roots are linearly dependent")
         coords = _closure(simple)
         if set(coords) != set(zip(datum.roots, datum.coroots)):

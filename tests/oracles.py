@@ -22,9 +22,8 @@ from galforms.cohomology import (
 )
 from galforms import qlinalg
 from galforms.exact_linalg import IntMatrix, cokernel
-from galforms.fields import k_matrix
+from galforms.fields import _scaled_matrix, k_matrix
 from galforms.groups import FiniteGroup
-from galforms.qlinalg import _scaled_matrix
 from galforms.root_datum import OuterAutomorphism, _cartan_permutations
 
 

@@ -9,8 +9,7 @@ from galforms import qlinalg
 from galforms.cohomology import GaloisAction, kx_coboundary_of, quadratic_cocycle, trivial_kx_cocycle
 from galforms.crossed import CrossedProductAlgebra
 from galforms.descent import AModule, SemilinearDatum, _times_blocks, kmat, validate_datum
-from galforms.fields import _rationals, k_entries, k_matrix, quadratic_field
-from galforms.qlinalg import _scaled_matrix
+from galforms.fields import _rationals, _scaled_matrix, k_entries, k_matrix, quadratic_field
 
 
 def identity_datum(action, dim):
@@ -66,10 +65,10 @@ def conjugate_datum(datum, p):
 
 def regular_module(algebra):
     """The algebra as a right module over itself."""
-    t = algebra._products()
+    t, den = algebra._products()
     n = algebra.dim
-    # column j of R_x is b_j * x
-    actions = [[[t[j][x][i] for j in range(n)] for i in range(n)] for x in range(n)]
+    # column j of R_x is b_j * x, the table row over its denominator
+    actions = [[[Fraction(t[j][x][i], den) for j in range(n)] for i in range(n)] for x in range(n)]
     return AModule(algebra, n, actions)
 
 

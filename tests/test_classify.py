@@ -284,7 +284,7 @@ def test_coweight_box_budget(monkeypatch):
         raise AssertionError("coinvariants computed")
 
     brd = build_root_datum("E8", "adjoint")
-    monkeypatch.setattr(classify, "coinvariants", refuse)
+    monkeypatch.setattr(classify, "_coinvariants", refuse)
     with pytest.raises(ValueError, match=f"budget of {classify.COWEIGHT_BOX_BUDGET}"):
         quasisplit_cocharacter_data(brd, (0,), height=40)
 
@@ -301,7 +301,7 @@ def test_default_height_is_within_the_coweight_budget(monkeypatch, label):
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(classify, "coinvariants", reached)
+    monkeypatch.setattr(classify, "_coinvariants", reached)
     for isogeny in ("simply_connected", "adjoint"):
         with pytest.raises(Reached):
             quasisplit_cocharacter_data(build_root_datum(label, isogeny), (0,))

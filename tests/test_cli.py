@@ -862,7 +862,7 @@ def test_default_height_is_within_the_coweight_budget(capsys, monkeypatch):
     def reached(*args):
         raise ValueError("lattice work reached")
 
-    monkeypatch.setattr(classify, "coinvariants", reached)
+    monkeypatch.setattr(classify, "_coinvariants", reached)
     code, doc = invoke(capsys, "coinvariants", "--type", "E8", "--rho", "0")
     assert code == 1
     assert doc["error"] == "lattice work reached"

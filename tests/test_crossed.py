@@ -4,6 +4,7 @@ central simplicity, splitting, coboundary isomorphisms."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -67,7 +68,8 @@ def test_matrix_algebra_center_and_trace():
     assert a.is_central_simple()
     assert a.is_split_quaternion()
     one = a.group.identity * a.deg
-    assert a.trace_form_gram()[one][one] == 4
+    gram, den = a.trace_form_gram()
+    assert gram[one][one] == 4 * den
 
 
 def test_cyclotomic_crossed_product():
@@ -318,9 +320,11 @@ def cyclic_cocycle(action, c):
     return KxCocycle(action, values)
 
 
-def random_algebra(rng, field):
+def random_algebra(rng, field, c=None):
+    """The crossed product of cyclic_cocycle(c), c random if not given,
+    times the coboundary of a random primitive."""
     action = GaloisAction.of(field)
-    base = cyclic_cocycle(action, rng.choice([-3, -1, 2, 5, Fraction(3, 2)]))
+    base = cyclic_cocycle(action, rng.choice([-3, -1, 2, 5, Fraction(3, 2)]) if c is None else c)
     b = random_primitive(rng, field, action.group)
     return CrossedProductAlgebra(action, base * kx_coboundary_of(action, b))
 
@@ -336,7 +340,8 @@ def test_structure_matches_reference_definitions(field, count):
     for _ in range(count):
         alg = random_algebra(rng, field)
         assert [k_coords(z) for z in alg.center_basis()] == center_reference(alg)
-        assert alg.trace_form_gram() == trace_form_reference(alg)
+        gram, den = alg.trace_form_gram()
+        assert [[Fraction(x, den) for x in row] for row in gram] == trace_form_reference(alg)
         assert alg.is_central_simple()
 
 
@@ -356,11 +361,20 @@ def products_reference(alg):
 def test_products_match_multiplication(field):
     """b_(a,s) b_(b,t) = theta^s a(theta^t) zeta(a, b) e_ab against
     multiply() over the k-basis, on random cohomologous cocycles (n = 12
-    has the non-cyclic group C2 x C2)."""
+    has the non-cyclic group C2 x C2): each integer row of the table over
+    its denominator L is the product, and L is the lcm of the cocycle's
+    denominators, above 1 for one of the two cocycles at least (the
+    second has c = 5/97 when Gamma is cyclic)."""
     rng = random.Random(f"products-{field!r}")
-    for _ in range(2):
-        alg = random_algebra(rng, field)
-        assert alg._products() == products_reference(alg)
+    dens = []
+    for c in (None, Fraction(5, 97)):
+        alg = random_algebra(rng, field, c)
+        table, den = alg._products()
+        assert [[[Fraction(x, den) for x in row] for row in ti] for ti in table] == products_reference(alg)
+        assert all(type(x) is int for ti in table for row in ti for x in row)
+        assert den == lcm(*[x.denominator for zeta in alg.cocycle.values.values() for x in zeta.coords])
+        dens.append(den)
+    assert max(dens) > 1, dens
 
 
 def test_normalized_cocycles_stay_cocycles():

@@ -152,12 +152,12 @@ def test_a_datum_is_checked_once(monkeypatch):
             calls["semi"] += len(args) == 3 and args[2] is not None
             return fn(*args)
 
-        def counted_rank(*args, fn=qlinalg.rank):
+        def counted_rank(*args, fn=descent.rank):
             calls["rank"] += 1
             return fn(*args)
 
         monkeypatch.setattr(descent, "k_matrix", counted_k_matrix)
-        monkeypatch.setattr(qlinalg, "rank", counted_rank)
+        monkeypatch.setattr(descent, "rank", counted_rank)
         assert validate_datum(datum) == (True, None)
         to_module(datum)
         assert len(fixed_space(datum)) == 2

@@ -48,15 +48,19 @@ def test_a_module_loads_only_its_imports():
     """The package re-exports nothing, so importing galforms.fields loads
     what fields imports and no other galforms module, the lattice layer
     galforms.exact_linalg loads no other galforms module at all, and
-    galforms.root_datum stays on the integer layer, without qlinalg."""
+    galforms.root_datum, galforms.fields and galforms.descent (with the
+    crossed products it imports) load no qlinalg: their linear algebra
+    is exact_linalg's, on integer rows."""
     script = (
         "import importlib, sys; sys.path.insert(0, sys.argv[1]); importlib.import_module(sys.argv[2]); "
         "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'galforms'))"
     )
     for module, loaded in (
-        ("galforms.fields", ["galforms", "galforms.fields", "galforms.groups", "galforms.qlinalg"]),
+        ("galforms.fields", ["galforms", "galforms.fields", "galforms.groups"]),
         ("galforms.exact_linalg", ["galforms", "galforms.exact_linalg"]),
         ("galforms.root_datum", ["galforms", "galforms.exact_linalg", "galforms.groups", "galforms.root_datum"]),
+        ("galforms.descent", ["galforms", "galforms.cohomology", "galforms.crossed", "galforms.descent",
+                              "galforms.exact_linalg", "galforms.fields", "galforms.groups"]),
     ):
         proc = subprocess.run(
             [sys.executable, "-I", "-S", "-c", script, str(ROOT / "src"), module], capture_output=True, text=True

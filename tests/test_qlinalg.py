@@ -1,11 +1,13 @@
-"""qlinalg's fraction-free elimination against Gauss-Jordan over Fractions."""
+"""The fraction-free elimination against Gauss-Jordan over Fractions:
+exact_linalg's integer routines on integer matrices, and qlinalg's
+adapters, which clear denominators and call them, on rational ones."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from galforms import qlinalg
+from galforms import exact_linalg, qlinalg
 from oracles import (
     fraction_determinant,
     gauss_kernel,
@@ -50,22 +52,28 @@ def test_core_matches_gauss_jordan(denominators):
     for rows, cols, r in shapes(rng):
         m = random_rational_matrix(rng, rows, cols, r, denominators)
         q = as_fractions(m)
-        assert qlinalg.rank(m) == gauss_rank(q), m
-        if any(x for row in m for x in row):
-            assert qlinalg.kernel(m) == gauss_kernel(q), m
+        # exact_linalg's routines take integer rows: the cases without
+        # denominators
+        modules = (qlinalg,) if denominators else (qlinalg, exact_linalg)
+        for module in modules:
+            assert module.rank(m) == gauss_rank(q), (module, m)
+            if any(x for row in m for x in row):
+                assert module.kernel(m) == gauss_kernel(q), (module, m)
         if rows == cols:
             assert (fraction_determinant(q) == 0) == (qlinalg.mat_inv(m) is None), m
             assert qlinalg.mat_inv(m) == gauss_mat_inv(q), m
             b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rows)]
             assert qlinalg.solve(m, b) == gauss_solve(q, b), m
             bm = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(rows)]
-            assert qlinalg.solve(m, bm) == gauss_solve(q, as_fractions(bm)), m
+            for module in modules:
+                assert module.solve(m, bm) == gauss_solve(q, as_fractions(bm)), (module, m)
 
 
 def test_empty_matrices():
-    assert qlinalg.rank([]) == gauss_rank([]) == 0
-    assert qlinalg.rank([[]]) == 0
-    assert qlinalg.kernel([]) == gauss_kernel([]) == []
+    for module in (qlinalg, exact_linalg):
+        assert module.rank([]) == gauss_rank([]) == 0
+        assert module.rank([[]]) == 0
+        assert module.kernel([]) == gauss_kernel([]) == []
     assert qlinalg.mat_inv([]) == gauss_mat_inv([]) == []
 
 
@@ -74,9 +82,11 @@ def test_kernel_of_zero_matrix_is_the_standard_basis():
         zero = [[Fraction(0)] * cols for _ in range(rows)]
         with pytest.raises(ValueError):
             gauss_kernel(zero)
-        assert qlinalg.kernel(zero) == [[Fraction(i == j) for i in range(cols)] for j in range(cols)]
-        assert qlinalg.rank(zero) == 0
+        for module, m in ((qlinalg, zero), (exact_linalg, [[0] * cols for _ in range(rows)])):
+            assert module.kernel(m) == [[Fraction(i == j) for i in range(cols)] for j in range(cols)]
+            assert module.rank(m) == 0
     assert qlinalg.mat_inv([[0, 0], [0, 0]]) is None
+    assert exact_linalg.solve([[0, 0], [0, 0]], [[1, 0], [0, 1]]) is None
 
 
 def test_outputs_are_fractions():
