@@ -177,18 +177,30 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False, normaliz
     false, S stops at a diagonal: its nonzero entries come first, of
     either sign and in no divisibility chain, and the rows of U and V^-1
     and the columns of V and U^-1 from the rank on are the normalized
-    ones."""
+    ones.
+
+    Rows are read lazily (Gilbert & Peierls, SIAM J. Sci. Stat. Comput. 9,
+    1988).  While every pivot so far is 1 or -1, a row that has not been
+    a pivot is zero on the pivoted keys and equals its input row times V
+    on the others.  So a row in unread keeps its input until the pivot
+    scan first reads it; it is then its input times v_rows, V by rows on
+    the keys not yet pivoted, keyed like s, and from then on row_op
+    updates it.  A scan that meets no entry 1 or -1 reads every live row,
+    which ends the lazy phase; with U or U^-1 asked for, every row is
+    read from the start."""
     m, n = len(s), ncols
     # the rows keep the input's column keys: column j is key at[j], and
     # key c is column pos[c], so a column swap touches no row
     at, pos = list(range(n)), list(range(n))
-    holding = [set() for _ in range(n)]  # by key: the rows that may hold it
+    holding = [set() for _ in range(n)]  # by key: the read rows that may hold it
+    unread = set() if u or u_inv else {i for i in range(m) if s[i]}
     for i, row in enumerate(s):
-        for k in row:
-            holding[k].add(i)
-    u_rows, v_cols, u_inv_cols, v_inv_rows = (
+        if i not in unread:
+            for k in row:
+                holding[k].add(i)
+    u_rows, v_cols, u_inv_cols, v_inv_rows, v_rows = (
         [{i: 1} for i in range(k)] if wanted else None
-        for k, wanted in ((m, u), (n, v), (m, u_inv), (n, v_inv))
+        for k, wanted in ((m, u), (n, v or unread), (m, u_inv), (n, v_inv), (n, unread))
     )
 
     def axpy(lines, i, j, q):  # lines[i] += q * lines[j]
@@ -237,6 +249,14 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False, normaliz
                     holding[ci].add(r)
                 else:
                     del row[ci]
+        if unread:
+            for r in v_cols[j]:
+                row = v_rows[r]
+                y = row.get(ci, 0) - q * row[cj]
+                if y:
+                    row[ci] = y
+                else:
+                    del row[ci]
         if v_cols:
             axpy(v_cols, i, j, -q)
         if v_inv_rows:
@@ -258,6 +278,11 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False, normaliz
         while True:
             pivot, best, kept, rest = None, 0, [], []
             for k, i in enumerate(live):
+                if i in unread:
+                    unread.remove(i)
+                    s[i] = _mul([s[i]], v_rows)[0]
+                    for c in s[i]:
+                        holding[c].add(i)
                 if s[i]:
                     kept.append(i)
                     a = min(map(abs, s[i].values()))
@@ -296,6 +321,9 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False, normaliz
         if pivot is None:
             break
         del live[0]
+        if unread:
+            for r in v_cols[t]:
+                del v_rows[r][at[t]]
 
     # normalize signs; r = 0 skips them and the chain
     r = min(m, n) if normalize else 0
@@ -330,8 +358,9 @@ def _sparse_smith(s, ncols, u=False, v=False, u_inv=False, v_inv=False, normaliz
                     negate_row(t + 1)
                 changed = True
 
-    s = [{pos[c]: x for c, x in row.items()} for row in s]
-    return s, u_rows, v_cols, u_inv_cols, v_inv_rows
+    # rows never read lie below n pivots, all 1 or -1, so they are zero
+    s = [{} if i in unread else {pos[c]: x for c, x in row.items()} for i, row in enumerate(s)]
+    return s, u_rows, v_cols if v else None, u_inv_cols, v_inv_rows
 
 
 def mat_mul(a, b):

@@ -21,6 +21,7 @@ from galforms.exact_linalg import (
     solve_integer,
 )
 from galforms import qlinalg
+from galforms.cli import parse_group
 from galforms.cohomology import GModule, _bar_rows
 from galforms.exact_linalg import _dense
 from galforms.groups import cyclic, direct_product
@@ -126,6 +127,68 @@ def test_sparse_smith_on_bar_differentials(gamma, moduli):
         for flags in [(False, True, False, True, True), (True, True, True, True, True),
                       (False, True, False, True, False), (True, True, True, True, False)]:
             assert _smith(m, *flags) == dense_smith(m, *flags)
+
+
+LAZY_FLAGS = [(False, False, False, False, True), (False, True, False, True, True),
+              (False, True, False, True, False), (True, True, False, False, True)]
+
+
+@pytest.mark.parametrize("spec, sign", [
+    (spec, False) for spec in ("C2", "C3", "C4", "C5", "C6", "S3", "C7", "C8", "C2xC2",
+                               "C4xC2", "C2xC4", "C2xC2xC2")
+] + [("C2", True), ("C4", True), ("C6", True)])
+def test_lazy_rows_take_the_dense_pivots_on_workload_bar_differentials(spec, sign):
+    """Without U and U^-1 the elimination computes a row only when its
+    pivot scan first reads it.  On d1 and d2 of every h2 workload group of
+    order at most 8, with one coordinate, trivial or (for cyclic groups
+    of even order) by the sign character, it still equals the dense
+    elimination: with no transform, V and V^-1, V and V^-1 stopped at a
+    diagonal, and U and V, which read every row from the start."""
+    gamma = parse_group(spec)
+    mod = GModule(gamma, (3,), [IntMatrix([[(-1) ** g if sign else 1]]) for g in range(gamma.order)])
+    n = gamma.order
+    for p, cols in ((1, n), (2, n * n)):
+        m = _dense(_bar_rows(mod, p), cols)
+        for flags in LAZY_FLAGS:
+            assert _smith(m, *flags) == dense_smith(m, *flags), (p, flags)
+
+
+def unimodular(rng, n, steps):
+    """A random unimodular n x n matrix, n >= 2: the identity under row
+    swaps and row additions with small multipliers."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            q = rng.choice([-2, -1, 1, 2])
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lazy_rows_filled_in_at_the_first_pivot_not_one(seed):
+    """On U diag(1, ..., 1, d, ...) V, U and V unimodular, the pivots run
+    1 or -1 for a while and then not, so the elimination reads some rows
+    lazily and fills in the rest at the first other pivot.  It still
+    equals the dense elimination."""
+    rng = random.Random(seed)
+    partway = 0
+    for _ in range(40):
+        rows, cols = rng.randint(2, 12), rng.randint(2, 12)
+        units = rng.randint(1, min(rows, cols))
+        diag = [1] * units + [rng.choice([0, 2, 3, 4, 6, 12]) for _ in range(min(rows, cols) - units)]
+        d = IntMatrix([[diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)])
+        m = unimodular(rng, rows, 3 * rows) * d * unimodular(rng, cols, 3 * cols)
+        # a first pivot 1 or -1, and an invariant factor above 1, which
+        # some later pivot must carry
+        s = _smith(m)[0]
+        partway += any(abs(x) == 1 for row in m._data for x in row) and any(
+            s[t, t] > 1 for t in range(min(rows, cols)))
+        for flags in LAZY_FLAGS:
+            assert _smith(m, *flags) == dense_smith(m, *flags), (m, flags)
+    assert partway > 10
 
 
 @pytest.mark.parametrize("seed", range(3))
