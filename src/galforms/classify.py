@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import itemgetter, mul
 
 from .exact_linalg import _coinvariants
 from .fields import BrauerClass, brauer_class_quaternion, quadratic_field
@@ -55,6 +56,17 @@ class _NotAHomomorphism(ValueError):
     """rho is the table of no homomorphism from any group into Out."""
 
 
+def _action(matrix):
+    """w -> matrix·w on int tuples, the rows read once: an itemgetter when
+    every row is a unit vector (each Out(G) matrix of a Cartan type
+    permutes its basis), else dot products with the rows."""
+    rows = matrix._data
+    picks = [row.index(1) for row in rows if row.count(0) == len(row) - 1 and 1 in row]
+    if len(picks) == len(rows) > 1:
+        return itemgetter(*picks)
+    return lambda w: tuple([sum(map(mul, row, w)) for row in rows])
+
+
 # Most points of the box [0, height]^rank that the dominant coweights are
 # read from: every rank-8 type at the default height 4 (5^8 = 390625
 # points) is inside.
@@ -101,12 +113,13 @@ def quasisplit_cocharacter_data(brd, form, height=4):
         cache[height] = dict.fromkeys(w for w in iproduct(range(height + 1), repeat=rank)
                                       if brd.is_dominant_coweight(w))
     dominant = cache[height]
+    actions = [_action(m) for m in matrices[1:]]
     orbits = []
     placed = set()
     for w in dominant:
         if w in placed:
             continue
-        orbit = {w}.union(m.apply(w) for m in matrices[1:])
+        orbit = {w}.union([act(w) for act in actions])
         if not orbit <= dominant.keys():
             raise ValueError("outer action does not preserve dominance")
         placed |= orbit

@@ -277,22 +277,80 @@ def load_job(args):
     return doc
 
 
+# json.dump with an indent walks every value through nested generators in
+# pure Python (its C encoder serves indent=None only) and writes each chunk
+# on its own.  _dumps builds a container with one join of its items; emit
+# writes the document a value at a time and a list value in runs of _RUN
+# items, so an answer of tens of megabytes is never held twice.
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(16))
+_SEPARATOR = tuple("," + newline for newline in _NEWLINE)
+_RUN = 512
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _str_keys(o):
+    return all(isinstance(key, str) for key in o)
+
+
+def _dumps(o, depth):
+    """o as json.dumps(o, indent=2, sort_keys=True) encodes it at nesting
+    depth, with json's type dispatch.  Floats, dicts with a key that is
+    not a str, and containers nested as deep as _NEWLINE reaches are left
+    to json."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    deeper = depth + 1 < len(_NEWLINE)
+    if deeper and isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [int.__repr__(x) if type(x) is int else _dumps(x, depth + 1) for x in o]
+        return "[" + _NEWLINE[depth + 1] + _SEPARATOR[depth + 1].join(items) + _NEWLINE[depth] + "]"
+    if deeper and isinstance(o, dict) and _str_keys(o):
+        if not o:
+            return "{}"
+        items = [_encode_str(key) + ": " + _dumps(value, depth + 1) for key, value in sorted(o.items())]
+        return "{" + _NEWLINE[depth + 1] + _SEPARATOR[depth + 1].join(items) + _NEWLINE[depth] + "}"
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
 def emit(doc):
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Write doc to stdout as json.dump(doc, indent=2, sort_keys=True) and a
+    newline would.  sys.stdout is read on every call: callers redirect it."""
+    write = sys.stdout.write
+    if not (isinstance(doc, dict) and doc and _str_keys(doc)):
+        write(_dumps(doc, 0) + "\n")
+        return
+    for i, (key, value) in enumerate(sorted(doc.items())):
+        write(("," if i else "{") + _NEWLINE[1] + _encode_str(key) + ": ")
+        if not (isinstance(value, (list, tuple)) and value):
+            write(_dumps(value, 1))
+            continue
+        write("[")
+        for start in range(0, len(value), _RUN):
+            items = [_dumps(x, 2) for x in value[start:start + _RUN]]
+            write((_SEPARATOR if start else _NEWLINE)[2] + _SEPARATOR[2].join(items))
+        write(_NEWLINE[1] + "]")
+    write("\n}\n")
 
 
 # --- commands -------------------------------------------------------------
 
 def _abelian_doc(group):
-    return {"invariant_factors": list(group.invariant_factors), "free_rank": group.free_rank}
+    return {"invariant_factors": group.invariant_factors, "free_rank": group.free_rank}
 
 
 def _datum_doc(brd):
     return {"schema": "galforms/root-datum/v1", "rank": brd.datum.rank,
-            "roots": [list(r) for r in brd.datum.roots],
-            "coroots": [list(r) for r in brd.datum.coroots],
-            "simple_indices": list(brd.simple_indices)}
+            "roots": brd.datum.roots, "coroots": brd.datum.coroots,
+            "simple_indices": brd.simple_indices}
 
 
 def cmd_dual(args):
@@ -309,7 +367,7 @@ def cmd_outer(args):
     brd = build_root_datum(args.type, args.isogeny)
     group, elements = outer_automorphisms(brd)
     emit({"schema": "galforms/outer/v1", "order": group.order,
-          "simple_permutations": [list(e.simple_permutation) for e in elements]})
+          "simple_permutations": [e.simple_permutation for e in elements]})
 
 
 def cmd_classify_quasisplit(args):
@@ -323,7 +381,7 @@ def cmd_classify_quasisplit(args):
         out, _ = outer_automorphisms(brd)
     forms = classify_quasisplit(gamma, out)
     emit({"schema": "galforms/quasisplit/v1", "count": len(forms),
-          "classes": [{"class_id": f.class_id, "rho": list(f.rho)} for f in forms]})
+          "classes": [{"class_id": f.class_id, "rho": f.rho} for f in forms]})
 
 
 def cmd_coinvariants(args):
@@ -342,7 +400,7 @@ def cmd_coinvariants(args):
         raise MalformedInput(f"bad rho {args.rho!r}: {exc}") from None
     emit({"schema": "galforms/coinvariants/v1", "coinvariants": _abelian_doc(data.coinvariants),
           "fixed_rank": data.fixed_rank, "moved_rank": data.moved_rank,
-          "orbits": [[list(w) for w in orbit] for orbit in data.orbits]})
+          "orbits": data.orbits})
 
 
 def _parse_ggroup(doc):
@@ -363,7 +421,7 @@ def cmd_h1(args):
     ggroup = _parse_ggroup(doc)
     classes = h1_nonabelian(ggroup)
     emit({"schema": "galforms/h1/v1", "count": len(classes),
-          "representatives": [list(rep) for rep in classes]})
+          "representatives": classes})
 
 
 def _parse_gmodule(doc):
@@ -394,7 +452,7 @@ def cmd_h2(args):
     module = _parse_gmodule(doc)
     group, reps = h2_bar(module)
     emit({"schema": "galforms/h2/v1", **_abelian_doc(group),
-          "representatives": [[[a, b, list(val)] for (a, b), val in sorted(rep.items())]
+          "representatives": [[[a, b, val] for (a, b), val in sorted(rep.items())]
                               for rep in reps]})
 
 
@@ -521,7 +579,7 @@ def cmd_inner_invariant(args):
     components = []
     for element in invariant.elements():
         cls = invariant.mu[element]
-        components.append({"element": list(element), "ramified": cls.sorted_places(),
+        components.append({"element": element, "ramified": cls.sorted_places(),
                            "trivial": cls.is_trivial(), "split_algebra": cls.is_trivial(),
                            "presenting_c": ser_rational(invariant.parameters[element])})
     emit({"schema": "galforms/inner-invariant/v1", "pi1": _abelian_doc(invariant.pi1),

@@ -109,11 +109,7 @@ class GModule:
     the row modulus."""
 
     def __init__(self, gamma, moduli, action):
-        self.gamma = gamma
-        self.moduli = tuple(int(d) for d in moduli)
-        if any(d < 1 for d in self.moduli):
-            raise ValueError("moduli must be positive")
-        self.action = tuple(action)
+        self._assign(gamma, moduli, action)
         k = len(self.moduli)
         if len(self.action) != gamma.order:
             raise ValueError("need one matrix per Gamma element")
@@ -133,6 +129,14 @@ class GModule:
         # for a homomorphism, A_g A_{g^-1} = A_1 for all g: all are I iff A_1 is
         if not self._congruent(self.action[gamma.identity], IntMatrix.identity(k)):
             raise ValueError("action matrices must be invertible mod moduli")
+
+    def _assign(self, gamma, moduli, action):
+        """Set the fields, checking only that the moduli are positive."""
+        self.gamma = gamma
+        self.moduli = tuple(int(d) for d in moduli)
+        if any(d < 1 for d in self.moduli):
+            raise ValueError("moduli must be positive")
+        self.action = tuple(action)
 
     def _congruent(self, a, b):
         k = len(self.moduli)
@@ -163,8 +167,11 @@ class GModule:
 
     @staticmethod
     def trivial(gamma, moduli):
-        k = len(moduli)
-        return GModule(gamma, moduli, [IntMatrix.identity(k)] * gamma.order)
+        """Gamma acting by identity matrices, which are well defined mod any
+        moduli and multiply as Gamma does: only the moduli are checked."""
+        module = object.__new__(GModule)
+        module._assign(gamma, moduli, [IntMatrix.identity(len(moduli))] * gamma.order)
+        return module
 
 
 # --- bar complex ---------------------------------------------------------
@@ -214,6 +221,12 @@ def _divide_exactly(row, d):
 # |Gamma|^3 k, the rows of d2: S4 on Z/2 has 13,824 and takes about 1 s on
 # a 2-core Intel Xeon, S5 on Z/2 has 1,728,000.
 BAR_ROW_CAP = 20_000
+# The same count for moduli that differ, whose elimination of [d2 | D]
+# meets pivots other than +-1 early: on the same host C9 acting on
+# Z/9 + Z/3 by (x, y) -> (x, y + x) has 1,458 rows and takes 5-7 s, C10
+# on Z/2 + Z/3 with the trivial action 2,000 rows and 4-7 s, and C10 on
+# Z/2 + Z/4 by (x, y) -> (x, y + 2x) 2,000 rows and 16-17 s.
+MIXED_MODULI_ROW_CAP = 1_500
 
 
 def h2_bar(module):
@@ -238,6 +251,9 @@ def h2_bar(module):
     n1, n2, n3 = n * k, n * n * k, n * n * n * k
     if n3 > BAR_ROW_CAP:
         raise ValueError(f"the bar complex has {n3} rows, above the cap of {BAR_ROW_CAP}")
+    if n3 > MIXED_MODULI_ROW_CAP and len(set(module.moduli)) > 1:
+        raise ValueError(f"the bar complex has {n3} rows, above the cap of "
+                         f"{MIXED_MODULI_ROW_CAP} for moduli that differ")
     moduli_c3 = [module.moduli[i % k] for i in range(n3)]
     gens = _c2_generators(module)
     d2 = _bar_rows(module, 2)

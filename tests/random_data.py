@@ -1,7 +1,7 @@
 """Data the tests build: the identity datum and its transports and
 conjugates, random valid descent data, the regular module of a crossed
-product, and the quaternion algebra that presents a component of an
-inner-form invariant."""
+product, the quaternion algebra that presents a component of an
+inner-form invariant, and root data on another lattice basis."""
 
 from fractions import Fraction
 
@@ -9,7 +9,10 @@ from galforms import qlinalg
 from galforms.cohomology import GaloisAction, kx_coboundary_of, quadratic_cocycle, trivial_kx_cocycle
 from galforms.crossed import CrossedProductAlgebra
 from galforms.descent import AModule, SemilinearDatum, _times_blocks, kmat, validate_datum
+from galforms.exact_linalg import IntMatrix
 from galforms.fields import _rationals, _scaled_matrix, k_entries, k_matrix, quadratic_field
+from galforms.root_datum import BasedRootDatum, RootDatum
+from oracles import gauss_mat_inv
 
 
 def identity_datum(action, dim):
@@ -112,3 +115,22 @@ def random_datum(action, dim, rand, twisted=True):
                 break
         datum = conjugate_datum(datum, p)
     return datum
+
+
+def rebased(brd, basis):
+    """brd on the lattice whose basis is the columns of basis, a full-rank
+    integer matrix given by rows, inside X and holding every root: each
+    root in the coordinates of that basis, each coroot in the dual ones
+    (basis^T times it), built by the public constructors."""
+    inverse = gauss_mat_inv(basis)
+    roots = tuple(tuple(sum(x * y for x, y in zip(row, r)) for row in inverse) for r in brd.datum.roots)
+    assert all(x.denominator == 1 for r in roots for x in r)
+    roots = tuple(tuple(int(x) for x in r) for r in roots)
+    coroots = tuple(IntMatrix(basis).transpose().apply(c) for c in brd.datum.coroots)
+    return BasedRootDatum(RootDatum(brd.datum.rank, roots, coroots), brd.simple_indices)
+
+
+# The lattice of SO(8) in the simply connected D4's weight coordinates:
+# the root lattice and the leaf's weight omega_1, with basis omega_1,
+# omega_2, omega_3 + omega_4, alpha_3 (Bourbaki numbering).
+SO8 = [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 2], [0, 0, 1, 0]]

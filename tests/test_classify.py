@@ -16,7 +16,7 @@ from galforms.fields import BrauerClass
 from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
 from galforms.root_datum import BasedRootDatum, build_root_datum, outer_automorphisms
 from oracles import coweight_orbits
-from random_data import presented_algebra
+from random_data import SO8, presented_algebra, rebased
 
 
 def out_of(label, isogeny="adjoint"):
@@ -170,6 +170,20 @@ def test_orbits_and_coinvariants_match_the_search_over_gamma(label, isogeny):
                 data = quasisplit_cocharacter_data(brd, form, height)
                 assert data.orbits == coweight_orbits(brd, matrices, height), (form, height)
                 assert data.coinvariants == group, form
+
+
+def test_orbits_under_a_matrix_that_is_no_permutation():
+    """On the lattice of SO(8), the nontrivial element of Out moves a
+    basis vector to a combination of several; its orbits are still those
+    the search that applies its matrix finds."""
+    brd = rebased(build_root_datum("D4", "simply_connected"), SO8)
+    _, elements = outer_automorphisms(brd)
+    matrices = [e.cochar_matrix for e in elements]
+    assert any(x not in (0, 1) for row in matrices[1]._data for x in row)
+    for height in range(5):
+        data = quasisplit_cocharacter_data(brd, (0, 1), height)
+        assert data.orbits == coweight_orbits(brd, matrices, height), height
+    assert sum(len(orbit) > 1 for orbit in data.orbits) == 2
 
 
 # Largest box the dominant-coweight tests scan, to keep them at desk

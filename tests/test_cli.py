@@ -1161,6 +1161,30 @@ def test_h2_bar_complex_cap(monkeypatch, capsys, tmp_path):
     assert 24**3 <= cohomology.BAR_ROW_CAP < 120**3
 
 
+def test_h2_moduli_that_differ_cap(monkeypatch, capsys, tmp_path):
+    """C10 on Z/2 + Z/3 needs 2,000 rows of d2, over the cap for moduli
+    that differ: it is refused before any row is built, with an error
+    that names that cap.  Every golden is inside it, and one modulus on
+    as many rows is not refused."""
+    from galforms.cli import group_order
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"gamma": "C10", "moduli": [2, 3]}))
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_bar_rows", lambda *args: pytest.fail("bar complex built"))
+        code, doc = invoke(capsys, "h2", "--job", str(path))
+    assert (code, doc["kind"]) == (1, "domain-error")
+    assert doc["error"] == (f"the bar complex has 2000 rows, above the cap of "
+                            f"{cohomology.MIXED_MODULI_ROW_CAP} for moduli that differ")
+    for case in GOLDEN_H2:
+        moduli = case["job"]["moduli"]
+        rows = group_order(case["job"].get("gamma", "C2")) ** 3 * len(moduli)
+        assert len(set(moduli)) == 1 or rows <= cohomology.MIXED_MODULI_ROW_CAP, case["name"]
+    path.write_text(json.dumps({"gamma": "C10", "moduli": [6, 6]}))
+    code, doc = invoke(capsys, "h2", "--job", str(path))
+    assert (code, doc["invariant_factors"]) == (0, [2, 2])
+
+
 @pytest.mark.parametrize("n", [17, 19, 1000003, 10**30 + 7])
 def test_cyclotomic_degree_cap(monkeypatch, capsys, tmp_path, n):
     """Q(zeta_n) of degree above the cap is refused before the field is
@@ -1234,3 +1258,82 @@ def test_brauer_class_of_a_rational_d(capsys, d, c, ramified):
     assert code == 0
     assert doc["ramified"] == ramified
     assert doc["trivial"] is False
+
+
+# --- the JSON writer ----------------------------------------------------------
+
+def emitted(doc):
+    from galforms.cli import emit
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(doc)
+    return out.getvalue()
+
+
+STRINGS = st.one_of(st.text(), st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "é€😀", "\ud800", " "]))
+DOCUMENTS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200), STRINGS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.dictionaries(STRINGS, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def nested(doc, depth):
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(DOCUMENTS)
+def test_emit_writes_what_json_dump_writes(doc):
+    """On random documents emit prints json.dumps(doc, indent=2,
+    sort_keys=True) and a newline."""
+    assert emitted(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, [float("nan"), -0.0, 1e300], {2: "b", 10: "a"}, {"k": {True: None, 3: [], -1: 1}},
+    nested([1, {"a": (2,)}], 20), {"x": nested({}, 16)}, {"x": [nested({"a": [0]}, 14)]},
+], ids=["float", "floats", "int keys", "mixed keys", "deep list", "deep dict", "deep mixed"])
+def test_emit_leaves_to_json_what_it_does_not_encode(doc):
+    """Floats, keys that are not str and nesting past the indent table
+    are handed to json, at any depth, and come out as json.dumps writes
+    them."""
+    for each in (doc, [doc], {"a": [doc]}, [[{"b": doc}]]):
+        assert emitted(each) == json.dumps(each, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_writes_to_the_redirected_stdout(capsys):
+    """emit reads sys.stdout on each call, so a redirect made after import
+    takes its output, as the benchmark's does."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["pi1", "--type", "A2", "--isogeny", "adjoint"]) == 0
+    assert json.loads(out.getvalue())["invariant_factors"] == [3]
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_writes_a_large_answer_in_runs():
+    """The document goes out a value at a time and a list value in runs,
+    so no write holds a large answer whole."""
+    from galforms.cli import emit
+
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(text)
+
+    doc = {"orbits": [[(i, j) for j in range(3)] for i in range(3000)], "rank": 2}
+    with contextlib.redirect_stdout(Stream()):
+        emit(doc)
+    text = "".join(writes)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert max(map(len, writes)) < len(text) / 4

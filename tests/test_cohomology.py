@@ -290,6 +290,22 @@ def test_module_validation():
         GModule(cyclic(2), (4,), (IntMatrix([[1]]), IntMatrix([[2]])))
 
 
+def test_trivial_module_checks_only_its_moduli(monkeypatch):
+    """The trivial action needs none of the |Gamma|^2 products and
+    congruences the constructor checks; it is the module the constructor
+    builds from identity matrices, and a modulus below 1 is refused."""
+    gamma, moduli = symmetric(3), (2, 3)
+    checked = GModule(gamma, moduli, [IntMatrix.identity(2)] * 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(GModule, "_congruent", lambda *args: pytest.fail("action checked"))
+        module = GModule.trivial(gamma, list(moduli))
+        for bad in ((2, 0), (-3,)):
+            with pytest.raises(ValueError, match="moduli must be positive"):
+                GModule.trivial(gamma, bad)
+    assert vars(module) == vars(checked)
+    assert h2_bar(module) == h2_bar(checked)
+
+
 # --- Hom(P, M) transport --------------------------------------------------
 
 def test_hom_module_structure():

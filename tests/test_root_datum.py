@@ -17,7 +17,8 @@ from galforms.root_datum import (
     outer_automorphisms,
     pairing,
 )
-from oracles import gauss_mat_inv, outer_automorphisms_two_bases, pi1_all_coroots
+from oracles import outer_automorphisms_two_bases, pi1_all_coroots
+from random_data import SO8, rebased
 
 ALL_LABELS = (
     ["A%d" % n for n in range(1, 9)]
@@ -223,24 +224,8 @@ def test_cartan_permutations_match_the_filter():
             assert [e.simple_permutation for e in elements] == expected, (label, iso)
 
 
-def _rebased(brd, basis):
-    """brd on the lattice whose basis is the columns of basis, a full-rank
-    integer matrix given by rows, inside X and holding every root: each
-    root in the coordinates of that basis, each coroot in the dual ones
-    (basis^T times it), built by the public constructors."""
-    inverse = gauss_mat_inv(basis)
-    roots = tuple(tuple(sum(x * y for x, y in zip(row, r)) for row in inverse) for r in brd.datum.roots)
-    assert all(x.denominator == 1 for r in roots for x in r)
-    roots = tuple(tuple(int(x) for x in r) for r in roots)
-    coroots = tuple(IntMatrix(basis).transpose().apply(c) for c in brd.datum.coroots)
-    return BasedRootDatum(RootDatum(brd.datum.rank, roots, coroots), brd.simple_indices)
-
-
-# A GL_4(Z) matrix; the lattice of SO(8) in the simply connected D4's
-# weight coordinates: the root lattice and the leaf's weight omega_1, with
-# basis omega_1, omega_2, omega_3 + omega_4, alpha_3 (Bourbaki numbering).
+# A GL_4(Z) matrix.
 MOVE = [[2, 2, -1, -1], [1, -1, 1, 0], [3, -2, 4, 3], [1, 0, 1, 1]]
-SO8 = [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 2], [0, 0, 1, 0]]
 
 OUTER_DATA = (
     [f"{label}-{iso}{side}" for label in ALL_LABELS
@@ -254,9 +239,9 @@ def _outer_datum(name):
     if name == "T0":
         return build_root_datum("T0")
     if name == "D4-adjoint-moved":
-        return _rebased(build_root_datum("D4", "adjoint"), MOVE)
+        return rebased(build_root_datum("D4", "adjoint"), MOVE)
     if name == "D4-so8":
-        return _rebased(build_root_datum("D4", "simply_connected"), SO8)
+        return rebased(build_root_datum("D4", "simply_connected"), SO8)
     label, iso, *side = name.split("-")
     brd = build_root_datum(label, iso)
     return dual(brd) if side else brd
@@ -287,7 +272,7 @@ def test_out_of_so8_fixes_the_leaf_in_its_lattice():
     swap = [0] * 4
     for j, k in enumerate((0, 1, 3, 2)):
         swap[node[j]] = node[k]
-    group, elements = outer_automorphisms(_rebased(sc, SO8))
+    group, elements = outer_automorphisms(rebased(sc, SO8))
     assert group.order == 2
     assert [e.simple_permutation for e in elements] == [(0, 1, 2, 3), tuple(swap)]
 
