@@ -121,7 +121,8 @@ def quasisplit_cocharacter_data(brd, form, height=4):
             continue
         orbit = {w}.union([act(w) for act in actions])
         if not orbit <= dominant.keys():
-            raise ValueError("outer action does not preserve dominance")
+            raise ValueError(f"the coweight box [0, {height}]^{rank} is not stable under the outer "
+                             f"action: it moves {w} to {min(orbit - dominant.keys())}")
         placed |= orbit
         orbits.append(tuple(sorted(orbit)))
     return CocharacterData(

@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd
 
 from .exact_linalg import FiniteAbelianGroup, IntMatrix, _dense, _mul, _sparse_smith, solve_integer
-from .fields import FieldElement, GaloisField, galois_group, is_norm_quadratic
+from .fields import GaloisField, galois_group, is_norm_quadratic
 from .groups import FiniteGroup, _maps
 
 
@@ -462,7 +462,7 @@ def quadratic_cocycle(action, c):
     if action.group.order != 2:
         raise ValueError("quadratic extension required")
     field = action.field
-    c = c if isinstance(c, FieldElement) else field.from_rational(c)
+    c = field.coerce(c)
     if not c:
         raise ValueError("cocycle value must be nonzero")
     # normalized, the cocycle identity reduces to sigma(c) = c: c rational

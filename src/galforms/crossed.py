@@ -12,6 +12,7 @@ exact_linalg's integer routines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 
 from .cohomology import (
@@ -20,7 +21,7 @@ from .cohomology import (
     kx_coboundary_of,
 )
 from .exact_linalg import kernel, rank
-from .fields import FieldElement, brauer_class_quaternion
+from .fields import brauer_class_quaternion
 
 
 class CrossedProductAlgebra:
@@ -53,32 +54,20 @@ class CrossedProductAlgebra:
 
     def element(self, kcoeffs):
         """Element from a sequence of K-coefficients indexed by Gamma."""
-        coeffs = tuple(
-            c if isinstance(c, FieldElement) else self.field.from_rational(c)
-            for c in kcoeffs
-        )
+        coeffs = tuple(self.field.coerce(c) for c in kcoeffs)
         if len(coeffs) != self.group.order:
             raise ValueError("one K-coefficient per group element required")
         return AlgebraElement(self, coeffs)
 
     def basis_element(self, a, scalar=1):
         coeffs = [self.field.zero()] * self.group.order
-        coeffs[a] = (
-            scalar
-            if isinstance(scalar, FieldElement)
-            else self.field.from_rational(scalar)
-        )
+        coeffs[a] = self.field.coerce(scalar)
         return AlgebraElement(self, tuple(coeffs))
 
     def k_basis(self):
         """k-basis elements in index order (a, i)."""
-        out = []
-        for a in self.group.elements():
-            for i in range(self.deg):
-                coords = [0] * self.deg
-                coords[i] = 1
-                out.append(self.basis_element(a, self.field.element(coords)))
-        return out
+        powers = self.field.power_basis()
+        return [self.basis_element(a, t) for a in self.group.elements() for t in powers]
 
     def from_k_coords(self, coords):
         if len(coords) != self.dim:
@@ -118,14 +107,15 @@ class CrossedProductAlgebra:
         theta^s.  Only block ab of the product is nonzero."""
         if self._table is None:
             field, group, deg, dim = self.field, self.group, self.deg, self.dim
-            den = lcm(*[c.denominator for zeta in self.cocycle.values.values() for c in zeta.coords])
+            den = lcm(*[zeta.den for zeta in self.cocycle.values.values()])
             powers = [[int(s == t) for s in range(deg)] for t in range(deg)]
             table = [[None] * dim for _ in range(dim)]
             for a in group.elements():
-                images = [[int(c) for c in self.action.apply(a, x).coords] for x in field.power_basis()]
+                images = [self.action.apply(a, x).nums for x in field.power_basis()]
                 for b in group.elements():
                     start = group.table[a][b] * deg
-                    zeta = [c.numerator * (den // c.denominator) for c in self.cocycle.value(a, b).coords]
+                    value = self.cocycle.value(a, b)
+                    zeta = [c * (den // value.den) for c in value.nums]
                     for t, image in enumerate(images):
                         y = field._mul_ints(image, zeta)
                         for s, power in enumerate(powers):
@@ -289,8 +279,7 @@ def cocycle_sum_class_check(zeta_a, zeta_b, zeta_sum):
     """True iff zeta_a * zeta_b is cohomologous to zeta_sum, decided by
     quadratic norm classes ([A tensor B] = [A+B] at the cocycle level)."""
     classes = CyclicNormClasses(zeta_a.action)
-    product = zeta_a * zeta_b
-    c1 = classes.class_element(product)
+    c1 = classes.class_element(zeta_a * zeta_b)
     c2 = classes.class_element(zeta_sum)
     return classes.same_class(c1, c2)
 
@@ -302,10 +291,8 @@ def find_zero_divisor(algebra, bound=3):
     q(x0^2 - d x1^2) = p(x2^2 - d x3^2)."""
     d, c = algebra.presenting_pair()
     p, q = c.numerator, c.denominator
-    from itertools import product as _prod
-
     rng = range(-bound, bound + 1)
-    for x0, x1, x2, x3 in _prod(rng, repeat=4):
+    for x0, x1, x2, x3 in product(rng, repeat=4):
         if not (x0 or x1 or x2 or x3):
             continue
         if q * (x0 * x0 - d * x1 * x1) == p * (x2 * x2 - d * x3 * x3):

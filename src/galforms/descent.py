@@ -22,21 +22,13 @@ from math import lcm
 from .cohomology import trivial_kx_cocycle
 from .crossed import CrossedProductAlgebra
 from .exact_linalg import kernel, mat_mul, rank, solve
-from .fields import FieldElement, _integral, _rationals, _scaled_matrix, k_entries, k_matrix
+from .fields import _scaled_matrix, k_entries, k_matrix
 
 
 def kmat(field, rows):
     """Freeze a list-of-lists of field elements (or rationals) into a
     tuple-of-tuples of FieldElements."""
-    out = []
-    for row in rows:
-        out.append(
-            tuple(
-                x if isinstance(x, FieldElement) else field.from_rational(x)
-                for x in row
-            )
-        )
-    return tuple(out)
+    return tuple(tuple(field.coerce(x) for x in row) for row in rows)
 
 
 # --- the datum ------------------------------------------------------------
@@ -215,7 +207,7 @@ def to_module(datum, algebra=None):
     actions = []
     for n_a, d_a in scaled:
         for block in blocks:
-            actions.append([_rationals(row, d_a) for row in _times_blocks(n_a, block)])
+            actions.append([[Fraction(x, d_a) for x in row] for row in _times_blocks(n_a, block)])
     return AModule(algebra, datum.dim * field.degree, actions)
 
 
@@ -239,8 +231,10 @@ def from_module(module):
     # rational matrices for the scalar action of the field power basis
     ident = algebra.group.identity
     scalar_mats = [module.actions[ident * deg + t] for t in range(deg)]
+    scalar_ints = [_scaled_matrix(m)[0] for m in scalar_mats]
     # greedy K-basis from the standard k-basis: e_v joins it, with its
-    # theta^t e_v, unless it lies in the span of the columns so far
+    # theta^t e_v, unless it lies in the span of the columns so far; the
+    # span is tested on the columns of the integer N_t = D_t R_t
     basis, span_ints = [], []
     for v_idx in range(big):
         vec = [int(r == v_idx) for r in range(big)]
@@ -249,7 +243,7 @@ def from_module(module):
         for t in range(deg):
             col = [scalar_mats[t][r][v_idx] for r in range(big)]
             basis.append(col)
-            span_ints.append(_integral(col)[0])
+            span_ints.append([scalar_ints[t][r][v_idx] for r in range(big)])
         if len(basis) == big:
             break
     if len(basis) < big:
@@ -318,7 +312,7 @@ def module_morphisms(src, dst):
                 for l in range(n2):
                     row[l * n1 + j] -= rxp[i][l]
                 rows.append(row)
-    sols = kernel([_integral(row)[0] for row in rows])
+    sols = kernel(_scaled_matrix(rows)[0])
     return [
         [tuple(vec[i * n1 + j] for j in range(n1)) for i in range(n2)]
         for vec in sols

@@ -1,5 +1,8 @@
 """Exact arithmetic in quadratic and cyclotomic extensions of Q.
 
+An element is integer numerators over one denominator on the power
+basis, in lowest terms: Fractions are built only where elements are
+read in (element, from_rational) and out (coords, rational_value).
 K is a k-vector space on its power basis in one place: k_matrix is the
 rational matrix of every K-linear and semilinear map, and k_entries
 reads a K-linear one back.  Fields carry explicit Galois groups acting
@@ -121,27 +124,39 @@ class GaloisField:
         return f"Q(zeta_{self.param})"
 
     def element(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError("coordinate count must equal the degree")
-        return FieldElement(self, coords)
+        # lowest terms: over the lcm of the denominators, no prime divides all
+        den = lcm(*[c.denominator for c in coords])
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     def zero(self):
-        return self.element([0] * self.degree)
+        return FieldElement(self, (0,) * self.degree, 1)
 
     def one(self):
-        return self.element([1] + [0] * (self.degree - 1))
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def from_rational(self, q):
-        return self.element([Fraction(q)] + [0] * (self.degree - 1))
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
+
+    def coerce(self, x):
+        """x if it is an element of this field, else the rational x."""
+        if isinstance(x, FieldElement):
+            if x.field is not self and x.field != self:
+                raise ValueError("elements of different fields")
+            return x
+        return self.from_rational(x)
 
     def power_basis(self):
         """theta^t for t < degree."""
-        return [self.element([int(s == t) for s in range(self.degree)]) for t in range(self.degree)]
+        deg = self.degree
+        return [FieldElement(self, tuple(int(s == t) for s in range(deg)), 1) for t in range(deg)]
 
     def generator(self):
         """sqrt(d) or zeta_n."""
-        return self.element([0, 1] + [0] * (self.degree - 2))
+        return self.power_basis()[1]
 
     def _mul_ints(self, xs, ys):
         """Coordinates of the product of elements with integer coordinates."""
@@ -189,25 +204,10 @@ def k_entries(field, m):
     )
 
 
-def _integral(coords):
-    """(integer numerators, common denominator) of rationals: the inverse of _rationals."""
-    den = lcm(*[c.denominator for c in coords])
-    if den == 1:
-        return [c.numerator for c in coords], 1
-    return [c.numerator * (den // c.denominator) for c in coords], den
-
-
 def _scaled_matrix(m):
     """(N, D) with m = N / D: D the lcm of m's denominators, N integral."""
     den = lcm(*[x.denominator for row in m for x in row])
     return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
-
-
-def _rationals(ints, den):
-    """Coordinates ints / den as Fractions."""
-    if den == 1:
-        return tuple(Fraction(v) for v in ints)
-    return tuple(Fraction(v, den) for v in ints)
 
 
 def quadratic_field(d):
@@ -218,48 +218,60 @@ def cyclotomic_field(n):
     return GaloisField("cyclotomic", n)
 
 
+def _lowest(field, nums, den):
+    """The element nums / den, den != 0, in lowest terms over a den >= 1."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    if g == 1:
+        return FieldElement(field, tuple(nums), den)
+    return FieldElement(field, tuple(v // g for v in nums), den // g)
+
+
 @dataclass(frozen=True)
 class FieldElement:
-    field: GaloisField
-    coords: tuple
+    """nums / den on the power basis: integer numerators over one
+    denominator den >= 1 with gcd(den, *nums) = 1, zero as ((0, ...), 1),
+    so that equal elements have equal nums and den."""
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("elements of different fields")
-            return other
-        return self.field.from_rational(other)
+    field: GaloisField
+    nums: tuple
+    den: int
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        o = self.field.coerce(other)
+        den = lcm(self.den, o.den)
+        s, t = den // self.den, den // o.den
+        return _lowest(self.field, [a * s + b * t for a, b in zip(self.nums, o.nums)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self + -self.field.coerce(other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self.field.coerce(other) - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other):
-        (xs, dx), (ys, dy) = _integral(self.coords), _integral(self._coerce(other).coords)
-        return FieldElement(self.field, _rationals(self.field._mul_ints(xs, ys), dx * dy))
+        o = self.field.coerce(other)
+        return _lowest(self.field, self.field._mul_ints(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        return self * self.field.coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.field.coerce(other) * self.inverse()
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -267,11 +279,12 @@ class FieldElement:
         return (
             isinstance(other, FieldElement)
             and self.field == other.field
-            and self.coords == other.coords
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.nums, self.den))
 
     def inverse(self):
         """The product of the other Galois conjugates divided by the norm."""
@@ -281,8 +294,8 @@ class FieldElement:
         others = elems[1].apply(self)
         for g in elems[2:]:
             others = others * g.apply(self)
-        norm_value = (self * others).rational_value()
-        return FieldElement(self.field, tuple(c / norm_value for c in others.coords))
+        n = self * others  # the norm, n.nums[0] / n.den
+        return _lowest(self.field, [c * n.den for c in others.nums], others.den * n.nums[0])
 
     def __pow__(self, exponent):
         exponent = int(exponent)
@@ -298,12 +311,12 @@ class FieldElement:
         return result
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __repr__(self):
         return f"FieldElement({self.field!r}, {list(self.coords)})"
@@ -321,9 +334,11 @@ class GaloisGroupElement:
     def apply(self, x):
         if x.field is not self.field and x.field != self.field:
             raise ValueError("element of a different field")
-        xs, dx = _integral(x.coords)
-        coords = [sum(v * xs[j] for j, v in row) for row in self.rows]
-        return FieldElement(self.field, _rationals(coords, dx))
+        # the matrix and its inverse are integral, so the image keeps the
+        # content of x.nums: still in lowest terms over x.den
+        xs = x.nums
+        nums = tuple(sum(v * xs[j] for j, v in row) for row in self.rows)
+        return FieldElement(self.field, nums, x.den)
 
     def __call__(self, x):
         return self.apply(x)
@@ -349,7 +364,7 @@ def galois_group(field):
         for _ in range(1, field.degree):
             powers.append(powers[-1] * image)
         rows = tuple(
-            tuple((j, int(p.coords[i])) for j, p in enumerate(powers) if p.coords[i])
+            tuple((j, p.nums[i]) for j, p in enumerate(powers) if p.nums[i])
             for i in range(field.degree)
         )
         elems.append(GaloisGroupElement(field, rows))

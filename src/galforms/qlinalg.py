@@ -1,25 +1,25 @@
 """Dense linear algebra over Q on matrices of rationals (ints or
 fractions.Fraction), as lists of rows: adapters that clear the
-denominators of each row and call exact_linalg's integer routines, and
-exact_linalg's product.  No galforms module calls them; they stay for
+denominators of the whole matrix and call exact_linalg's integer
+routines, and exact_linalg's product.  No galforms module calls them; they stay for
 the acceptance gate, the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
 
 from . import exact_linalg
-from .fields import _integral
+from .fields import _scaled_matrix
 
 mat_mul = exact_linalg.mat_mul
 
 
 def rank(a):
-    return exact_linalg.rank([_integral(row)[0] for row in a])
+    return exact_linalg.rank(_scaled_matrix(a)[0])
 
 
 def kernel(a):
     """Basis of {x : a x = 0}: the free-column basis of the reduced echelon form."""
-    return exact_linalg.kernel([_integral(row)[0] for row in a])
+    return exact_linalg.kernel(_scaled_matrix(a)[0])
 
 
 def solve(a, b):
@@ -27,7 +27,7 @@ def solve(a, b):
     or a vector.  Returns None if a is singular."""
     vector = b and not isinstance(b[0], list)
     n = len(a)
-    rows = [_integral(list(ra) + ([rb] if vector else list(rb)))[0] for ra, rb in zip(a, b)]
+    rows = _scaled_matrix([list(ra) + ([rb] if vector else list(rb)) for ra, rb in zip(a, b)])[0]
     x = exact_linalg.solve([row[:n] for row in rows], [row[n:] for row in rows])
     return [row[0] for row in x] if vector and x is not None else x
 

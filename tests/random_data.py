@@ -10,7 +10,7 @@ from galforms.cohomology import GaloisAction, kx_coboundary_of, quadratic_cocycl
 from galforms.crossed import CrossedProductAlgebra
 from galforms.descent import AModule, SemilinearDatum, _times_blocks, kmat, validate_datum
 from galforms.exact_linalg import IntMatrix
-from galforms.fields import _rationals, _scaled_matrix, k_entries, k_matrix, quadratic_field
+from galforms.fields import _scaled_matrix, k_entries, k_matrix, quadratic_field
 from galforms.root_datum import BasedRootDatum, RootDatum
 from oracles import gauss_mat_inv
 
@@ -62,7 +62,7 @@ def conjugate_datum(datum, p):
         n_a, d_a = _scaled_matrix(s_a)
         g_a = _scaled_matrix(k_matrix(field, [[1]], action.elements[a]))[0]
         m_a = _times_blocks(qlinalg.mat_mul(qlinalg.mat_mul(p_k, n_a), inv_k), g_a)
-        matrices.append(k_entries(field, [_rationals(row, d_a * inv_d) for row in m_a]))
+        matrices.append(k_entries(field, [[Fraction(x, d_a * inv_d) for x in row] for row in m_a]))
     return SemilinearDatum(action, datum.cocycle, datum.dim, tuple(matrices))
 
 
@@ -129,6 +129,10 @@ def rebased(brd, basis):
     coroots = tuple(IntMatrix(basis).transpose().apply(c) for c in brd.datum.coroots)
     return BasedRootDatum(RootDatum(brd.datum.rank, roots, coroots), brd.simple_indices)
 
+
+# A GL_4(Z) matrix: on it the outer automorphisms of D4 move the box
+# [0, height]^4 of coweights off itself.
+MOVE = [[2, 2, -1, -1], [1, -1, 1, 0], [3, -2, 4, 3], [1, 0, 1, 1]]
 
 # The lattice of SO(8) in the simply connected D4's weight coordinates:
 # the root lattice and the leaf's weight omega_1, with basis omega_1,

@@ -16,7 +16,7 @@ from galforms.fields import BrauerClass
 from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
 from galforms.root_datum import BasedRootDatum, build_root_datum, outer_automorphisms
 from oracles import coweight_orbits
-from random_data import SO8, presented_algebra, rebased
+from random_data import MOVE, SO8, presented_algebra, rebased
 
 
 def out_of(label, isogeny="adjoint"):
@@ -184,6 +184,26 @@ def test_orbits_under_a_matrix_that_is_no_permutation():
         data = quasisplit_cocharacter_data(brd, (0, 1), height)
         assert data.orbits == coweight_orbits(brd, matrices, height), height
     assert sum(len(orbit) > 1 for orbit in data.orbits) == 2
+
+
+def test_a_box_the_outer_action_moves_is_refused_by_name():
+    """Out(D4) preserves the dominant cone in any coordinates, but on the
+    lattice basis MOVE it does not map the box [0, height]^4 to itself:
+    the refusal names the box and a dominant coweight that the action
+    takes to a dominant one outside it.  Height 0, the origin alone, is
+    still answered."""
+    brd = rebased(build_root_datum("D4", "adjoint"), MOVE)
+    assert quasisplit_cocharacter_data(brd, (0, 2), 0).orbits == (((0, 0, 0, 0),),)
+    w, image = (1, 0, 1, 1), (3, -2, 4, 3)
+    assert outer_automorphisms(brd)[1][2].cochar_matrix.apply(w) == image
+    assert brd.is_dominant_coweight(w) and brd.is_dominant_coweight(image)
+    for height in (1, 2):
+        with pytest.raises(ValueError) as refusal:
+            quasisplit_cocharacter_data(brd, (0, 2), height)
+        assert str(refusal.value) == (
+            f"the coweight box [0, {height}]^4 is not stable under the outer action: "
+            f"it moves {w} to {image}"
+        )
 
 
 # Largest box the dominant-coweight tests scan, to keep them at desk

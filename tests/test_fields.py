@@ -7,6 +7,7 @@ closed-form symbol formulas.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -106,6 +107,49 @@ def test_sparse_kernels_match_dense_fraction_formulas(field):
                 for row in k_matrix(field, [[1]], g)
             )
             assert all(type(c) is Fraction for c in image.coords)
+
+
+def assert_canonical(x):
+    """x is nums / den in lowest terms, den >= 1, and coords reads it back."""
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(v) is int for v in x.nums) and len(x.nums) == x.field.degree
+    assert gcd(x.den, *x.nums) == 1
+    assert all(type(c) is Fraction and c == Fraction(v, x.den) for c, v in zip(x.coords, x.nums))
+
+
+def assert_same(x, y):
+    assert (x.nums, x.den, hash(x)) == (y.nums, y.den, hash(y))
+    assert_canonical(x)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [quadratic_field(-1), quadratic_field(7), cyclotomic_field(5), cyclotomic_field(8),
+     cyclotomic_field(12)],
+    ids=repr,
+)
+def test_elements_reached_by_different_routes_are_identical(field):
+    """Every element is kept in one canonical form, so equal elements
+    built by different operations have the same nums, den and hash."""
+    rng = random.Random(f"canonical-{field!r}")
+    rest = [0] * (field.degree - 1)
+    assert_same(field.from_rational(Fraction(2, 4)), field.element(["1/2"] + rest))
+    assert_same(field.from_rational(Fraction(-6, 3)), field.element([-2] + rest))
+    theta = field.generator()
+    assert_same(theta * theta.inverse(), field.one())
+    for _ in range(6):
+        x, y = random_element(rng, field), random_element(rng, field)
+        if not y:
+            continue
+        for z in (x, y, x * y, x + y, x - y, -x, y.inverse(), x / y, y.inverse().inverse()):
+            assert_canonical(z)
+        assert_same(x * y / y, x)
+        assert_same(y * Fraction(3, 7) * Fraction(7, 3), y)
+        assert_same(x / y * y, x)
+        assert_same((x + y) - y, x)
+        assert_same(x + y - x - y, field.zero())
+        assert_same(y * 0, field.zero())
+        assert_same(y - y, field.zero())
 
 
 def test_cyclotomic_polynomials():

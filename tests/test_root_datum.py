@@ -18,7 +18,7 @@ from galforms.root_datum import (
     pairing,
 )
 from oracles import outer_automorphisms_two_bases, pi1_all_coroots
-from random_data import SO8, rebased
+from random_data import MOVE, SO8, rebased
 
 ALL_LABELS = (
     ["A%d" % n for n in range(1, 9)]
@@ -223,9 +223,6 @@ def test_cartan_permutations_match_the_filter():
             _, elements = outer_automorphisms(brd)
             assert [e.simple_permutation for e in elements] == expected, (label, iso)
 
-
-# A GL_4(Z) matrix.
-MOVE = [[2, 2, -1, -1], [1, -1, 1, 0], [3, -2, 4, 3], [1, 0, 1, 1]]
 
 OUTER_DATA = (
     [f"{label}-{iso}{side}" for label in ALL_LABELS
