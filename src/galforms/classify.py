@@ -11,7 +11,7 @@ from operator import itemgetter, mul
 
 from .exact_linalg import _coinvariants
 from .fields import BrauerClass, brauer_class_quaternion, quadratic_field
-from .groups import homomorphisms
+from .groups import _maps
 from .root_datum import fundamental_group, outer_automorphisms
 
 
@@ -27,20 +27,8 @@ class QuasiSplitForm:
 def classify_quasisplit(gamma, out):
     """All homomorphisms Gamma -> Out partitioned by post-conjugation in
     Out; one canonical (lexicographically least) representative per
-    class, ordered by representative."""
-    homs = homomorphisms(gamma, out)
-    classes = []
-    seen = set()
-    for h in homs:
-        if h in seen:
-            continue
-        orbit = set()
-        for c in out.elements():
-            orbit.add(tuple(out.conjugate(c, x) for x in h))
-        seen |= orbit
-        classes.append(min(orbit))
-    classes.sort()
-    return [QuasiSplitForm(rho, i) for i, rho in enumerate(classes)]
+    class, ordered by representative (see `groups._maps`)."""
+    return [QuasiSplitForm(rho, i) for i, rho in enumerate(_maps(gamma, out, conjugators=out.elements()))]
 
 
 @dataclass(frozen=True)

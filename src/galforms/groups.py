@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 from operator import itemgetter
 
 
@@ -108,9 +108,9 @@ def direct_product(g, h):
     return FiniteGroup(table, check=False)
 
 
-# Most generator images an enumeration of maps out of a group tries, for
-# `homomorphisms` and for `cohomology.one_cocycles`; each image costs a few
-# microseconds in `_extend`.
+# Most leaves, |h|^#gens tuples of generator images, that the walk in
+# `_maps` may reach; it drops each prefix at its first disagreeing Cayley
+# edge, so this bounds the leaves, not the work done.
 ENUMERATION_BUDGET = 10**7
 
 
@@ -120,16 +120,19 @@ def homomorphisms(g, h):
     return _maps(g, h)
 
 
-def _maps(g, h, action=None):
+def _maps(g, h, action=None, conjugators=()):
     """Every map g -> h that `_extend` builds from images of a greedy
-    generating set of g, as tuples in lexicographic order: the
-    homomorphisms, or the 1-cocycles for an action.  `_extend` checks
-    f(x*s) = f(x) * x(f(s)) on every Cayley edge (x, s), and every element
-    is a word in the generators, so no map needs a further check.  Each
-    element is a generator or lies in the subgroup of the generators
-    before it, which fixes its image; so images tried in lexicographic
-    order give the maps in lexicographic order.  Refuses when the
-    |h|^#gens images to try exceed ENUMERATION_BUDGET."""
+    generating set of g, in lexicographic order: the homomorphisms, or
+    the 1-cocycles for an action.  `_extend` checks f(x*s) = f(x) *
+    x(f(s)) on every Cayley edge (x, s), and every element is a word in
+    the generators, so no map needs a further check.  Each element is a
+    generator or lies in the subgroup of those before it, which fixes its
+    image; so a walk that picks one image at a time, ascending, and drops
+    a prefix at its first disagreeing edge, gives the maps in order.
+    Given conjugators in h, it keeps the least map of each class under
+    them: conjugation acts on each generator image apart, so it drops an
+    image that a conjugator fixing the images before it sends lower.
+    Refuses when the |h|^#gens images to try exceed ENUMERATION_BUDGET."""
     gens = generators(g)
     if h.order ** len(gens) > ENUMERATION_BUDGET:
         raise ValueError(
@@ -137,10 +140,18 @@ def _maps(g, h, action=None):
             f"above the budget of {ENUMERATION_BUDGET}"
         )
     maps = []
-    for images in product(range(h.order), repeat=len(gens)):
-        f = _extend(g, h, gens, images, action)
-        if f is not None:
+
+    def walk(images, f, fixers):
+        if len(images) == len(gens):
             maps.append(tuple(f))
+            return
+        for t in range(h.order):
+            if all(h.conjugate(c, t) >= t for c in fixers):
+                extended = _extend(g, h, gens[:len(images) + 1], images + (t,), action)
+                if extended is not None:
+                    walk(images + (t,), extended, [c for c in fixers if h.conjugate(c, t) == t])
+
+    walk((), [h.identity], conjugators)
     return maps
 
 

@@ -24,13 +24,13 @@ BUILT = {"maps": {}, "data": {}, "invariants": {}, "isomorphisms": {}}
 
 
 def _record(module, name, kind, pick):
-    """Wrap module.name so that pick(args, result) is kept in BUILT[kind],
-    once per object."""
+    """Wrap module.name so that pick(args, kwargs, result) is kept in
+    BUILT[kind], once per object."""
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         result = original(*args, **kwargs)
-        obj = pick(args, result)
+        obj = pick(args, kwargs, result)
         BUILT[kind].setdefault(id(obj), obj)
         return result
 
@@ -41,10 +41,10 @@ def _record(module, name, kind, pick):
                 setattr(namespace, attr, wrapper)
 
 
-_record(galforms.groups, "_maps", "maps", lambda args, result: (args, result))
-_record(galforms.descent, "validate_datum", "data", lambda args, result: args[0])
-_record(galforms.classify, "build_inner_invariant", "invariants", lambda args, result: result)
-_record(galforms.crossed, "coboundary_isomorphism", "isomorphisms", lambda args, result: result)
+_record(galforms.groups, "_maps", "maps", lambda args, kwargs, result: (args, kwargs, result))
+_record(galforms.descent, "validate_datum", "data", lambda args, kwargs, result: args[0])
+_record(galforms.classify, "build_inner_invariant", "invariants", lambda args, kwargs, result: result)
+_record(galforms.crossed, "coboundary_isomorphism", "isomorphisms", lambda args, kwargs, result: result)
 
 
 def pytest_collection_modifyitems(items):

@@ -1,5 +1,7 @@
-"""Brute-force oracles for the cohomology, linear-algebra, field and
-descent tests: full enumeration of cocycles and coboundaries, bounded
+"""Brute-force oracles for the group, classification, cohomology,
+linear-algebra, field and descent tests: maps out of a group from every
+tuple of generator images, quasi-split classes by orbit sets, full
+enumeration of cocycles and coboundaries, bounded
 searches, the boundary map under any choice of lifts, the dense Smith
 normal form elimination, the bar differentials built from tuples of
 group elements, Gauss-Jordan elimination over Fractions, field inverses
@@ -23,7 +25,8 @@ from galforms.cohomology import (
 from galforms import qlinalg
 from galforms.exact_linalg import IntMatrix, cokernel
 from galforms.fields import _scaled_matrix, k_matrix
-from galforms.groups import FiniteGroup
+from galforms.classify import QuasiSplitForm
+from galforms.groups import FiniteGroup, _extend, generators
 from galforms.root_datum import OuterAutomorphism, _cartan_permutations
 
 
@@ -186,6 +189,33 @@ def one_cocycles_brute(ggroup):
 
     extend(0)
     return cocycles
+
+
+def maps_by_product(g, h, action=None):
+    """The maps `groups._maps` gives, as galforms enumerated them before
+    the walk: every |h|^#gens tuple of generator images, in `product`
+    order, extended over all of g."""
+    gens = generators(g)
+    maps = []
+    for images in product(range(h.order), repeat=len(gens)):
+        f = _extend(g, h, gens, images, action)
+        if f is not None:
+            maps.append(tuple(f))
+    return maps
+
+
+def classes_by_orbits(gamma, out):
+    """classify_quasisplit as galforms ran it before orderly generation:
+    each homomorphism's conjugation orbit as a set, the least member of
+    each new orbit, sorted."""
+    classes, seen = [], set()
+    for hom in maps_by_product(gamma, out):
+        if hom not in seen:
+            orbit = {tuple(out.conjugate(c, x) for x in hom) for c in out.elements()}
+            seen |= orbit
+            classes.append(min(orbit))
+    classes.sort()
+    return [QuasiSplitForm(rho, i) for i, rho in enumerate(classes)]
 
 
 def coweight_orbits(brd, matrices, height):

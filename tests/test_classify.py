@@ -11,11 +11,12 @@ from galforms.classify import (
     classify_quasisplit,
     quasisplit_cocharacter_data,
 )
+from galforms.cli import parse_group
 from galforms.exact_linalg import coinvariants, fixed_sublattice
 from galforms.fields import BrauerClass
-from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
+from galforms.groups import cyclic, direct_product, generators, homomorphisms, symmetric
 from galforms.root_datum import BasedRootDatum, build_root_datum, outer_automorphisms
-from oracles import coweight_orbits
+from oracles import classes_by_orbits, coweight_orbits
 from random_data import MOVE, SO8, presented_algebra, rebased
 
 
@@ -47,6 +48,19 @@ def test_classification_counts():
     assert len(classify_quasisplit(cyclic(2), out_a2)) == 2
     assert len(classify_quasisplit(cyclic(3), out_d4)) == 2
     assert len(classify_quasisplit(symmetric(3), out_d4)) == 3
+
+
+@pytest.mark.parametrize("gamma_spec", ["C2", "C2xC2", "C2xC2xC2", "C2xC2xC2xC2", "C2xC2xC2xC2xC2",
+                                        "C3", "C3xC3", "C3xC3xC3", "C4", "S3", "S4"])
+def test_classification_is_the_orbit_classification(gamma_spec):
+    """Orderly generation gives the representatives, ids and order that
+    orbit sets over every homomorphism give, against the Out of A3, D4
+    and E6 and against S3 and S4.  C2^5 -> S4 is left out: the product
+    enumeration under the orbit sets would extend 24^5 = 7,962,624 tuples."""
+    gamma = parse_group(gamma_spec)
+    for out in [out_of(label)[1] for label in ("A3", "D4", "E6")] + [symmetric(3), symmetric(4)]:
+        if out.order ** len(generators(gamma)) <= 24**4:
+            assert classify_quasisplit(gamma, out) == classes_by_orbits(gamma, out), (gamma_spec, out)
 
 
 def test_classification_matches_oracle():

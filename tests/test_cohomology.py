@@ -45,6 +45,7 @@ from oracles import (
     enumerate_cocycles,
     h2_enumerate,
     kx_is_coboundary,
+    maps_by_product,
     module_elements,
     one_cocycles_brute,
 )
@@ -117,16 +118,19 @@ H1_COEFFICIENTS = ["C1", "C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "C3xC2"]
 def test_one_cocycles_match_brute_force(gamma_spec):
     """Cocycles from generator images, and the classes built on them, equal
     an exhaustive search, for every action of Gamma on every A of order at
-    most 6."""
+    most 6; the walk over generator images gives the maps that extending
+    every tuple of them gives, with and without the action."""
     gamma = parse_group(gamma_spec)
     actions = 0
     for coeff_spec in H1_COEFFICIENTS:
         coeff = parse_group(coeff_spec)
+        assert homomorphisms(gamma, coeff) == maps_by_product(gamma, coeff), coeff_spec
         aut, perms = _automorphisms(coeff)
         for rho in homomorphisms(gamma, aut):
             ggroup = GGroup(gamma, coeff, [perms[x] for x in rho])
             brute = one_cocycles_brute(ggroup)
             assert one_cocycles(ggroup) == brute, (coeff_spec, rho)
+            assert maps_by_product(gamma, coeff, ggroup.action) == brute, (coeff_spec, rho)
             assert h1_nonabelian(ggroup) == _h1_classes(ggroup, brute), (coeff_spec, rho)
             actions += 1
     assert actions >= len(H1_COEFFICIENTS)

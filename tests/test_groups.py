@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+from galforms import groups
+from galforms.classify import classify_quasisplit
 from galforms.cli import parse_group
 from galforms.cohomology import GGroup
 from galforms.groups import (
@@ -140,6 +142,27 @@ def test_homomorphism_budget_refuses_before_enumerating(monkeypatch):
     # one generator below the budget still enumerates
     with pytest.raises(AssertionError):
         homomorphisms(cyclic(5), symmetric(6))
+
+
+def test_the_walk_drops_a_prefix_at_its_first_disagreeing_edge(monkeypatch):
+    """C2^6 -> Out(D4): extending every one of the 6^6 tuples of generator
+    images takes 46,656 extensions for the maps and as many for the
+    classes; the walk extends each surviving prefix by one image, and for
+    the classes only images that no conjugator fixing the prefix lowers."""
+    extensions = []
+    extend = groups._extend
+
+    def counted(*args):
+        extensions.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(groups, "_extend", counted)
+    gamma, out = parse_group("C2xC2xC2xC2xC2xC2"), outer_automorphisms(build_root_datum("D4"))[0]
+    assert len(classify_quasisplit(gamma, out)) == 64
+    assert len(extensions) <= 500
+    extensions.clear()
+    assert len(homomorphisms(gamma, out)) == 190
+    assert len(extensions) <= 2000
 
 
 def test_homomorphisms_within_the_budget():

@@ -9,6 +9,9 @@ check on each what the library does not re-check per call:
   1-cocycle, on the full table, and the maps come out in strictly
   ascending order (`_extend` checks the Cayley edges only, and
   `classify-quasisplit` and `h1` print the maps in the order they come);
+- given conjugators, `_maps` returns the least member of each class of
+  maps under conjugation, one per class (orderly generation;
+  `classify_quasisplit` builds no orbit);
 - a valid datum on V != 0 is a right module over A_zeta of k-dimension
   dim * [K:k] (the module equivalence; `descend` prints that number
   without building the module);
@@ -37,7 +40,7 @@ from galforms.cli import run
 from galforms.crossed import cocycle_sum_class_check
 from galforms.descent import fixed_space, to_module, validate_datum
 from galforms.fields import brauer_class_quaternion
-from oracles import algebra_one, datum_apply
+from oracles import algebra_one, datum_apply, maps_by_product
 from random_data import presented_algebra
 
 GOLDEN_CROSSED = json.loads((Path(__file__).parent / "data" / "crossed_golden.json").read_text())
@@ -61,8 +64,8 @@ def test_every_enumerated_map_is_a_cocycle_and_the_maps_ascend(built):
     """f(1) = 1 and f(ab) = f(a) a(f(b)), a acting trivially when there is
     no action: a homomorphism or a 1-cocycle."""
     calls = list(built["maps"].values())
-    assert any(len(args) == 2 for args, _ in calls) and any(len(args) == 3 for args, _ in calls)
-    for args, maps in calls:
+    assert any(len(args) == 2 for args, _, _ in calls) and any(len(args) == 3 for args, _, _ in calls)
+    for args, _, maps in calls:
         g, h = args[:2]
         acts = args[2] if len(args) == 3 else [range(h.order)] * g.order
         assert all(f < f_next for f, f_next in zip(maps, maps[1:])), args
@@ -71,6 +74,20 @@ def test_every_enumerated_map_is_a_cocycle_and_the_maps_ascend(built):
             for a in g.elements():
                 row, act = h.table[f[a]], acts[a]
                 assert all(f[g.table[a][b]] == row[act[f[b]]] for b in g.elements()), (args, f)
+
+
+def test_every_class_enumeration_gives_the_least_member_of_each_class(built):
+    """Each representative is least among its conjugates, and the orbits
+    of the representatives partition every map g -> h: their union is
+    the product enumeration and their sizes sum to its length."""
+    calls = [(args, kwargs, reps) for args, kwargs, reps in built["maps"].values() if kwargs.get("conjugators")]
+    assert calls
+    for (g, h), kwargs, reps in calls:
+        orbits = [{tuple(h.conjugate(c, x) for x in f) for c in kwargs["conjugators"]} for f in reps]
+        assert all(f == min(orbit) for f, orbit in zip(reps, orbits)), (g, h)
+        maps = maps_by_product(g, h)
+        assert set().union(*orbits) == set(maps), (g, h)
+        assert sum(map(len, orbits)) == len(maps), (g, h)
 
 
 def test_every_valid_datum_is_a_module_of_dimension_dim_times_degree(valid_data):
