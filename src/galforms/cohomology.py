@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -229,6 +230,17 @@ BAR_ROW_CAP = 20_000
 MIXED_MODULI_ROW_CAP = 1_500
 
 
+@lru_cache(maxsize=32)
+def _d2_smith(gamma, action):
+    """The diagonal of S, V and V^-1 of the Smith form of d2 over Z, which
+    reads only Gamma and the action matrices."""
+    n2 = gamma.order ** 2 * action[0].rows
+    shape = object.__new__(GModule)  # _bar_rows reads no moduli
+    shape._assign(gamma, (1,) * action[0].rows, action)
+    s, _u, v, _u_inv, v_inv = _sparse_smith(_bar_rows(shape, 2), n2, v=True, v_inv=True)
+    return tuple(s[t].get(t, 0) for t in range(n2)), v, v_inv
+
+
 def h2_bar(module):
     """(H^2 as FiniteAbelianGroup, representative normalized cocycles).
 
@@ -245,6 +257,10 @@ def h2_bar(module):
     elimination, of the coordinates of the generators in bk, gives the
     invariant factors (its S) and the representatives (the columns of
     U^-1, read in bk).
+
+    With one modulus, the Smith form of d2 comes from _d2_smith, a memo
+    of the last 32 (Gamma, action) pairs of the process: d2 over Z reads
+    only Gamma and the action matrices, so one key serves every modulus.
     """
     gamma, k = module.gamma, module.rank
     n = gamma.order
@@ -256,19 +272,19 @@ def h2_bar(module):
                          f"{MIXED_MODULI_ROW_CAP} for moduli that differ")
     moduli_c3 = [module.moduli[i % k] for i in range(n3)]
     gens = _c2_generators(module)
-    d2 = _bar_rows(module, 2)
     if len(set(moduli_c3)) == 1:
         # x = V y lies in K iff s_t y_t = 0 mod m for every t, so
         # bk = V diag(scales) and bk^-1 gens = diag(scales)^-1 V^-1 gens.
         m = moduli_c3[0]
-        s, _u, v, _u_inv, v_inv = _sparse_smith(d2, n2, v=True, v_inv=True)
-        scales = [m // gcd(s[t].get(t, 0), m) for t in range(n2)]
+        diagonal, v, v_inv = _d2_smith(gamma, module.action)
+        scales = [m // gcd(d, m) for d in diagonal]
         bk = [{i: c * x for i, x in col.items()} for col, c in zip(v, scales)]
         coords = [_divide_exactly(row, d) for row, d in zip(_mul(v_inv, gens), scales)]
     else:
         # K projects from the kernel of [d2 | D], D = diag(C^3 moduli) of
         # full row rank r, with basis the columns r.. of V; a cocycle w
         # lifts to (w, -D^-1 d2 w), with coordinates the rows r.. of V^-1.
+        d2 = _bar_rows(module, 2)
         stacked = [{**row, n2 + i: d} for i, (row, d) in enumerate(zip(d2, moduli_c3))]
         lifts = [_divide_exactly(row, -d) for row, d in zip(_mul(d2, gens), moduli_c3)]
         _s, _u, v, _u_inv, v_inv = _sparse_smith(stacked, n2 + n3, v=True, v_inv=True, normalize=False)
@@ -339,13 +355,10 @@ def is_module_coboundary(module, table):
 
 def normalize_module_cocycle(module, table):
     """Cohomologous normalized cocycle: subtract d of the constant map at
-    zeta(1,1)."""
-    gamma = module.gamma
-    e = gamma.identity
-    c = table[(e, e)]
-    f = {g: c for g in range(gamma.order)}
-    d = module_coboundary(module, f)
-    return {key: module.sub(table[key], d[key]) for key in table}
+    c = zeta(1,1), which is (a, b) -> a c."""
+    e = module.gamma.identity
+    shifts = [module.act(a, table[(e, e)]) for a in range(module.gamma.order)]
+    return {key: module.sub(x, shifts[key[0]]) for key, x in table.items()}
 
 
 # ---------------------------------------------------------------------------

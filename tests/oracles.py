@@ -20,7 +20,6 @@ from galforms.cohomology import (
     is_one_cocycle,
     kx_coboundary_of,
     module_coboundary,
-    normalize_module_cocycle,
 )
 from galforms import qlinalg
 from galforms.exact_linalg import IntMatrix, cokernel
@@ -53,6 +52,17 @@ def datum_apply(datum, a, vec):
 def cohomologous_module_cocycles(module, t1, t2):
     diff = {key: module.sub(t1[key], t2[key]) for key in t1}
     return is_module_coboundary(module, diff) is not None
+
+
+def normalize_by_coboundary(module, table):
+    """Cohomologous normalized cocycle: subtract the coboundary, written
+    out at every pair, of the constant map at zeta(1,1)."""
+    gamma = module.gamma
+    e = gamma.identity
+    c = table[(e, e)]
+    f = {g: c for g in range(gamma.order)}
+    d = module_coboundary(module, f)
+    return {key: module.sub(table[key], d[key]) for key in table}
 
 
 def enumerate_cocycles(module):
@@ -118,7 +128,7 @@ def h2_enumerate(module):
         for g, v in zip(others, values):
             f[g] = v
         d = module_coboundary(module, f)
-        d = normalize_module_cocycle(module, d)
+        d = normalize_by_coboundary(module, d)
         coboundaries.add(tuple(sorted(d.items())))
     assert len(cocycles) % len(coboundaries) == 0
     return len(cocycles) // len(coboundaries)

@@ -1,16 +1,19 @@
 """Data the tests build: the identity datum and its transports and
 conjugates, random valid descent data, the regular module of a crossed
 product, the quaternion algebra that presents a component of an
-inner-form invariant, and root data on another lattice basis."""
+inner-form invariant, root data on another lattice basis, and random
+Gamma-modules with a non-trivial action."""
 
 from fractions import Fraction
+from itertools import permutations
 
 from galforms import qlinalg
-from galforms.cohomology import GaloisAction, kx_coboundary_of, quadratic_cocycle, trivial_kx_cocycle
+from galforms.cohomology import GModule, GaloisAction, kx_coboundary_of, quadratic_cocycle, trivial_kx_cocycle
 from galforms.crossed import CrossedProductAlgebra
 from galforms.descent import AModule, SemilinearDatum, _times_blocks, kmat, validate_datum
 from galforms.exact_linalg import IntMatrix
 from galforms.fields import _scaled_matrix, k_entries, k_matrix, quadratic_field
+from galforms.groups import cyclic, direct_product, homomorphisms, symmetric
 from galforms.root_datum import BasedRootDatum, RootDatum
 from oracles import gauss_mat_inv
 
@@ -138,3 +141,22 @@ MOVE = [[2, 2, -1, -1], [1, -1, 1, 0], [3, -2, 4, 3], [1, 0, 1, 1]]
 # the root lattice and the leaf's weight omega_1, with basis omega_1,
 # omega_2, omega_3 + omega_4, alpha_3 (Bourbaki numbering).
 SO8 = [[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 2], [0, 0, 1, 0]]
+
+
+def random_module(rng):
+    """(Z/m)^k, 1 <= k <= 3, on which g acts by chi(g) P(sigma(g)): chi a
+    character Gamma -> {1, -1}, sigma a homomorphism Gamma -> S_k and P
+    its permutation matrices, drawn until the action is not trivial mod
+    m.  Gamma is one of C2, C3, C4, C6, C2 x C2 and S3."""
+    c2 = cyclic(2)
+    gammas = [c2, cyclic(3), cyclic(4), cyclic(6), direct_product(c2, c2), symmetric(3)]
+    while True:
+        gamma, k, m = rng.choice(gammas), rng.randint(1, 3), rng.randint(3, 8)
+        chi = rng.choice(homomorphisms(gamma, c2))
+        sigma = rng.choice(homomorphisms(gamma, symmetric(k)))
+        perms = sorted(permutations(range(k)))
+        action = [IntMatrix([[(-1) ** chi[g] * (i == perms[sigma[g]][j]) for j in range(k)]
+                             for i in range(k)])
+                  for g in range(gamma.order)]
+        if any(chi) or any(sigma):
+            return GModule(gamma, (m,) * k, action)

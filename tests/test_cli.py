@@ -155,6 +155,21 @@ def test_h2_golden_stdout(capsys, tmp_path, case):
     validate_result(case["stdout"])
 
 
+@pytest.mark.parametrize("case", [c for c in GOLDEN_H2 if len(set(c["job"]["moduli"])) == 1],
+                         ids=lambda c: c["name"])
+def test_h2_golden_stdout_cold_and_warm(capsys, tmp_path, case):
+    """A one-modulus golden prints the same bytes with the memo of d2's
+    Smith form empty and with it holding the golden's (Gamma, action)."""
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(case["job"]))
+    want = json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n"
+    cohomology._d2_smith.cache_clear()
+    for _ in ("cold", "warm"):
+        assert run(["h2", "--job", str(job)]) == 0
+        assert capsys.readouterr().out == want
+    assert cohomology._d2_smith.cache_info()[:2] == (1, 1)  # hits, misses
+
+
 GOLDEN_H1 = json.loads((Path(__file__).parent / "data" / "h1_golden.json").read_text())
 
 

@@ -2,6 +2,7 @@
 with a full-enumeration oracle, Hom-module transport, K^x-valued
 cocycles, and the boundary map of a central extension."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from itertools import permutations, product as iproduct
 
 import pytest
 
+from galforms import cohomology
 from galforms.cli import parse_group
 from galforms.cohomology import (
     CentralExtension,
@@ -28,13 +30,14 @@ from galforms.cohomology import (
     _bar_rows,
     kx_coboundary_of,
     module_coboundary,
+    normalize_module_cocycle,
     one_cocycles,
     quadratic_cocycle,
     transport_to_family,
     trivial_kx_cocycle,
 )
 from galforms.descent import make_datum
-from galforms.exact_linalg import IntMatrix, _mul
+from galforms.exact_linalg import IntMatrix, _mul, _sparse_smith
 from galforms.fields import cyclotomic_field, quadratic_field
 from galforms import groups
 from galforms.groups import FiniteGroup, cyclic, direct_product, homomorphisms, symmetric
@@ -47,8 +50,10 @@ from oracles import (
     kx_is_coboundary,
     maps_by_product,
     module_elements,
+    normalize_by_coboundary,
     one_cocycles_brute,
 )
+from random_data import random_module
 
 
 # --- H^1 ------------------------------------------------------------------
@@ -285,6 +290,91 @@ def test_h2_tate_cyclic():
                 acc = mod.add(acc, mod.act(g, x))
             norms.add(acc)
         assert group.torsion_order == len(fixed) // len(norms)
+
+
+# One-modulus modules whose (Gamma, action) the `cohomology` benchmark
+# workload asks about with several moduli.
+MEMO_CASES = {
+    "C6 trivial": lambda m: GModule.trivial(cyclic(6), (m,)),
+    "C6 sign": lambda m: GModule(cyclic(6), (m,), [IntMatrix([[(-1) ** g]]) for g in range(6)]),
+    "C4xC2 trivial": lambda m: GModule.trivial(direct_product(cyclic(4), cyclic(2)), (m,)),
+}
+
+
+def _h2_answer(module):
+    """h2_bar's answer, with each representative's entries in order."""
+    group, reps = h2_bar(module)
+    return group, [list(rep.items()) for rep in reps]
+
+
+@pytest.mark.parametrize("name", MEMO_CASES)
+def test_h2_bar_with_a_warm_memo_equals_a_cold_computation(name):
+    """Moduli 2, 3, 4 and 6 in turn, each after the one before left its
+    Smith form of d2 in the memo, give what an empty memo gives."""
+    cold = {}
+    for m in (2, 3, 4, 6):
+        cohomology._d2_smith.cache_clear()
+        cold[m] = _h2_answer(MEMO_CASES[name](m))
+    cohomology._d2_smith.cache_clear()
+    for m in (2, 3, 4, 6):
+        assert _h2_answer(MEMO_CASES[name](m)) == cold[m], (name, m)
+    assert cohomology._d2_smith.cache_info()[:2] == (3, 1)  # hits, misses
+
+
+def test_h2_bar_leaves_the_memo_entry_unchanged():
+    module = MEMO_CASES["C4xC2 trivial"](4)
+    entry = cohomology._d2_smith(module.gamma, module.action)
+    before = copy.deepcopy(entry)
+    h2_bar(module)
+    assert cohomology._d2_smith(module.gamma, module.action) is entry
+    assert entry == before
+
+
+def test_h2_bar_eliminates_d2_once_per_action(monkeypatch):
+    """Counted at the elimination itself: d2 of C6 on Z/m has 216 rows
+    and 36 columns; the elimination of the coordinates of the generators
+    has 36 rows."""
+    shapes = []
+
+    def counting(s, ncols, **kwargs):
+        shapes.append((len(s), ncols))
+        return _sparse_smith(s, ncols, **kwargs)
+
+    monkeypatch.setattr(cohomology, "_sparse_smith", counting)
+    cohomology._d2_smith.cache_clear()
+    runs = []
+    for name, m in (("C6 trivial", 2), ("C6 trivial", 4), ("C6 trivial", 3), ("C6 sign", 4), ("C6 sign", 6)):
+        h2_bar(MEMO_CASES[name](m))
+        runs.append(shapes.count((216, 36)))
+    assert runs == [1, 1, 1, 2, 2]
+    assert len(shapes) == 2 + 5
+
+
+def test_d2_memo_is_bounded():
+    """Forty actions of C2 on Z/2 (the generator acts by an odd integer a,
+    each a distinct key) eliminate d2 forty times and keep at most the
+    bound."""
+    bound = cohomology._d2_smith.cache_info().maxsize
+    assert bound == 32
+    cohomology._d2_smith.cache_clear()
+    for a in range(1, 80, 2):
+        group, _ = h2_bar(GModule(cyclic(2), (2,), [IntMatrix([[1]]), IntMatrix([[a]])]))
+        assert group.invariant_factors == (2,)
+        assert cohomology._d2_smith.cache_info().currsize <= bound
+    assert cohomology._d2_smith.cache_info()[1:] == (40, bound, bound)  # misses, maxsize, currsize
+
+
+def test_normalize_module_cocycle_is_the_coboundary_shift():
+    """Subtracting a c from each entry (a, b) gives, entry for entry and in
+    the same order, what subtracting the coboundary of the constant map
+    at c gives, on random modules with a non-trivial action."""
+    rng = random.Random(28)
+    for _ in range(40):
+        module = random_module(rng)
+        n = module.gamma.order
+        table = {(a, b): tuple(rng.randrange(d) for d in module.moduli) for a in range(n) for b in range(n)}
+        want = normalize_by_coboundary(module, table)
+        assert list(normalize_module_cocycle(module, table).items()) == list(want.items())
 
 
 def test_module_validation():
