@@ -355,19 +355,19 @@ def _datum_doc(brd):
 
 def cmd_dual(args):
     brd = build_root_datum(args.type, args.isogeny)
-    emit(_datum_doc(dual(brd)))
+    return _datum_doc(dual(brd))
 
 
 def cmd_pi1(args):
     brd = build_root_datum(args.type, args.isogeny)
-    emit({"schema": "galforms/abelian-group/v1", **_abelian_doc(fundamental_group(brd))})
+    return {"schema": "galforms/abelian-group/v1", **_abelian_doc(fundamental_group(brd))}
 
 
 def cmd_outer(args):
     brd = build_root_datum(args.type, args.isogeny)
     group, elements = outer_automorphisms(brd)
-    emit({"schema": "galforms/outer/v1", "order": group.order,
-          "simple_permutations": [e.simple_permutation for e in elements]})
+    return {"schema": "galforms/outer/v1", "order": group.order,
+            "simple_permutations": [e.simple_permutation for e in elements]}
 
 
 def cmd_classify_quasisplit(args):
@@ -380,8 +380,8 @@ def cmd_classify_quasisplit(args):
         brd = build_root_datum(args.type, args.isogeny)
         out, _ = outer_automorphisms(brd)
     forms = classify_quasisplit(gamma, out)
-    emit({"schema": "galforms/quasisplit/v1", "count": len(forms),
-          "classes": [{"class_id": f.class_id, "rho": f.rho} for f in forms]})
+    return {"schema": "galforms/quasisplit/v1", "count": len(forms),
+            "classes": [{"class_id": f.class_id, "rho": f.rho} for f in forms]}
 
 
 def cmd_coinvariants(args):
@@ -398,9 +398,9 @@ def cmd_coinvariants(args):
         )
     except _NotAHomomorphism as exc:
         raise MalformedInput(f"bad rho {args.rho!r}: {exc}") from None
-    emit({"schema": "galforms/coinvariants/v1", "coinvariants": _abelian_doc(data.coinvariants),
-          "fixed_rank": data.fixed_rank, "moved_rank": data.moved_rank,
-          "orbits": data.orbits})
+    return {"schema": "galforms/coinvariants/v1", "coinvariants": _abelian_doc(data.coinvariants),
+            "fixed_rank": data.fixed_rank, "moved_rank": data.moved_rank,
+            "orbits": data.orbits}
 
 
 def _parse_ggroup(doc):
@@ -420,8 +420,8 @@ def cmd_h1(args):
     doc = load_job(args)
     ggroup = _parse_ggroup(doc)
     classes = h1_nonabelian(ggroup)
-    emit({"schema": "galforms/h1/v1", "count": len(classes),
-          "representatives": classes})
+    return {"schema": "galforms/h1/v1", "count": len(classes),
+            "representatives": classes}
 
 
 def _parse_gmodule(doc):
@@ -451,9 +451,9 @@ def cmd_h2(args):
     doc = load_job(args)
     module = _parse_gmodule(doc)
     group, reps = h2_bar(module)
-    emit({"schema": "galforms/h2/v1", **_abelian_doc(group),
-          "representatives": [[[a, b, val] for (a, b), val in sorted(rep.items())]
-                              for rep in reps]})
+    return {"schema": "galforms/h2/v1", **_abelian_doc(group),
+            "representatives": [[[a, b, val] for (a, b), val in sorted(rep.items())]
+                                for rep in reps]}
 
 
 def cmd_boundary(args):
@@ -476,8 +476,8 @@ def cmd_boundary(args):
     if len(maps["cocycle"]) != gamma.order:
         raise MalformedInput("cocycle must list one value per gamma element")
     table = boundary_map(ext, maps["cocycle"])
-    emit({"schema": "galforms/boundary/v1",
-          "table": [[a, b_, val] for (a, b_), val in sorted(table.items())]})
+    return {"schema": "galforms/boundary/v1",
+            "table": [[a, b_, val] for (a, b_), val in sorted(table.items())]}
 
 
 def cmd_hilbert(args):
@@ -488,15 +488,15 @@ def cmd_hilbert(args):
         if not DECIMAL.fullmatch(place):
             raise MalformedInput(f"bad place {place!r}")
         place = int(place)
-    emit({"schema": "galforms/hilbert/v1", "symbol": hilbert_symbol(a, b, place)})
+    return {"schema": "galforms/hilbert/v1", "symbol": hilbert_symbol(a, b, place)}
 
 
 def cmd_brauer_class(args):
     d = parse_rational(args.d)
     c = parse_rational(args.c)
     cls = brauer_class_quaternion(d, c)
-    emit({"schema": "galforms/brauer-class/v1", "ramified": cls.sorted_places(),
-          "trivial": cls.is_trivial()})
+    return {"schema": "galforms/brauer-class/v1", "ramified": cls.sorted_places(),
+            "trivial": cls.is_trivial()}
 
 
 def _algebra_from_args(args):
@@ -539,7 +539,7 @@ def cmd_crossed_product(args):
                 ]
     else:
         doc["split"] = None
-    emit(doc)
+    return doc
 
 
 def cmd_descend(args):
@@ -569,7 +569,7 @@ def cmd_descend(args):
             basis = fixed_space(datum)
             out["fixed_space"] = [[ser_rational(x) for x in vec] for vec in basis]
             out["fixed_dimension"] = len(basis)
-    emit(out)
+    return out
 
 
 def cmd_inner_invariant(args):
@@ -582,8 +582,8 @@ def cmd_inner_invariant(args):
         components.append({"element": element, "ramified": cls.sorted_places(),
                            "trivial": cls.is_trivial(), "split_algebra": cls.is_trivial(),
                            "presenting_c": ser_rational(invariant.parameters[element])})
-    emit({"schema": "galforms/inner-invariant/v1", "pi1": _abelian_doc(invariant.pi1),
-          "field": {"kind": "quadratic", "d": invariant.field_param}, "components": components})
+    return {"schema": "galforms/inner-invariant/v1", "pi1": _abelian_doc(invariant.pi1),
+            "field": {"kind": "quadratic", "d": invariant.field_param}, "components": components}
 
 
 # --- dispatch -------------------------------------------------------------
@@ -595,12 +595,49 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(message)
 
 
-ISOGENIES = ["simply_connected", "sc", "adjoint"]
+def isogeny(text):
+    """argparse type of --isogeny: 'sc' is short for simply_connected."""
+    return "simply_connected" if text == "sc" else text
 
 
-def _add_datum_flags(p):
-    p.add_argument("--type", type=type_label, required=True, help="Cartan label, e.g. A2, D4, T1")
-    p.add_argument("--isogeny", default="simply_connected", choices=ISOGENIES, help="isogeny type")
+# A flag is (option strings, add_argument keywords); these are shared.
+ISOGENY = {"default": "simply_connected", "choices": ["simply_connected", "sc", "adjoint"], "type": isogeny}
+DATUM = [(("--type",), {"type": type_label, "required": True, "help": "Cartan label, e.g. A2, D4, T1"}),
+         (("--isogeny",), {**ISOGENY, "help": "isogeny type"})]
+JOB = [(("--job",), {"required": True, "help": "JSON job file, or - for stdin"})]
+
+# One row per command, in the order of --help: (name, handler, help, flags).
+COMMANDS = [
+    ("dual", cmd_dual, "Langlands dual of a based root datum", DATUM),
+    ("pi1", cmd_pi1, "fundamental group of a root datum", DATUM),
+    ("outer", cmd_outer, "outer automorphism group", DATUM),
+    ("classify-quasisplit", cmd_classify_quasisplit, "Hom(Gamma, Out)/conjugation", [
+        (("--gamma",), {"required": True, "help": "group spec, e.g. C2, S3, C2xC2"}),
+        (("--out",), {"help": "target group spec (alternative to --type)"}),
+        (("--type",), {"type": type_label, "help": "Cartan label whose Out(G) is the target"}),
+        (("--isogeny",), ISOGENY)]),
+    ("coinvariants", cmd_coinvariants, "cocharacter coinvariants of a quasi-split twist", DATUM + [
+        (("--rho",), {"required": True, "help": "comma-separated Out-element indices, one per Gamma element"}),
+        (("--height",), {"type": argv_int, "default": 4})]),
+    ("h1", cmd_h1, "nonabelian H^1 of a Gamma-group (job document)", JOB),
+    ("h2", cmd_h2, "H^2 of a Gamma-module via the bar resolution (job document)", JOB),
+    ("boundary", cmd_boundary, "connecting map H^1(C) -> H^2(Z) of a central extension (job document)", JOB),
+    ("descend", cmd_descend, "validate a semilinear descent datum (job document)", JOB),
+    ("hilbert", cmd_hilbert, "quadratic Hilbert symbol at a place", [
+        (("-a",), {"required": True}),
+        (("-b",), {"required": True}),
+        (("-p", "--place"), {"required": True, "help": "prime or 'inf'"})]),
+    ("brauer-class", cmd_brauer_class, "ramified places of a quaternion class (d, c)", [
+        (("-d",), {"required": True}),
+        (("-c",), {"required": True})]),
+    ("crossed-product", cmd_crossed_product, "crossed product of a Galois extension and a 2-cocycle", [
+        (("-d",), {"type": argv_int, "help": "quadratic field parameter"}),
+        (("-c",), {"help": "cocycle value zeta(sigma, sigma)"}),
+        (("--job",), {"help": "JSON job file for non-quadratic input"})]),
+    ("inner-invariant", cmd_inner_invariant, "pi_1 -> Br homomorphism with algebra family", DATUM + [
+        (("-d",), {"type": argv_int, "required": True, "help": "quadratic field parameter"}),
+        (("--assign",), {"help": "comma-separated c per invariant-factor generator"})]),
+]
 
 
 def build_parser():
@@ -609,85 +646,26 @@ def build_parser():
         description="Exact classification of forms of reductive groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dual", help="Langlands dual of a based root datum")
-    _add_datum_flags(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("pi1", help="fundamental group of a root datum")
-    _add_datum_flags(p)
-    p.set_defaults(func=cmd_pi1)
-
-    p = sub.add_parser("outer", help="outer automorphism group")
-    _add_datum_flags(p)
-    p.set_defaults(func=cmd_outer)
-
-    p = sub.add_parser("classify-quasisplit", help="Hom(Gamma, Out)/conjugation")
-    p.add_argument("--gamma", required=True, help="group spec, e.g. C2, S3, C2xC2")
-    p.add_argument("--out", help="target group spec (alternative to --type)")
-    p.add_argument("--type", type=type_label, help="Cartan label whose Out(G) is the target")
-    p.add_argument("--isogeny", default="simply_connected", choices=ISOGENIES)
-    p.set_defaults(func=cmd_classify_quasisplit)
-
-    p = sub.add_parser("coinvariants", help="cocharacter coinvariants of a quasi-split twist")
-    _add_datum_flags(p)
-    p.add_argument("--rho", required=True, help="comma-separated Out-element indices, one per Gamma element")
-    p.add_argument("--height", type=argv_int, default=4)
-    p.set_defaults(func=cmd_coinvariants)
-
-    for name, func, help_text in [
-        ("h1", cmd_h1, "nonabelian H^1 of a Gamma-group (job document)"),
-        ("h2", cmd_h2, "H^2 of a Gamma-module via the bar resolution (job document)"),
-        ("boundary", cmd_boundary, "connecting map H^1(C) -> H^2(Z) of a central extension (job document)"),
-        ("descend", cmd_descend, "validate a semilinear descent datum (job document)"),
-    ]:
+    for name, handler, help_text, flags in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--job", required=True, help="JSON job file, or - for stdin")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("hilbert", help="quadratic Hilbert symbol at a place")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.add_argument("-p", "--place", required=True, help="prime or 'inf'")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("brauer-class", help="ramified places of a quaternion class (d, c)")
-    p.add_argument("-d", required=True)
-    p.add_argument("-c", required=True)
-    p.set_defaults(func=cmd_brauer_class)
-
-    p = sub.add_parser("crossed-product", help="crossed product of a Galois extension and a 2-cocycle")
-    p.add_argument("-d", type=argv_int, help="quadratic field parameter")
-    p.add_argument("-c", help="cocycle value zeta(sigma, sigma)")
-    p.add_argument("--job", help="JSON job file for non-quadratic input")
-    p.set_defaults(func=cmd_crossed_product)
-
-    p = sub.add_parser("inner-invariant", help="pi_1 -> Br homomorphism with algebra family")
-    _add_datum_flags(p)
-    p.add_argument("-d", type=argv_int, required=True, help="quadratic field parameter")
-    p.add_argument("--assign", help="comma-separated c per invariant-factor generator")
-    p.set_defaults(func=cmd_inner_invariant)
-
+        for options, keywords in flags:
+            p.add_argument(*options, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
-def _normalize_isogeny(args):
-    if getattr(args, "isogeny", None) == "sc":
-        args.isogeny = "simply_connected"
-
-
 def run(argv=None):
+    """Run one command, write its document or the error document, and
+    return the exit code."""
     try:
         args = build_parser().parse_args(argv)
-        _normalize_isogeny(args)
-        args.func(args)
+        doc, code = args.func(args), 0
     except MalformedInput as exc:
-        emit({"schema": "galforms/error/v1", "error": str(exc), "kind": "malformed-input"})
-        return 2
+        doc, code = {"schema": "galforms/error/v1", "error": str(exc), "kind": "malformed-input"}, 2
     except (ValueError, ZeroDivisionError, NotImplementedError) as exc:
-        emit({"schema": "galforms/error/v1", "error": str(exc), "kind": "domain-error"})
-        return 1
-    return 0
+        doc, code = {"schema": "galforms/error/v1", "error": str(exc), "kind": "domain-error"}, 1
+    emit(doc)
+    return code
 
 
 def main():

@@ -299,11 +299,12 @@ def h2_bar(module):
             continue
         factors.append(d)
         vec = _mul([u_inv[t]], bk)[0]
+        # left unreduced: normalize_module_cocycle reduces once, and act respects the moduli
         table = {}
         for a in range(n):
             for b in range(n):
                 base = (a * n + b) * k
-                table[(a, b)] = module.reduce(vec.get(base + i, 0) for i in range(k))
+                table[(a, b)] = tuple(vec.get(base + i, 0) for i in range(k))
         reps.append(normalize_module_cocycle(module, table))
     # s is normalized, a divisibility chain with its zeros last: factors ascend
     return FiniteAbelianGroup(tuple(factors), 0), reps

@@ -8,13 +8,15 @@ group elements, Gauss-Jordan elimination over Fractions, field inverses
 by a linear solve, the descent morphism systems written out in full,
 descent validity checked on K-matrices, the coweight orbits found by
 closing each point under every matrix, pi_1 from every coroot, Out(G)
-from the inverses of both simple bases over Q, and the readings of
-library objects that only the tests take.  Desk scale only; they check
-the library's exact algorithms and are not part of it."""
+from the inverses of both simple bases over Q, the readings of
+library objects that only the tests take, and the CLI's argument parser
+written out command by command.  Desk scale only; they check the
+library's exact algorithms and are not part of it."""
 
 from fractions import Fraction
 from itertools import compress, product
 
+from galforms.cli import _Parser, argv_int, type_label
 from galforms.cohomology import (
     is_module_coboundary,
     is_one_cocycle,
@@ -716,3 +718,71 @@ def datum_violation(datum):
             if lhs != rhs:
                 return f"twisted composition fails at pair ({a}, {b})"
     return None
+
+
+# The CLI's argument parser, one hand-written block per command, without
+# handlers; cli.build_parser builds the same tree from its command table.
+
+def reference_parser():
+    """The argparse tree of the galforms CLI, written out command by command."""
+    isogenies = ["simply_connected", "sc", "adjoint"]
+
+    def add_datum_flags(p):
+        p.add_argument("--type", type=type_label, required=True, help="Cartan label, e.g. A2, D4, T1")
+        p.add_argument("--isogeny", default="simply_connected", choices=isogenies, help="isogeny type")
+
+    parser = _Parser(
+        prog="galforms",
+        description="Exact classification of forms of reductive groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("dual", help="Langlands dual of a based root datum")
+    add_datum_flags(p)
+
+    p = sub.add_parser("pi1", help="fundamental group of a root datum")
+    add_datum_flags(p)
+
+    p = sub.add_parser("outer", help="outer automorphism group")
+    add_datum_flags(p)
+
+    p = sub.add_parser("classify-quasisplit", help="Hom(Gamma, Out)/conjugation")
+    p.add_argument("--gamma", required=True, help="group spec, e.g. C2, S3, C2xC2")
+    p.add_argument("--out", help="target group spec (alternative to --type)")
+    p.add_argument("--type", type=type_label, help="Cartan label whose Out(G) is the target")
+    p.add_argument("--isogeny", default="simply_connected", choices=isogenies)
+
+    p = sub.add_parser("coinvariants", help="cocharacter coinvariants of a quasi-split twist")
+    add_datum_flags(p)
+    p.add_argument("--rho", required=True, help="comma-separated Out-element indices, one per Gamma element")
+    p.add_argument("--height", type=argv_int, default=4)
+
+    for name, help_text in [
+        ("h1", "nonabelian H^1 of a Gamma-group (job document)"),
+        ("h2", "H^2 of a Gamma-module via the bar resolution (job document)"),
+        ("boundary", "connecting map H^1(C) -> H^2(Z) of a central extension (job document)"),
+        ("descend", "validate a semilinear descent datum (job document)"),
+    ]:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--job", required=True, help="JSON job file, or - for stdin")
+
+    p = sub.add_parser("hilbert", help="quadratic Hilbert symbol at a place")
+    p.add_argument("-a", required=True)
+    p.add_argument("-b", required=True)
+    p.add_argument("-p", "--place", required=True, help="prime or 'inf'")
+
+    p = sub.add_parser("brauer-class", help="ramified places of a quaternion class (d, c)")
+    p.add_argument("-d", required=True)
+    p.add_argument("-c", required=True)
+
+    p = sub.add_parser("crossed-product", help="crossed product of a Galois extension and a 2-cocycle")
+    p.add_argument("-d", type=argv_int, help="quadratic field parameter")
+    p.add_argument("-c", help="cocycle value zeta(sigma, sigma)")
+    p.add_argument("--job", help="JSON job file for non-quadratic input")
+
+    p = sub.add_parser("inner-invariant", help="pi_1 -> Br homomorphism with algebra family")
+    add_datum_flags(p)
+    p.add_argument("-d", type=argv_int, required=True, help="quadratic field parameter")
+    p.add_argument("--assign", help="comma-separated c per invariant-factor generator")
+
+    return parser

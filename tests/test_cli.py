@@ -1,5 +1,6 @@
 """Command-line interface: JSON output, schemas, exit codes."""
 
+import argparse
 import contextlib
 import copy
 import functools
@@ -16,8 +17,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galforms import classify, cohomology, fields, groups
-from galforms.cli import run
+from galforms import classify, cli, cohomology, fields, groups
+from galforms.cli import MalformedInput, build_parser, run
+from oracles import reference_parser
 
 
 def invoke(capsys, *argv):
@@ -737,7 +739,7 @@ def test_no_global_seed_flag(capsys):
     assert out["kind"] == "malformed-input"
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     ["crossed-product", "-d", "abc", "-c", "1"],
     ["coinvariants", "--type", "A2", "--rho", "0,1", "--height", "x"],
     ["dual", "--type", "A2", "--isogeny", "foo"],
@@ -746,7 +748,10 @@ def test_no_global_seed_flag(capsys):
     ["classify-quasisplit", "--gamma", "C2", "--type", "A2", "--isogeny", "foo"],
     ["no-such-command"],
     [],
-])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors_print_malformed_input(capsys, argv):
     """Usage errors print an error/v1 document and exit 2, with nothing on
     stderr."""
@@ -764,6 +769,84 @@ def test_help_still_prints_usage(capsys):
         run(["dual", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: galforms dual")
+
+
+def subparsers(parser):
+    """{command: subparser} of an argparse tree."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def usage_error(parser, argv):
+    with pytest.raises(MalformedInput) as exc:
+        parser.parse_args(argv)
+    return str(exc.value)
+
+
+def test_the_command_table_builds_the_reference_parser():
+    """build_parser, one loop over the command table, gives the --help of
+    the parser written out command by command, at the top and for every
+    command, and the same usage-error messages, on whatever Python runs
+    it."""
+    table, reference = build_parser(), reference_parser()
+    assert table.format_help() == reference.format_help()
+    table_commands, reference_commands = subparsers(table), subparsers(reference)
+    assert list(table_commands) == list(reference_commands)
+    for name, p in table_commands.items():
+        assert p.format_help() == reference_commands[name].format_help(), name
+    more = [["h2"], ["h1", "--job", "-", "--no-such-flag"], ["hilbert", "-a", "1", "-b", "1", "-p"]]
+    for argv in USAGE_ERRORS + more:
+        assert usage_error(table, argv) == usage_error(reference, argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "--type", "A2"],
+    ["pi1", "--type", "A3"],
+    ["outer", "--type", "D4"],
+    ["coinvariants", "--type", "A3", "--rho", "0,1"],
+    ["inner-invariant", "--type", "A3", "-d", "-1"],
+    ["classify-quasisplit", "--gamma", "C2", "--type", "D4"],
+], ids=lambda argv: argv[0])
+def test_sc_is_short_for_simply_connected(capsys, argv):
+    """--isogeny sc prints the bytes --isogeny simply_connected prints,
+    which the default prints too, on every command that takes it."""
+    outputs = []
+    for isogeny in (["--isogeny", "sc"], ["--isogeny", "simply_connected"], []):
+        assert run(argv + isogeny) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def golden_runs(tmp_path):
+    """(argv, exit code) of every golden, with its job in a file."""
+    for name, command in (("lie", None), ("h1", "h1"), ("h2", "h2"), ("crossed", None)):
+        cases = json.loads((Path(__file__).parent / "data" / f"{name}_golden.json").read_text())
+        for i, case in enumerate(cases):
+            argv = list(case.get("argv") or [command])
+            if case.get("job") is not None:
+                job = tmp_path / f"{name}-{i}.json"
+                job.write_text(json.dumps(case["job"]))
+                argv += ["--job", str(job)]
+            yield argv, case.get("exit", 0)
+
+
+def test_run_is_the_one_writer(capsys, monkeypatch, tmp_path):
+    """Every golden, and every kind of error, makes exactly one emit call:
+    handlers return their documents and run writes them."""
+    calls = []
+    monkeypatch.setattr(cli, "emit", lambda doc: calls.append(doc))
+    runs = list(golden_runs(tmp_path))
+    assert len(runs) == 81
+    errors = [(argv, 2) for argv in USAGE_ERRORS] + [
+        (["h2", "--job", str(tmp_path / "no-such-job.json")], 2),
+        (["pi1", "--type", "T9"], 1),
+        (["hilbert", "-a", "1", "-b", "1", "-p", "4"], 1),
+        (["outer", "--type", "T1"], 1),
+    ]
+    for argv, code in runs + errors:
+        calls.clear()
+        assert run(argv) == code, argv
+        assert len(calls) == 1, argv
+    assert capsys.readouterr().out == ""
 
 
 def test_output_is_deterministic():
