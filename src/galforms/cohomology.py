@@ -261,9 +261,21 @@ def h2_bar(module):
     With one modulus, the Smith form of d2 comes from _d2_smith, a memo
     of the last 32 (Gamma, action) pairs of the process: d2 over Z reads
     only Gamma and the action matrices, so one key serves every modulus.
+    Above it, _h2_bar_answer keeps the whole answer for the last 128
+    modules, keyed on Gamma, the moduli and the action matrices as given:
+    matrices equal mod the moduli give other representatives.  Each call
+    gets its own dicts.
     """
-    gamma, k = module.gamma, module.rank
-    n = gamma.order
+    group, reps = _h2_bar_answer(module.gamma, module.moduli, module.action)
+    return group, [dict(rep) for rep in reps]
+
+
+@lru_cache(maxsize=128)
+def _h2_bar_answer(gamma, moduli, action):
+    """h2_bar's answer, each representative a tuple of its items."""
+    module = object.__new__(GModule)  # the caller's module, checked when it was built
+    module._assign(gamma, moduli, action)
+    k, n = module.rank, gamma.order
     n1, n2, n3 = n * k, n * n * k, n * n * n * k
     if n3 > BAR_ROW_CAP:
         raise ValueError(f"the bar complex has {n3} rows, above the cap of {BAR_ROW_CAP}")
@@ -305,9 +317,9 @@ def h2_bar(module):
             for b in range(n):
                 base = (a * n + b) * k
                 table[(a, b)] = tuple(vec.get(base + i, 0) for i in range(k))
-        reps.append(normalize_module_cocycle(module, table))
+        reps.append(tuple(normalize_module_cocycle(module, table).items()))
     # s is normalized, a divisibility chain with its zeros last: factors ascend
-    return FiniteAbelianGroup(tuple(factors), 0), reps
+    return FiniteAbelianGroup(tuple(factors), 0), tuple(reps)
 
 
 def is_module_cocycle(module, table):

@@ -160,16 +160,68 @@ def test_h2_golden_stdout(capsys, tmp_path, case):
 @pytest.mark.parametrize("case", [c for c in GOLDEN_H2 if len(set(c["job"]["moduli"])) == 1],
                          ids=lambda c: c["name"])
 def test_h2_golden_stdout_cold_and_warm(capsys, tmp_path, case):
-    """A one-modulus golden prints the same bytes with the memo of d2's
-    Smith form empty and with it holding the golden's (Gamma, action)."""
+    """A one-modulus golden prints the same bytes with both memos empty,
+    with only the memo of d2's Smith form holding the golden's (Gamma,
+    action), and with h2_bar's memo holding its answer."""
     job = tmp_path / "job.json"
     job.write_text(json.dumps(case["job"]))
     want = json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n"
     cohomology._d2_smith.cache_clear()
-    for _ in ("cold", "warm"):
+    for memo in ("none", "d2", "answer"):
+        if memo != "answer":
+            cohomology._h2_bar_answer.cache_clear()
         assert run(["h2", "--job", str(job)]) == 0
-        assert capsys.readouterr().out == want
+        assert capsys.readouterr().out == want, memo
     assert cohomology._d2_smith.cache_info()[:2] == (1, 1)  # hits, misses
+    assert cohomology._h2_bar_answer.cache_info()[:2] == (1, 1)
+
+
+def _clear_h2_memos():
+    cohomology._h2_bar_answer.cache_clear()
+    cohomology._d2_smith.cache_clear()
+
+
+def test_h2_goldens_cold_then_warm(capsys, tmp_path):
+    """All 13 goldens, the 7 with moduli that differ included, in one
+    process: each prints its bytes once from empty memos and once from
+    h2_bar's memo."""
+    assert len(GOLDEN_H2) == 13
+    _clear_h2_memos()
+    for sweep in ("cold", "warm"):
+        for case in GOLDEN_H2:
+            job = tmp_path / "job.json"
+            job.write_text(json.dumps(case["job"]))
+            assert run(["h2", "--job", str(job)]) == 0
+            assert capsys.readouterr().out == json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n", (sweep, case["name"])
+    assert cohomology._h2_bar_answer.cache_info()[:2] == (13, 13)  # hits, misses
+
+
+# Spellings of Z/4 as a C2-module.  The first three are the sign action
+# and print the same bytes; the last two are the trivial action, and
+# their representatives differ (f(1, 1) = 1 and 3), because d2 over Z
+# reads the integers as written.
+Z4_SPELLINGS = [[[[1]], [[3]]], [[[5]], [[3]]], [[[1]], [[-1]]], [[[1]], [[1]]], [[[5]], [[5]]]]
+
+
+def test_h2_spellings_of_one_module_print_their_own_bytes(capsys, tmp_path):
+    """h2_bar's memo keys on the action matrices as given, not mod the
+    moduli: in one process, in either order, each spelling prints what it
+    prints from empty memos."""
+    paths = []
+    for i, action in enumerate(Z4_SPELLINGS):
+        paths.append(tmp_path / f"job{i}.json")
+        paths[-1].write_text(json.dumps({"gamma": "C2", "moduli": [4], "action": action}))
+    cold = {}
+    for path in paths:
+        _clear_h2_memos()
+        assert run(["h2", "--job", str(path)]) == 0
+        cold[path] = capsys.readouterr().out
+    assert len({cold[path] for path in paths[:3]}) == 1 and cold[paths[3]] != cold[paths[4]]
+    for order in (paths, paths[::-1]):
+        _clear_h2_memos()
+        for path in order:
+            assert run(["h2", "--job", str(path)]) == 0
+            assert capsys.readouterr().out == cold[path], path.name
 
 
 GOLDEN_H1 = json.loads((Path(__file__).parent / "data" / "h1_golden.json").read_text())

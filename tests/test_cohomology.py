@@ -301,6 +301,13 @@ MEMO_CASES = {
 }
 
 
+def _clear_memos():
+    """Empty h2_bar's memo of answers and the memo of d2's Smith form
+    under it, so that a test sees every elimination it causes."""
+    cohomology._h2_bar_answer.cache_clear()
+    cohomology._d2_smith.cache_clear()
+
+
 def _h2_answer(module):
     """h2_bar's answer, with each representative's entries in order."""
     group, reps = h2_bar(module)
@@ -310,12 +317,14 @@ def _h2_answer(module):
 @pytest.mark.parametrize("name", MEMO_CASES)
 def test_h2_bar_with_a_warm_memo_equals_a_cold_computation(name):
     """Moduli 2, 3, 4 and 6 in turn, each after the one before left its
-    Smith form of d2 in the memo, give what an empty memo gives."""
+    Smith form of d2 in the memo, give what empty memos give.  Each
+    modulus is a new key of h2_bar's own memo, so d2 is read from the
+    memo under it three times."""
     cold = {}
     for m in (2, 3, 4, 6):
-        cohomology._d2_smith.cache_clear()
+        _clear_memos()
         cold[m] = _h2_answer(MEMO_CASES[name](m))
-    cohomology._d2_smith.cache_clear()
+    _clear_memos()
     for m in (2, 3, 4, 6):
         assert _h2_answer(MEMO_CASES[name](m)) == cold[m], (name, m)
     assert cohomology._d2_smith.cache_info()[:2] == (3, 1)  # hits, misses
@@ -325,6 +334,7 @@ def test_h2_bar_leaves_the_memo_entry_unchanged():
     module = MEMO_CASES["C4xC2 trivial"](4)
     entry = cohomology._d2_smith(module.gamma, module.action)
     before = copy.deepcopy(entry)
+    cohomology._h2_bar_answer.cache_clear()
     h2_bar(module)
     assert cohomology._d2_smith(module.gamma, module.action) is entry
     assert entry == before
@@ -341,7 +351,7 @@ def test_h2_bar_eliminates_d2_once_per_action(monkeypatch):
         return _sparse_smith(s, ncols, **kwargs)
 
     monkeypatch.setattr(cohomology, "_sparse_smith", counting)
-    cohomology._d2_smith.cache_clear()
+    _clear_memos()
     runs = []
     for name, m in (("C6 trivial", 2), ("C6 trivial", 4), ("C6 trivial", 3), ("C6 sign", 4), ("C6 sign", 6)):
         h2_bar(MEMO_CASES[name](m))
@@ -356,12 +366,47 @@ def test_d2_memo_is_bounded():
     bound."""
     bound = cohomology._d2_smith.cache_info().maxsize
     assert bound == 32
-    cohomology._d2_smith.cache_clear()
+    _clear_memos()
     for a in range(1, 80, 2):
         group, _ = h2_bar(GModule(cyclic(2), (2,), [IntMatrix([[1]]), IntMatrix([[a]])]))
         assert group.invariant_factors == (2,)
         assert cohomology._d2_smith.cache_info().currsize <= bound
     assert cohomology._d2_smith.cache_info()[1:] == (40, bound, bound)  # misses, maxsize, currsize
+
+
+def test_answer_memo_is_bounded():
+    """h2_bar's memo keeps at most its bound of modules: eight more
+    actions of C2 on Z/2 than the bound are all misses, and then the
+    newest is answered from the memo while the oldest, evicted, is
+    computed again."""
+    bound = cohomology._h2_bar_answer.cache_info().maxsize
+    assert bound == 128
+    _clear_memos()
+    modules = [GModule(cyclic(2), (2,), [IntMatrix([[1]]), IntMatrix([[a]])]) for a in range(1, 2 * bound + 17, 2)]
+    for module in modules:
+        group, _ = h2_bar(module)
+        assert group.invariant_factors == (2,)
+        assert cohomology._h2_bar_answer.cache_info().currsize <= bound
+    assert cohomology._h2_bar_answer.cache_info() == (0, bound + 8, bound, bound)  # hits, misses, maxsize, currsize
+    h2_bar(modules[-1])
+    h2_bar(modules[0])
+    assert cohomology._h2_bar_answer.cache_info()[:2] == (1, bound + 9)
+
+
+def test_a_caller_cannot_change_a_memo_entry():
+    """Mutating a returned representative and the returned list leaves
+    the next answer, read from h2_bar's memo, what an empty memo gives."""
+    module = MEMO_CASES["C4xC2 trivial"](4)
+    _clear_memos()
+    cold = _h2_answer(module)
+    group, reps = h2_bar(module)
+    assert group == cold[0] and len(reps) >= 2
+    reps[0][(1, 1)] = (3,)
+    reps[-1].clear()
+    reps.append({(0, 0): (1,)})
+    del reps[1]
+    assert _h2_answer(module) == cold
+    assert cohomology._h2_bar_answer.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 def test_normalize_module_cocycle_is_the_coboundary_shift():
