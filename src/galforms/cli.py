@@ -10,6 +10,7 @@ error (machine-readable error object on stdout), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -281,11 +282,14 @@ def load_job(args):
 # pure Python (its C encoder serves indent=None only) and writes each chunk
 # on its own.  _dumps builds a container with one join of its items; emit
 # writes the document a value at a time and a list value in runs of _RUN
-# items, so an answer of tens of megabytes is never held twice.
+# items, so an answer of tens of megabytes is never held twice.  A run of
+# int arrays goes through the C encoder in one line, which _int_run indents.
 _NEWLINE = tuple("\n" + "  " * depth for depth in range(16))
 _SEPARATOR = tuple("," + newline for newline in _NEWLINE)
 _RUN = 512
 _encode_str = json.encoder.encode_basestring_ascii
+_encode_line = json.JSONEncoder(check_circular=False).encode
+_INT_LINE = re.compile(r"[\[\]0-9, -]*")
 
 
 def _str_keys(o):
@@ -321,6 +325,44 @@ def _dumps(o, depth):
     return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
+def _leaf_depth(o, end):
+    """How many lists deep the walk o[end][end]... meets an int, or None."""
+    k = 0
+    while isinstance(o, (list, tuple)) and o:
+        o, k = o[end], k + 1
+    return k if type(o) is int else None
+
+
+@functools.cache
+def _int_indent(m):
+    """(head, tail, steps): the first item's openings, the last one's closings
+    and the separators, longest first, of items with int leaves m lists deep."""
+    opens = ["[" + _NEWLINE[3 + i] for i in range(m)]
+    closes = [_NEWLINE[1 + m - i] + "]" for i in range(m)]
+    steps = [("]" * j + ", " + "[" * j, "".join(closes[:j]) + _SEPARATOR[2 + m - j] + "".join(opens[m - j:]))
+             for j in range(m, -1, -1)]
+    return "".join(opens), "".join(closes), steps
+
+
+def _int_run(run):
+    """_SEPARATOR[2].join(_dumps(x, 2) for x in run) when every leaf of
+    run is an int, all as deep, and no list in it is empty; else None."""
+    m = _leaf_depth(run[0], 0)
+    if m is None or m != _leaf_depth(run[-1], -1) or m + 3 > len(_NEWLINE):
+        return None
+    head, tail, steps = _int_indent(m)
+    line = _encode_line(run)
+    # the leaves are all as deep when the longest step that matches each
+    # separator takes all the '[' after it: all but the first m + 1
+    if ("[]" in line or not _INT_LINE.fullmatch(line)
+            or sum(line.count(old) for old, _ in steps[:-1]) != line.count("[") - m - 1):
+        return None
+    text = line[m + 1:-m - 1]
+    for old, new in steps:
+        text = text.replace(old, new)
+    return head + text + tail
+
+
 def emit(doc):
     """Write doc to stdout as json.dump(doc, indent=2, sort_keys=True) and a
     newline would.  sys.stdout is read on every call: callers redirect it."""
@@ -335,8 +377,9 @@ def emit(doc):
             continue
         write("[")
         for start in range(0, len(value), _RUN):
-            items = [_dumps(x, 2) for x in value[start:start + _RUN]]
-            write((_SEPARATOR if start else _NEWLINE)[2] + _SEPARATOR[2].join(items))
+            run = value[start:start + _RUN]
+            text = _int_run(run) or _SEPARATOR[2].join([_dumps(x, 2) for x in run])
+            write((_SEPARATOR if start else _NEWLINE)[2] + text)
         write(_NEWLINE[1] + "]")
     write("\n}\n")
 

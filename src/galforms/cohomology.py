@@ -54,8 +54,9 @@ class GGroup:
 
     @staticmethod
     def trivial_action(gamma, coeff):
-        perm = tuple(range(coeff.order))
-        return GGroup(gamma, coeff, [perm] * gamma.order)
+        ggroup = object.__new__(GGroup)  # identity permutations need no check
+        ggroup.gamma, ggroup.coeff, ggroup.action = gamma, coeff, (tuple(range(coeff.order)),) * gamma.order
+        return ggroup
 
 
 def is_one_cocycle(ggroup, f):

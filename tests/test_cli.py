@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from galforms import classify, cli, cohomology, fields, groups
 from galforms.cli import MalformedInput, build_parser, run
@@ -1446,6 +1446,60 @@ def test_emit_writes_what_json_dump_writes(doc):
     """On random documents emit prints json.dumps(doc, indent=2,
     sort_keys=True) and a newline."""
     assert emitted(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def leaf_depths(o, depth=0):
+    """How many lists deep o's leaves sit, with -1 for a leaf that is not
+    an int and for an empty list."""
+    if not isinstance(o, (list, tuple)):
+        return {depth if type(o) is int else -1}
+    return set().union(*(leaf_depths(x, depth + 1) for x in o)) if o else {-1}
+
+
+def int_arrays(depth):
+    """Arrays of ints up to 2**200 in size, all depth lists deep, none
+    empty, as lists and as tuples."""
+    arrays = st.integers(-(2**200), 2**200)
+    for _ in range(depth):
+        rows = st.lists(arrays, min_size=1, max_size=2)
+        arrays = st.one_of(rows, rows.map(tuple))
+    return arrays
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(int_arrays), st.sampled_from([0, 513, 1025]))
+@example([[7], [], [0]], 0)
+@example([[0, True]], 0)
+@example([[0], [None]], 0)
+@example([[0.5, 1]], 0)
+@example([[1, "2"]], 0)
+@example([0, 1, [2]], 0)
+@example([[1], [[2]]], 0)
+@example([[1], [[2]]], 1025)
+@example([[1], [[2]], (3,)], 0)
+def test_emit_writes_int_arrays_in_one_line_each_run(value, rows):
+    """A value whose leaves are ints, all as deep and in no empty list, goes
+    through json's C encoder a run at a time and comes out as json.dumps
+    writes it; 513 and 1,025 rows cross a run, and the pinned near misses
+    (an empty list, a leaf that is no int, mixed depth, also between ends
+    as deep) are refused."""
+    if rows:
+        value = [value[i % len(value)] for i in range(rows)]
+    doc = {"orbits": value, "rank": 2}
+    assert emitted(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    run = value[:cli._RUN]
+    depths = leaf_depths(run)
+    assert (cli._int_run(run) is not None) == (len(depths) == 1 and -1 not in depths)
+
+
+@pytest.mark.parametrize("depth", range(len(cli._NEWLINE) + 1))
+def test_emit_writes_int_arrays_nested_up_to_the_indent_table(depth):
+    """Int arrays nested as deep as _NEWLINE reaches take the C encoder,
+    deeper ones _dumps; both come out as json.dumps writes them."""
+    value = [nested([1, -2], depth), nested([3], depth)]
+    doc = {"x": value}
+    assert emitted(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert (cli._int_run(value) is not None) == (depth + 3 < len(cli._NEWLINE))
 
 
 @pytest.mark.parametrize("doc", [

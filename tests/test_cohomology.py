@@ -77,6 +77,31 @@ def test_h1_inversion_action():
     assert len(classes) == 1
 
 
+def test_trivial_action_checks_nothing(monkeypatch):
+    """The trivial action is the Gamma-group the constructor builds from
+    identity permutations, with none of the constructor's checks run."""
+    gamma, coeff = symmetric(3), direct_product(cyclic(2), cyclic(2))
+    checked = GGroup(gamma, coeff, [range(4)] * 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(GGroup, "__init__", lambda *args: pytest.fail("action checked"))
+        ggroup = GGroup.trivial_action(gamma, coeff)
+    assert vars(ggroup) == vars(checked)
+    assert h1_nonabelian(ggroup) == h1_nonabelian(checked)
+
+
+@pytest.mark.parametrize("action, message", [
+    (((0, 1, 2),), "one permutation per Gamma element"),
+    (((0, 1, 2), (0, 1, 1)), "action of 1 is not a permutation"),
+    (((0, 1, 2), (1, 0, 2)), "action of 1 is not an automorphism"),
+    (((0, 2, 1), (0, 2, 1)), "action is not a group homomorphism"),
+], ids=["length", "permutation", "automorphism", "homomorphism"])
+def test_ggroup_refuses_a_bad_action(action, message):
+    """The constructor, the trust boundary of a Gamma-group that is not
+    trivial, still checks every action it is given."""
+    with pytest.raises(ValueError, match=message):
+        GGroup(cyclic(2), cyclic(3), action)
+
+
 def test_s3_coefficients_h1():
     from galforms.groups import symmetric
 
