@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import gcd
+from threading import Lock
 
 from .exact_linalg import FiniteAbelianGroup, IntMatrix, _dense, _mul, _sparse_smith, solve_integer
 from .fields import GaloisField, galois_group, is_norm_quadratic
@@ -229,17 +229,12 @@ BAR_ROW_CAP = 20_000
 # on Z/2 + Z/3 with the trivial action 2,000 rows and 4-7 s, and C10 on
 # Z/2 + Z/4 by (x, y) -> (x, y + 2x) 2,000 rows and 16-17 s.
 MIXED_MODULI_ROW_CAP = 1_500
-
-
-@lru_cache(maxsize=32)
-def _d2_smith(gamma, action):
-    """The diagonal of S, V and V^-1 of the Smith form of d2 over Z, which
-    reads only Gamma and the action matrices."""
-    n2 = gamma.order ** 2 * action[0].rows
-    shape = object.__new__(GModule)  # _bar_rows reads no moduli
-    shape._assign(gamma, (1,) * action[0].rows, action)
-    s, _u, v, _u_inv, v_inv = _sparse_smith(_bar_rows(shape, 2), n2, v=True, v_inv=True)
-    return tuple(s[t].get(t, 0) for t in range(n2)), v, v_inv
+# h2_bar keeps an answer when its tuples and key matrices, counted as
+# |Gamma| (|Gamma| |reps| (k + 20) + (k + 6)^2) words, are at most this.
+H2_MEMO_ENTRY_WORDS = 2 ** 17
+H2_MEMO_ENTRIES = 128
+_H2_MEMO = {}
+_H2_MEMO_LOCK = Lock()
 
 
 def h2_bar(module):
@@ -259,24 +254,28 @@ def h2_bar(module):
     invariant factors (its S) and the representatives (the columns of
     U^-1, read in bk).
 
-    With one modulus, the Smith form of d2 comes from _d2_smith, a memo
-    of the last 32 (Gamma, action) pairs of the process: d2 over Z reads
-    only Gamma and the action matrices, so one key serves every modulus.
-    Above it, _h2_bar_answer keeps the whole answer for the last 128
-    modules, keyed on Gamma, the moduli and the action matrices as given:
-    matrices equal mod the moduli give other representatives.  Each call
-    gets its own dicts.
+    The process keeps the answers for the last H2_MEMO_ENTRIES modules it
+    met, keyed on Gamma, the moduli and the action matrices as given:
+    matrices equal mod the moduli give other representatives.  A hit makes
+    its entry the newest, and an entry above H2_MEMO_ENTRY_WORDS is not
+    kept.  Each call gets its own dicts.
     """
-    group, reps = _h2_bar_answer(module.gamma, module.moduli, module.action)
+    key = (module.gamma, module.moduli, module.action)
+    with _H2_MEMO_LOCK:
+        answer = _H2_MEMO.pop(key, None)
+    group, reps = answer = answer or _h2_bar_answer(module)
+    n, k = module.gamma.order, module.rank
+    if n * (n * len(reps) * (k + 20) + (k + 6) ** 2) <= H2_MEMO_ENTRY_WORDS:
+        with _H2_MEMO_LOCK:
+            _H2_MEMO[key] = answer
+            if len(_H2_MEMO) > H2_MEMO_ENTRIES:
+                del _H2_MEMO[next(iter(_H2_MEMO))]
     return group, [dict(rep) for rep in reps]
 
 
-@lru_cache(maxsize=128)
-def _h2_bar_answer(gamma, moduli, action):
+def _h2_bar_answer(module):
     """h2_bar's answer, each representative a tuple of its items."""
-    module = object.__new__(GModule)  # the caller's module, checked when it was built
-    module._assign(gamma, moduli, action)
-    k, n = module.rank, gamma.order
+    k, n = module.rank, module.gamma.order
     n1, n2, n3 = n * k, n * n * k, n * n * n * k
     if n3 > BAR_ROW_CAP:
         raise ValueError(f"the bar complex has {n3} rows, above the cap of {BAR_ROW_CAP}")
@@ -289,8 +288,8 @@ def _h2_bar_answer(gamma, moduli, action):
         # x = V y lies in K iff s_t y_t = 0 mod m for every t, so
         # bk = V diag(scales) and bk^-1 gens = diag(scales)^-1 V^-1 gens.
         m = moduli_c3[0]
-        diagonal, v, v_inv = _d2_smith(gamma, module.action)
-        scales = [m // gcd(d, m) for d in diagonal]
+        s, _u, v, _u_inv, v_inv = _sparse_smith(_bar_rows(module, 2), n2, v=True, v_inv=True)
+        scales = [m // gcd(s[t].get(t, 0), m) for t in range(n2)]
         bk = [{i: c * x for i, x in col.items()} for col, c in zip(v, scales)]
         coords = [_divide_exactly(row, d) for row, d in zip(_mul(v_inv, gens), scales)]
     else:

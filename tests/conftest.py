@@ -12,7 +12,9 @@ included, builds; its tests run after all the others.
 
 Each recorded function is replaced in every galforms namespace that binds
 it before the test modules import it, so `from galforms.x import f`
-in a test reads the recording wrapper too."""
+in a test reads the recording wrapper too.
+
+The h2_misses fixture, for tests of h2_bar's memo, lives here too."""
 
 import sys
 
@@ -54,3 +56,20 @@ def pytest_collection_modifyitems(items):
 @pytest.fixture(scope="session")
 def built():
     return BUILT
+
+
+@pytest.fixture
+def h2_misses(monkeypatch):
+    """Empty h2_bar's memo and list its misses, the modules whose answer
+    is computed, in order; empty the memo again afterwards."""
+    computed = []
+    answer = galforms.cohomology._h2_bar_answer
+
+    def counting(module):
+        computed.append(module)
+        return answer(module)
+
+    monkeypatch.setattr(galforms.cohomology, "_h2_bar_answer", counting)
+    galforms.cohomology._H2_MEMO.clear()
+    yield computed
+    galforms.cohomology._H2_MEMO.clear()

@@ -159,41 +159,53 @@ def test_h2_golden_stdout(capsys, tmp_path, case):
 
 @pytest.mark.parametrize("case", [c for c in GOLDEN_H2 if len(set(c["job"]["moduli"])) == 1],
                          ids=lambda c: c["name"])
-def test_h2_golden_stdout_cold_and_warm(capsys, tmp_path, case):
-    """A one-modulus golden prints the same bytes with both memos empty,
-    with only the memo of d2's Smith form holding the golden's (Gamma,
-    action), and with h2_bar's memo holding its answer."""
+def test_h2_golden_stdout_cold_and_warm(capsys, tmp_path, case, h2_misses):
+    """A one-modulus golden prints the same bytes with h2_bar's memo empty
+    and with the memo holding its answer, which the second job reads."""
     job = tmp_path / "job.json"
     job.write_text(json.dumps(case["job"]))
     want = json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n"
-    cohomology._d2_smith.cache_clear()
-    for memo in ("none", "d2", "answer"):
-        if memo != "answer":
-            cohomology._h2_bar_answer.cache_clear()
+    for memo in ("cold", "answer"):
         assert run(["h2", "--job", str(job)]) == 0
         assert capsys.readouterr().out == want, memo
-    assert cohomology._d2_smith.cache_info()[:2] == (1, 1)  # hits, misses
-    assert cohomology._h2_bar_answer.cache_info()[:2] == (1, 1)
+    module = cli._parse_gmodule(case["job"])
+    assert len(h2_misses) == 1
+    assert list(cohomology._H2_MEMO) == [(module.gamma, module.moduli, module.action)]
 
 
-def _clear_h2_memos():
-    cohomology._h2_bar_answer.cache_clear()
-    cohomology._d2_smith.cache_clear()
-
-
-def test_h2_goldens_cold_then_warm(capsys, tmp_path):
+def test_h2_goldens_cold_then_warm(capsys, tmp_path, h2_misses):
     """All 13 goldens, the 7 with moduli that differ included, in one
-    process: each prints its bytes once from empty memos and once from
+    process: each prints its bytes once from an empty memo and once from
     h2_bar's memo."""
     assert len(GOLDEN_H2) == 13
-    _clear_h2_memos()
     for sweep in ("cold", "warm"):
         for case in GOLDEN_H2:
             job = tmp_path / "job.json"
             job.write_text(json.dumps(case["job"]))
             assert run(["h2", "--job", str(job)]) == 0
             assert capsys.readouterr().out == json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n", (sweep, case["name"])
-    assert cohomology._h2_bar_answer.cache_info()[:2] == (13, 13)  # hits, misses
+    assert len(h2_misses) == 13 and len(cohomology._H2_MEMO) == 13
+
+
+def test_h2_answer_above_the_size_bound_is_printed_and_not_kept(capsys, tmp_path, monkeypatch, h2_misses):
+    """C2^4 on Z/2, the largest golden, counts 16 * (16 * 10 * (1 + 20) +
+    (1 + 6)^2) = 54,544 words: 10 representatives and 16 action matrices
+    of size 1.  With the bound one word below, it prints its bytes twice,
+    computed both times, and the memo keeps nothing; at the bound it is
+    kept and read."""
+    case = next(c for c in GOLDEN_H2 if c["name"] == "C2xC2xC2xC2 trivial [2]")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(case["job"]))
+    want = json.dumps(case["stdout"], indent=2, sort_keys=True) + "\n"
+    for words, misses in ((54_543, 2), (54_544, 1)):
+        monkeypatch.setattr(cohomology, "H2_MEMO_ENTRY_WORDS", words)
+        cohomology._H2_MEMO.clear()
+        del h2_misses[:]
+        for _ in range(2):
+            assert run(["h2", "--job", str(job)]) == 0
+            assert capsys.readouterr().out == want, words
+        assert len(h2_misses) == misses, words
+        assert len(cohomology._H2_MEMO) == 2 - misses, words
 
 
 # Spellings of Z/4 as a C2-module.  The first three are the sign action
@@ -203,22 +215,22 @@ def test_h2_goldens_cold_then_warm(capsys, tmp_path):
 Z4_SPELLINGS = [[[[1]], [[3]]], [[[5]], [[3]]], [[[1]], [[-1]]], [[[1]], [[1]]], [[[5]], [[5]]]]
 
 
-def test_h2_spellings_of_one_module_print_their_own_bytes(capsys, tmp_path):
+def test_h2_spellings_of_one_module_print_their_own_bytes(capsys, tmp_path, h2_misses):
     """h2_bar's memo keys on the action matrices as given, not mod the
     moduli: in one process, in either order, each spelling prints what it
-    prints from empty memos."""
+    prints from an empty memo."""
     paths = []
     for i, action in enumerate(Z4_SPELLINGS):
         paths.append(tmp_path / f"job{i}.json")
         paths[-1].write_text(json.dumps({"gamma": "C2", "moduli": [4], "action": action}))
     cold = {}
     for path in paths:
-        _clear_h2_memos()
+        cohomology._H2_MEMO.clear()
         assert run(["h2", "--job", str(path)]) == 0
         cold[path] = capsys.readouterr().out
     assert len({cold[path] for path in paths[:3]}) == 1 and cold[paths[3]] != cold[paths[4]]
     for order in (paths, paths[::-1]):
-        _clear_h2_memos()
+        cohomology._H2_MEMO.clear()
         for path in order:
             assert run(["h2", "--job", str(path)]) == 0
             assert capsys.readouterr().out == cold[path], path.name

@@ -5,6 +5,8 @@ cocycles, and the boundary map of a central extension."""
 import copy
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
@@ -318,7 +320,8 @@ def test_h2_tate_cyclic():
 
 
 # One-modulus modules whose (Gamma, action) the `cohomology` benchmark
-# workload asks about with several moduli.
+# workload asks about with several moduli: each modulus is its own key of
+# h2_bar's memo.
 MEMO_CASES = {
     "C6 trivial": lambda m: GModule.trivial(cyclic(6), (m,)),
     "C6 sign": lambda m: GModule(cyclic(6), (m,), [IntMatrix([[(-1) ** g]]) for g in range(6)]),
@@ -326,11 +329,8 @@ MEMO_CASES = {
 }
 
 
-def _clear_memos():
-    """Empty h2_bar's memo of answers and the memo of d2's Smith form
-    under it, so that a test sees every elimination it causes."""
-    cohomology._h2_bar_answer.cache_clear()
-    cohomology._d2_smith.cache_clear()
+def _key(module):
+    return module.gamma, module.moduli, module.action
 
 
 def _h2_answer(module):
@@ -340,35 +340,38 @@ def _h2_answer(module):
 
 
 @pytest.mark.parametrize("name", MEMO_CASES)
-def test_h2_bar_with_a_warm_memo_equals_a_cold_computation(name):
-    """Moduli 2, 3, 4 and 6 in turn, each after the one before left its
-    Smith form of d2 in the memo, give what empty memos give.  Each
-    modulus is a new key of h2_bar's own memo, so d2 is read from the
-    memo under it three times."""
+def test_h2_bar_with_a_warm_memo_equals_a_cold_computation(name, h2_misses):
+    """Moduli 2, 3, 4 and 6 in turn, each computed once after the ones
+    before it were kept and then read from the memo, give what an empty
+    memo gives."""
     cold = {}
     for m in (2, 3, 4, 6):
-        _clear_memos()
+        cohomology._H2_MEMO.clear()
         cold[m] = _h2_answer(MEMO_CASES[name](m))
-    _clear_memos()
-    for m in (2, 3, 4, 6):
-        assert _h2_answer(MEMO_CASES[name](m)) == cold[m], (name, m)
-    assert cohomology._d2_smith.cache_info()[:2] == (3, 1)  # hits, misses
+    cohomology._H2_MEMO.clear()
+    del h2_misses[:]
+    for sweep in ("computed", "kept"):
+        for m in (2, 3, 4, 6):
+            assert _h2_answer(MEMO_CASES[name](m)) == cold[m], (name, sweep, m)
+    assert [module.moduli for module in h2_misses] == [(2,), (3,), (4,), (6,)]
 
 
-def test_h2_bar_leaves_the_memo_entry_unchanged():
+def test_h2_bar_leaves_the_memo_entry_unchanged(h2_misses):
     module = MEMO_CASES["C4xC2 trivial"](4)
-    entry = cohomology._d2_smith(module.gamma, module.action)
-    before = copy.deepcopy(entry)
-    cohomology._h2_bar_answer.cache_clear()
     h2_bar(module)
-    assert cohomology._d2_smith(module.gamma, module.action) is entry
+    entry = cohomology._H2_MEMO[_key(module)]
+    before = copy.deepcopy(entry)
+    h2_bar(module)
+    assert cohomology._H2_MEMO[_key(module)] is entry
     assert entry == before
+    assert len(h2_misses) == 1
 
 
-def test_h2_bar_eliminates_d2_once_per_action(monkeypatch):
+def test_h2_bar_eliminates_d2_once_per_miss(monkeypatch, h2_misses):
     """Counted at the elimination itself: d2 of C6 on Z/m has 216 rows
-    and 36 columns; the elimination of the coordinates of the generators
-    has 36 rows."""
+    and 36 columns, and each miss eliminates it, whatever modulus or
+    action the memo holds; the elimination of the coordinates of the
+    generators has 36 rows.  A hit eliminates nothing."""
     shapes = []
 
     def counting(s, ncols, **kwargs):
@@ -376,53 +379,60 @@ def test_h2_bar_eliminates_d2_once_per_action(monkeypatch):
         return _sparse_smith(s, ncols, **kwargs)
 
     monkeypatch.setattr(cohomology, "_sparse_smith", counting)
-    _clear_memos()
     runs = []
-    for name, m in (("C6 trivial", 2), ("C6 trivial", 4), ("C6 trivial", 3), ("C6 sign", 4), ("C6 sign", 6)):
+    for name, m in (("C6 trivial", 2), ("C6 trivial", 4), ("C6 trivial", 2), ("C6 sign", 4),
+                    ("C6 trivial", 4), ("C6 sign", 4)):
         h2_bar(MEMO_CASES[name](m))
         runs.append(shapes.count((216, 36)))
-    assert runs == [1, 1, 1, 2, 2]
-    assert len(shapes) == 2 + 5
+    assert runs == [1, 2, 2, 3, 3, 3]
+    assert len(shapes) == 2 * 3 and len(h2_misses) == 3
 
 
-def test_d2_memo_is_bounded():
-    """Forty actions of C2 on Z/2 (the generator acts by an odd integer a,
-    each a distinct key) eliminate d2 forty times and keep at most the
-    bound."""
-    bound = cohomology._d2_smith.cache_info().maxsize
-    assert bound == 32
-    _clear_memos()
-    for a in range(1, 80, 2):
-        group, _ = h2_bar(GModule(cyclic(2), (2,), [IntMatrix([[1]]), IntMatrix([[a]])]))
-        assert group.invariant_factors == (2,)
-        assert cohomology._d2_smith.cache_info().currsize <= bound
-    assert cohomology._d2_smith.cache_info()[1:] == (40, bound, bound)  # misses, maxsize, currsize
+def _c2_on_z2(a):
+    """C2 on Z/2, the generator acting by the odd integer a: one module,
+    with a key of its own for each a."""
+    return GModule(cyclic(2), (2,), [IntMatrix([[1]]), IntMatrix([[a]])])
 
 
-def test_answer_memo_is_bounded():
+def test_answer_memo_is_bounded(h2_misses):
     """h2_bar's memo keeps at most its bound of modules: eight more
     actions of C2 on Z/2 than the bound are all misses, and then the
     newest is answered from the memo while the oldest, evicted, is
     computed again."""
-    bound = cohomology._h2_bar_answer.cache_info().maxsize
+    bound = cohomology.H2_MEMO_ENTRIES
     assert bound == 128
-    _clear_memos()
-    modules = [GModule(cyclic(2), (2,), [IntMatrix([[1]]), IntMatrix([[a]])]) for a in range(1, 2 * bound + 17, 2)]
+    modules = [_c2_on_z2(a) for a in range(1, 2 * bound + 17, 2)]
     for module in modules:
         group, _ = h2_bar(module)
         assert group.invariant_factors == (2,)
-        assert cohomology._h2_bar_answer.cache_info().currsize <= bound
-    assert cohomology._h2_bar_answer.cache_info() == (0, bound + 8, bound, bound)  # hits, misses, maxsize, currsize
+        assert len(cohomology._H2_MEMO) <= bound
+    assert list(cohomology._H2_MEMO) == [_key(module) for module in modules[8:]]
+    assert h2_misses == modules
     h2_bar(modules[-1])
     h2_bar(modules[0])
-    assert cohomology._h2_bar_answer.cache_info()[:2] == (1, bound + 9)
+    assert h2_misses == modules + [modules[0]]
 
 
-def test_a_caller_cannot_change_a_memo_entry():
+def test_a_hit_protects_its_entry_from_the_next_eviction(h2_misses):
+    """With the memo full, a hit on the oldest entry makes it the newest,
+    so the next miss evicts the second oldest instead."""
+    bound = cohomology.H2_MEMO_ENTRIES
+    modules = [_c2_on_z2(a) for a in range(1, 2 * bound + 3, 2)]
+    for module in modules[:bound]:
+        h2_bar(module)
+    h2_bar(modules[0])
+    h2_bar(modules[bound])
+    assert _key(modules[0]) in cohomology._H2_MEMO and _key(modules[1]) not in cohomology._H2_MEMO
+    assert list(cohomology._H2_MEMO)[-2:] == [_key(modules[0]), _key(modules[bound])]
+    h2_bar(modules[0])
+    h2_bar(modules[1])
+    assert h2_misses == modules[:bound + 1] + [modules[1]]
+
+
+def test_a_caller_cannot_change_a_memo_entry(h2_misses):
     """Mutating a returned representative and the returned list leaves
     the next answer, read from h2_bar's memo, what an empty memo gives."""
     module = MEMO_CASES["C4xC2 trivial"](4)
-    _clear_memos()
     cold = _h2_answer(module)
     group, reps = h2_bar(module)
     assert group == cold[0] and len(reps) >= 2
@@ -431,7 +441,30 @@ def test_a_caller_cannot_change_a_memo_entry():
     reps.append({(0, 0): (1,)})
     del reps[1]
     assert _h2_answer(module) == cold
-    assert cohomology._h2_bar_answer.cache_info()[:2] == (2, 1)  # hits, misses
+    assert len(h2_misses) == 1
+
+
+def test_the_memo_holds_under_threads(h2_misses):
+    """Four threads, switching every microsecond, each ask for more
+    modules than the memo keeps: every answer is right, no thread
+    raises, and the memo ends within its bound."""
+    modules = [_c2_on_z2(a) for a in range(1, 2 * cohomology.H2_MEMO_ENTRIES + 65, 2)]
+
+    def work(order):
+        for module in order:
+            group, reps = h2_bar(module)
+            assert group.invariant_factors == (2,) and len(reps) == 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(work, modules[i:] + modules[:i]) for i in (0, 40, 80, 120)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(cohomology._H2_MEMO) == cohomology.H2_MEMO_ENTRIES
 
 
 def test_normalize_module_cocycle_is_the_coboundary_shift():
