@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from sys import getsizeof
 from threading import Lock
 
 from .exact_linalg import FiniteAbelianGroup, IntMatrix, _dense, _mul, _sparse_smith, solve_integer
@@ -229,8 +230,7 @@ BAR_ROW_CAP = 20_000
 # on Z/2 + Z/3 with the trivial action 2,000 rows and 4-7 s, and C10 on
 # Z/2 + Z/4 by (x, y) -> (x, y + 2x) 2,000 rows and 16-17 s.
 MIXED_MODULI_ROW_CAP = 1_500
-# h2_bar keeps an answer when its tuples and key matrices, counted as
-# |Gamma| (|Gamma| |reps| (k + 20) + (k + 6)^2) words, are at most this.
+# h2_bar keeps an answer of at most this many words, by _h2_entry_words.
 H2_MEMO_ENTRY_WORDS = 2 ** 17
 H2_MEMO_ENTRIES = 128
 _H2_MEMO = {}
@@ -257,20 +257,31 @@ def h2_bar(module):
     The process keeps the answers for the last H2_MEMO_ENTRIES modules it
     met, keyed on Gamma, the moduli and the action matrices as given:
     matrices equal mod the moduli give other representatives.  A hit makes
-    its entry the newest, and an entry above H2_MEMO_ENTRY_WORDS is not
-    kept.  Each call gets its own dicts.
+    its entry the newest; a miss counts its answer by _h2_entry_words and
+    keeps it only within H2_MEMO_ENTRY_WORDS.  Each call gets its own dicts.
     """
     key = (module.gamma, module.moduli, module.action)
     with _H2_MEMO_LOCK:
         answer = _H2_MEMO.pop(key, None)
+    hit = answer is not None  # counted when it was kept
     group, reps = answer = answer or _h2_bar_answer(module)
-    n, k = module.gamma.order, module.rank
-    if n * (n * len(reps) * (k + 20) + (k + 6) ** 2) <= H2_MEMO_ENTRY_WORDS:
+    if hit or _h2_entry_words(module, reps) <= H2_MEMO_ENTRY_WORDS:
         with _H2_MEMO_LOCK:
             _H2_MEMO[key] = answer
             if len(_H2_MEMO) > H2_MEMO_ENTRIES:
                 del _H2_MEMO[next(iter(_H2_MEMO))]
     return group, [dict(rep) for rep in reps]
+
+
+def _h2_entry_words(module, reps):
+    """The 8-byte words a memo entry keeps alive: |Gamma| (|Gamma| |reps|
+    (k + 20) + (k + 6)^2) for its tuples and key matrices, each integer one
+    pointer, plus the size of each integer outside -5..256, which CPython
+    does not share, in the key's matrices and the representatives."""
+    n, k = module.gamma.order, module.rank
+    rows = [row for mat in module.action for row in mat._data] + [vec for rep in reps for _pair, vec in rep]
+    return n * (n * len(reps) * (k + 20) + (k + 6) ** 2) + sum(
+        -(-getsizeof(x) // 8) for row in rows for x in row if not -5 <= x <= 256)
 
 
 def _h2_bar_answer(module):
@@ -415,18 +426,12 @@ class KxCocycle:
         )
 
     def normalized(self):
-        """Divide out the coboundary of the constant map at zeta(1,1)."""
-        gamma = self.action.group
-        e = gamma.identity
-        c = self.values[(e, e)]
-        b = {g: c for g in range(gamma.order)}
-        return KxCocycle(
-            self.action,
-            {
-                key: self.values[key] / _kx_coboundary_value(self.action, b, key)
-                for key in self.values
-            },
-        )
+        """The cohomologous normalized cocycle: divide by the coboundary of
+        the constant map at c = zeta(1,1), which is (a, b) -> a(c), as
+        normalize_module_cocycle does for modules."""
+        c = self.values[(self.action.group.identity,) * 2]
+        shifts = [self.action.apply(a, c) for a in range(self.action.group.order)]
+        return KxCocycle(self.action, {key: x / shifts[key[0]] for key, x in self.values.items()})
 
     def __mul__(self, other):
         return KxCocycle(
@@ -439,12 +444,6 @@ class KxCocycle:
             self.action,
             {key: self.values[key] / other.values[key] for key in self.values},
         )
-
-
-def _kx_coboundary_value(action, b, key):
-    a, c = key
-    gamma = action.group
-    return b[a] * action.apply(a, b[c]) / b[gamma.table[a][c]]
 
 
 def is_two_cocycle_kx(cocycle, report=False):
@@ -470,7 +469,7 @@ def kx_coboundary_of(action, b):
     if any(not b[g] for g in range(n)):
         raise ValueError("coboundary primitive must be nonzero everywhere")
     values = {
-        (x, y): _kx_coboundary_value(action, b, (x, y))
+        (x, y): b[x] * action.apply(x, b[y]) / b[gamma.table[x][y]]
         for x in range(n)
         for y in range(n)
     }
@@ -557,9 +556,11 @@ class CyclicNormClasses:
 def hom_module(gamma, p_moduli, m_module):
     """Hom(P, M) as a GModule, for trivial Gamma-action on P.
 
-    Coordinates are indexed by (i, j): P generator i, M coordinate j, with
-    modulus gcd(p_i, d_j); coordinate value c embeds as the homomorphism
-    sending the i-th P generator to c * (d_j / gcd) * e_j.
+    P generator i goes into the p_i-torsion of M, the sum over M
+    coordinates j of step_ij Z/d_j, step_ij = d_j / gcd(p_i, d_j): so
+    coordinate (i, j) has modulus gcd(p_i, d_j), and coordinates c send
+    generator i to (c_ij * step_ij)_j.  Gamma acts on each block i as on M,
+    read back by one solver: t with t * step_ij = x mod d_j, mod gcd.
     Returns (module, to_hom, from_hom) where to_hom(coords) is a dict
     {P element: M element} and from_hom inverts it.
     """
@@ -569,71 +570,39 @@ def hom_module(gamma, p_moduli, m_module):
     if any(p < 1 for p in p_moduli):
         raise ValueError("P moduli must be positive")
     d = m_module.moduli
-    k = len(d)
-    l = len(p_moduli)
-    pairs = [(i, j) for i in range(l) for j in range(k)]
-    moduli = [gcd(p_moduli[i], d[j]) for i, j in pairs]
+    k, l = len(d), len(p_moduli)
+    steps = [[dj // gcd(p, dj) for dj in d] for p in p_moduli]
+    moduli = [dj // step for row in steps for dj, step in zip(d, row)]
 
-    def gen_image(i, j):
-        """M-element that the (i,j) basis hom sends generator i to."""
-        vec = [0] * k
-        vec[j] = d[j] // gcd(p_moduli[i], d[j])
-        return tuple(vec)
+    def solve(i, j, x):
+        if x % steps[i][j]:
+            raise ValueError("table is not a homomorphism into the right torsion")
+        return x // steps[i][j] % moduli[i * k + j]
 
-    mats = []
-    for g in range(gamma.order):
-        cols = []
-        for i, j in pairs:
-            image = m_module.act(g, gen_image(i, j))
-            col = []
-            for i2, j2 in pairs:
-                gij2 = gcd(p_moduli[i2], d[j2])
-                if i2 != i or gij2 == 1:
-                    col.append(0)
-                    continue
-                # t with t * step = image mod d_j2: step = d_j2 / gij2
-                # divides d_j2, so t = image / step, mod gij2
-                step = d[j2] // gij2
-                if image[j2] % step:
-                    raise ValueError("congruence has no solution; action not well defined")
-                col.append(image[j2] // step % gij2)
-            cols.append(col)
-        mats.append(IntMatrix(cols).transpose())
+    # g acts by an endomorphism of M (GModule checked its matrix mod the
+    # moduli), which keeps the p_i-torsion: solve never refuses here.
+    mats = [_dense([{i * k + j: solve(i, j2, mat[j2, j] * steps[i][j]) for j in range(k)}
+                    for i in range(l) for j2 in range(k)], l * k)
+            for mat in m_module.action]
     module = GModule(gamma, moduli, mats)
 
     def to_hom(coords):
-        gen_images = []
-        for i in range(l):
-            vec = (0,) * k
-            for j in range(k):
-                c = coords[pairs.index((i, j))]
-                img = gen_image(i, j)
-                vec = m_module.add(vec, tuple(c * x for x in img))
-            gen_images.append(vec)
-        table = {}
-        for p_elem in product(*(range(p) for p in p_moduli)):
-            vec = (0,) * k
-            for i in range(l):
-                vec = m_module.add(vec, tuple(p_elem[i] * x for x in gen_images[i]))
-            table[p_elem] = vec
-        return table
+        images = [[coords[i * k + j] * steps[i][j] for j in range(k)] for i in range(l)]
+        return {
+            alpha: m_module.reduce([sum(a * image[j] for a, image in zip(alpha, images)) for j in range(k)])
+            for alpha in product(*(range(p) for p in p_moduli))
+        }
 
     def from_hom(table):
-        coords = []
-        for i, j in pairs:
-            gij = gcd(p_moduli[i], d[j])
-            if gij == 1:
-                coords.append(0)
-                continue
-            image = table[tuple(1 if t == i else 0 for t in range(l))]
-            step = d[j] // gij
-            if image[j] % step:
-                raise ValueError("table is not a homomorphism into the right torsion")
-            coords.append((image[j] // step) % gij)
-        # verify round trip
-        if to_hom(tuple(coords)) != dict(table):
+        # a coordinate of modulus 1 is 0, and the round trip checks its image
+        coords = tuple(
+            solve(i, j, table[tuple(int(t == i) for t in range(l))][j]) if moduli[i * k + j] > 1 else 0
+            for i in range(l)
+            for j in range(k)
+        )
+        if to_hom(coords) != dict(table):
             raise ValueError("table is not a homomorphism P -> M")
-        return tuple(coords)
+        return coords
 
     return module, to_hom, from_hom
 
@@ -641,29 +610,19 @@ def hom_module(gamma, p_moduli, m_module):
 def transport_to_family(hom_mod, to_hom, p_moduli, m_module, table):
     """zeta valued in Hom(P, M) -> the family mu with mu(alpha)(a, b) =
     zeta(a, b)(alpha)."""
-    gamma = hom_mod.gamma
-    n = gamma.order
     family = {}
-    for p_elem in product(*(range(p) for p in p_moduli)):
-        family[p_elem] = {}
-    for a in range(n):
-        for b in range(n):
-            hom_table = to_hom(table[(a, b)])
-            for p_elem, m_val in hom_table.items():
-                family[p_elem][(a, b)] = m_val
+    for pair in product(range(hom_mod.gamma.order), repeat=2):
+        for alpha, m_val in to_hom(table[pair]).items():
+            family.setdefault(alpha, {})[pair] = m_val
     return family
 
 
 def family_to_transport(hom_mod, from_hom, p_moduli, m_module, family):
     """Inverse of transport_to_family."""
-    gamma = hom_mod.gamma
-    n = gamma.order
-    table = {}
-    for a in range(n):
-        for b in range(n):
-            hom_table = {p_elem: family[p_elem][(a, b)] for p_elem in family}
-            table[(a, b)] = from_hom(hom_table)
-    return table
+    return {
+        pair: from_hom({alpha: mu[pair] for alpha, mu in family.items()})
+        for pair in product(range(hom_mod.gamma.order), repeat=2)
+    }
 
 
 # ---------------------------------------------------------------------------

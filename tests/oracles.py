@@ -4,7 +4,7 @@ tuple of generator images, quasi-split classes by orbit sets, full
 enumeration of cocycles and coboundaries, bounded
 searches, the boundary map under any choice of lifts, the dense Smith
 normal form elimination, the bar differentials built from tuples of
-group elements, Gauss-Jordan elimination over Fractions, field inverses
+group elements, Hom(P, M) from every tuple of generator images, Gauss-Jordan elimination over Fractions, field inverses
 by a linear solve, the descent morphism systems written out in full,
 descent validity checked on K-matrices, the coweight orbits found by
 closing each point under every matrix, pi_1 from every coroot, Out(G)
@@ -65,6 +65,18 @@ def normalize_by_coboundary(module, table):
     f = {g: c for g in range(gamma.order)}
     d = module_coboundary(module, f)
     return {key: module.sub(table[key], d[key]) for key in table}
+
+
+def hom_tables(p_moduli, module):
+    """Every homomorphism P = sum Z/p_i -> M as a table {P element: M
+    element}, one per tuple of generator images m_i in M with p_i m_i = 0."""
+    torsion = [[x for x in module_elements(module) if not any(module.reduce(p * v for v in x))]
+               for p in p_moduli]
+    return [
+        {alpha: module.reduce(sum(a * x[j] for a, x in zip(alpha, images)) for j in range(module.rank))
+         for alpha in product(*(range(p) for p in p_moduli))}
+        for images in product(*torsion)
+    ]
 
 
 def enumerate_cocycles(module):

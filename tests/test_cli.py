@@ -384,10 +384,35 @@ def job_validator(command):
     return schema_validator(f"galforms/jobs#/definitions/{JOB_DEFINITIONS[command]}")
 
 
-@pytest.mark.parametrize("case", GOLDEN_CROSSED, ids=[c["name"] for c in GOLDEN_CROSSED])
+def _crossed_product_stdout(field, cocycle, dimension, split):
+    return json.dumps({"center_dimension": 1, "central_simple": True, "cocycle": cocycle, "dimension": dimension,
+                       "field": field, "schema": "galforms/crossed-product/v1", "split": split},
+                      indent=2, sort_keys=True) + "\n"
+
+
+# Cocycles that are not normalized: crossed-product first divides them by
+# the coboundary of the constant map at c = zeta(1,1), here 2 + sqrt5 and 3.
+Q_SQRT5, Q_ZETA5 = {"d": 5, "kind": "quadratic"}, {"kind": "cyclotomic", "n": 5}
+NOT_NORMALIZED = [
+    {"name": "crossed-product Q(sqrt5) not normalized", "argv": ["crossed-product"], "exit": 0,
+     "job": {"field": Q_SQRT5, "cocycle": [[0, 0, ["2", "1"]], [0, 1, ["2", "1"]], [1, 0, ["2", "-1"]],
+                                           [1, 1, ["-14", "7"]]]},
+     "stdout": _crossed_product_stdout(Q_SQRT5, [[0, 0, ["1/1", "0/1"]], [0, 1, ["1/1", "0/1"]],
+                                                 [1, 0, ["1/1", "0/1"]], [1, 1, ["-7/1", "0/1"]]], 4, False)},
+    {"name": "crossed-product Q(zeta5) constant 3", "argv": ["crossed-product"], "exit": 0,
+     "job": {"field": Q_ZETA5, "cocycle": [[a, b, ["3", "0", "0", "0"]] for a in range(4) for b in range(4)]},
+     "stdout": _crossed_product_stdout(Q_ZETA5, [[a, b, ["1/1", "0/1", "0/1", "0/1"]] for a in range(4)
+                                                 for b in range(4)], 16, None)},
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CROSSED + NOT_NORMALIZED,
+                         ids=[c["name"] for c in GOLDEN_CROSSED + NOT_NORMALIZED])
 def test_crossed_golden_stdout(capsys, tmp_path, case):
     """Golden stdout of `crossed-product` and `descend`, recorded before
-    the structure checks read the table of basis products."""
+    the structure checks read the table of basis products; that of the
+    NOT_NORMALIZED cases before KxCocycle.normalized read the coboundary
+    of a constant map in closed form."""
     argv = list(case["argv"])
     if case["job"] is not None:
         job = tmp_path / "job.json"
@@ -1195,6 +1220,50 @@ def test_a_repeated_cocycle_pair_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == {"schema": "galforms/error/v1", "kind": "malformed-input",
                    "error": "cocycle table repeats pair (1, 1)"}
+
+
+# Refusals that reach the error document, with exit code and exact text:
+# malformed input exits 2 and a domain error 1.
+ERROR_KINDS = {1: "domain-error", 2: "malformed-input"}
+H2_ON_Z2_Z4 = {"gamma": "C2", "moduli": [2, 4]}
+REFUSALS = [
+    ("hilbert a = 1/0", ["hilbert", "-a", "1/0", "-b", "1", "-p", "2"], None, 2, "bad rational '1/0'"),
+    ("pair (2, 1) over Q(i)", ["crossed-product"], {"field": QI, "cocycle": QI_TABLE[:2] + [[2, 1, ["1", "0"]]]},
+     2, "bad group element pair (2, 1)"),
+    ("job [1, 2]", ["h2"], [1, 2], 2, "job document must be a JSON object"),
+    ("classify-quasisplit without --out or --type", ["classify-quasisplit", "--gamma", "C2"], None, 2,
+     "need --out or --type/--isogeny"),
+    ("bare crossed-product", ["crossed-product"], None, 2, "need -d and -c, or --job"),
+    ("h2 ragged matrix", ["h2"], dict(H2_ON_Z2_Z4, action=[[[1, 0], [0, 1]], [[1, 0], [1]]]), 2,
+     "bad action matrix: ragged rows"),
+    ("h2 (x, y) -> (x, x + y) on Z/2 + Z/4", ["h2"], dict(H2_ON_Z2_Z4, action=[[[1, 0], [0, 1]], [[1, 0], [1, 1]]]),
+     1, "action matrix not well defined mod moduli"),
+    ("h2 [[0]] on Z/3", ["h2"], {"gamma": "C2", "moduli": [3], "action": [[[0]], [[0]]]}, 1,
+     "action matrices must be invertible mod moduli"),
+    ("boundary inclusion [0, 0]", ["boundary"], dict(BOUNDARY_JOB, inclusion=[0, 0]), 1,
+     "inclusion must be injective"),
+    ("boundary projection onto 0", ["boundary"], dict(BOUNDARY_JOB, projection=[0, 0, 0, 0]), 1,
+     "projection must be surjective"),
+    ("boundary inclusion 1 -> 1", ["boundary"], dict(BOUNDARY_JOB, inclusion=[0, 1]), 1,
+     "inclusion is not a homomorphism"),
+    ("boundary projection [0, 1, 1, 0]", ["boundary"], dict(BOUNDARY_JOB, projection=[0, 1, 1, 0]), 1,
+     "projection is not a homomorphism"),
+    ("boundary C1 -> C2 -> C1", ["boundary"],
+     dict(BOUNDARY_JOB, z="C1", b="C2", c="C1", inclusion=[0], projection=[0, 0], cocycle=[0, 0]), 1,
+     "image of Z must equal the kernel of the projection"),
+    ("boundary C3 -> S3 -> C2", ["boundary"],  # A3, elements 0, 3 and 4 of S3, is normal but not central
+     dict(BOUNDARY_JOB, z="C3", b="S3", inclusion=[0, 3, 4], projection=[0, 1, 1, 0, 0, 1], cocycle=[0, 0]), 1,
+     "Z must be central in B"),
+]
+
+
+@pytest.mark.parametrize("argv, job, code, error", [c[1:] for c in REFUSALS], ids=[c[0] for c in REFUSALS])
+def test_refusals_print_their_reason(capsys, tmp_path, argv, job, code, error):
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = [*argv, "--job", str(path)]
+    assert invoke(capsys, *argv) == (code, {"schema": "galforms/error/v1", "kind": ERROR_KINDS[code], "error": error})
 
 
 Q = {"kind": "rationals"}
