@@ -448,16 +448,28 @@ class KxCocycle:
 
 def is_two_cocycle_kx(cocycle, report=False):
     """Check zeta(a,bc) * a(zeta(b,c)) = zeta(ab,c) * zeta(a,b); returns
-    bool, or (bool, witness triple) when report=True."""
+    bool, or (bool, first failing triple) when report=True.  Each side is
+    an integer numerator vector over the product of two denominators (the
+    Galois matrices are integral), and the sides are compared
+    cross-multiplied by those denominators: no field element and no gcd
+    per product."""
     action = cocycle.action
-    gamma = action.group
-    n = gamma.order
+    table = action.group.table
+    n = len(table)
+    mul = action.field._mul_ints
+    values = [[cocycle.value(a, b) for b in range(n)] for a in range(n)]
     for a in range(n):
+        rows, row_a, values_a = action.elements[a].rows, table[a], values[a]
         for b in range(n):
+            row_b, values_ab, zab = table[b], values[row_a[b]], values_a[b]
             for c in range(n):
-                lhs = cocycle.value(a, gamma.table[b][c]) * action.apply(a, cocycle.value(b, c))
-                rhs = cocycle.value(gamma.table[a][b], c) * cocycle.value(a, b)
-                if lhs != rhs:
+                zbc, left = values[b][c], values_a[row_b[c]]
+                xs = zbc.nums
+                lhs = mul(left.nums, [sum(v * xs[j] for j, v in row) for row in rows])
+                right = values_ab[c]
+                rhs = mul(right.nums, zab.nums)
+                lden, rden = left.den * zbc.den, right.den * zab.den
+                if any(x * rden != y * lden for x, y in zip(lhs, rhs)):
                     return (False, (a, b, c)) if report else False
     return (True, None) if report else True
 

@@ -5,7 +5,9 @@ enumeration of cocycles and coboundaries, bounded
 searches, the boundary map under any choice of lifts, the dense Smith
 normal form elimination, the bar differentials built from tuples of
 group elements, Hom(P, M) from every tuple of generator images, Gauss-Jordan elimination over Fractions, field inverses
-by a linear solve, the descent morphism systems written out in full,
+by a linear solve, the K^x cocycle identity on field elements, the
+center of a crossed product as the commutant of every e_a, the descent
+morphism systems written out in full,
 descent validity checked on K-matrices, the coweight orbits found by
 closing each point under every matrix, pi_1 from every coroot, Out(G)
 from the inverses of both simple bases over Q, the readings of
@@ -24,7 +26,7 @@ from galforms.cohomology import (
     module_coboundary,
 )
 from galforms import qlinalg
-from galforms.exact_linalg import IntMatrix, cokernel
+from galforms.exact_linalg import IntMatrix, cokernel, kernel
 from galforms.fields import _scaled_matrix, k_matrix
 from galforms.classify import QuasiSplitForm
 from galforms.groups import FiniteGroup, _extend, generators
@@ -620,6 +622,39 @@ def inverse_by_solve(x):
     solution y of (multiplication by x) y = 1 on y's coordinates."""
     field = x.field
     return field.element(qlinalg.solve(k_matrix(field, [[x]]), [1] + [0] * (field.degree - 1)))
+
+
+# Crossed products as galforms checked and read them before the cocycle
+# identity went to integer rows and the center to Gamma's generators.
+
+def is_two_cocycle_kx_by_elements(cocycle, report=False):
+    """zeta(a,bc) * a(zeta(b,c)) = zeta(ab,c) * zeta(a,b) on FieldElements,
+    triple by triple; bool, or (bool, first failing triple) when
+    report=True."""
+    action = cocycle.action
+    gamma = action.group
+    n = gamma.order
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = cocycle.value(a, gamma.table[b][c]) * action.apply(a, cocycle.value(b, c))
+                rhs = cocycle.value(gamma.table[a][b], c) * cocycle.value(a, b)
+                if lhs != rhs:
+                    return (False, (a, b, c)) if report else False
+    return (True, None) if report else True
+
+
+def center_all_elements(algebra):
+    """The center of a crossed product as the commutant of theta and of
+    e_a for every a != 1, read from its product table: the kernel basis,
+    as Fraction vectors."""
+    t = algebra._products()[0]
+    gens = [1] + [a * algebra.deg for a in algebra.group.elements() if a != algebra.group.identity]
+    return kernel([
+        [t[g][j][i] - t[j][g][i] for j in range(algebra.dim)]
+        for g in gens
+        for i in range(algebra.dim)
+    ])
 
 
 # The descent morphism systems as galforms built them before datum

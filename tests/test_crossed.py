@@ -7,6 +7,7 @@ from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from galforms import qlinalg
 from galforms.cohomology import (
@@ -24,7 +25,10 @@ from galforms.crossed import (
     find_zero_divisor,
 )
 from galforms.fields import cyclotomic_field, is_norm_quadratic, quadratic_field
-from oracles import algebra_one
+from oracles import algebra_one, center_all_elements, is_two_cocycle_kx_by_elements
+
+
+SQUAREFREE_D = [d for d in range(-30, 31) if d not in (0, 1) and all(d % (p * p) for p in (2, 3, 5))]
 
 
 def quaternion_algebra(d, c):
@@ -150,15 +154,9 @@ def test_random_invalid_tables_rejected_with_witness():
 
 def test_split_matches_norm_condition():
     rng = random.Random(4)
-    squarefree = [
-        d
-        for d in range(-30, 31)
-        if d not in (0, 1)
-        and all(d % (p * p) for p in (2, 3, 5))
-    ]
     seen = set()
     while len(seen) < 40:
-        d = rng.choice(squarefree)
+        d = rng.choice(SQUAREFREE_D)
         c = rng.randint(-30, 30)
         if not c:
             continue
@@ -396,16 +394,14 @@ def test_normalized_cocycles_stay_cocycles():
 # --- the zero-divisor search against a Fraction reference -----------------
 
 def find_zero_divisor_reference(algebra, bound):
+    """The walk of the whole box [-B, B]^4 in product order, the reduced
+    norm N(x0, x1) - c N(x2, x3), N(a, b) = a^2 - d b^2, taken over Q."""
     d, c = algebra.presenting_pair()
     rng = range(-bound, bound + 1)
     for x0, x1, x2, x3 in product(rng, repeat=4):
         if not (x0 or x1 or x2 or x3):
             continue
-        norm = (
-            Fraction(x0) ** 2 - d * Fraction(x1) ** 2
-            - c * Fraction(x2) ** 2 + d * c * Fraction(x3) ** 2
-        )
-        if norm == 0:
+        if x0 * x0 - d * x1 * x1 == c * (x2 * x2 - d * x3 * x3):
             x = algebra.element(
                 [algebra.field.element([x0, x1]), algebra.field.element([x2, x3])]
             )
@@ -419,9 +415,105 @@ def find_zero_divisor_reference(algebra, bound):
 
 @pytest.mark.parametrize(
     "d, c",
-    [(2, Fraction(1, 2)), (-1, Fraction(3, 2)), (-1, Fraction(5, 2)), (2, 2), (3, Fraction(-2, 3)), (-1, -1)],
+    [(2, Fraction(1, 2)), (-1, Fraction(3, 2)), (-1, Fraction(5, 2)), (2, 2), (3, Fraction(-2, 3)), (-1, -1),
+     (2, 97), (14, -3303), (5, 4931), (-7, Fraction(2, 3))],
 )
 def test_zero_divisor_search_matches_fraction_reference(d, c):
+    """(2, 97), (14, -3303) and (5, 4931) are split with no zero divisor
+    in the box at B = 6, and (-7, 2/3) has a denominator."""
     alg = quaternion_algebra(d, c)
     for bound in (3, 4, 6):
         assert find_zero_divisor(alg, bound) == find_zero_divisor_reference(alg, bound)
+
+
+@st.composite
+def norm_form_cases(draw):
+    """(d, c, B): d squarefree in [-30, 30], c = +-p/q with p <= 10^4 and
+    q <= 50, B in 1..6.  Half the draws take q = s^2 and +-p = x^2 - d y^2
+    for x, y <= 6, so that (x, y, s, 0) is a witness once B >= x, y, s."""
+    d = draw(st.sampled_from(SQUAREFREE_D))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([1, -1])) * Fraction(draw(st.integers(1, 10**4)), draw(st.integers(1, 50)))
+    else:
+        x, y, s = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 7))
+        assume(x or y)
+        c = Fraction(x * x - d * y * y, s * s)
+    return d, c, draw(st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(norm_form_cases())
+def test_zero_divisor_search_matches_the_full_walk(case):
+    d, c, bound = case
+    alg = quaternion_algebra(d, c)
+    assert find_zero_divisor(alg, bound) == find_zero_divisor_reference(alg, bound)
+
+
+# --- the structural forms against the enumerations they replace -----------
+
+def corrupted(rng, cocycle):
+    """The cocycle with one value, at a random pair, replaced: scaled by a
+    random element, shifted by a rational, or set to zero."""
+    field = cocycle.action.field
+    values = dict(cocycle.values)
+    key = rng.choice(sorted(values))
+    how = rng.randrange(3)
+    if how == 0:
+        values[key] = values[key] * random_primitive(rng, field, cocycle.action.group)[1]
+    elif how == 1:
+        values[key] = values[key] + rng.choice([1, -2, Fraction(1, 3)])
+    else:
+        values[key] = field.zero()
+    return KxCocycle(cocycle.action, values)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [quadratic_field(-1), quadratic_field(5), cyclotomic_field(5), cyclotomic_field(8), cyclotomic_field(12)],
+    ids=repr,
+)
+def test_cocycle_identity_on_integer_rows_matches_field_elements(field):
+    """is_two_cocycle_kx against the FieldElement form, on coboundary
+    twists of cyclic_cocycle, normalized or not, each as it is and with
+    one value corrupted: the same verdict and the same first failing
+    triple."""
+    rng = random.Random(f"cocycle-identity-{field!r}")
+    action = GaloisAction.of(field)
+    failures = set()
+    for _ in range(12):
+        b = random_primitive(rng, field, action.group)
+        b[action.group.identity] = field.from_rational(rng.choice([1, -3, Fraction(1, 2)]))
+        zeta = cyclic_cocycle(action, rng.choice([-1, 2, Fraction(-5, 3)])) * kx_coboundary_of(action, b)
+        assert is_two_cocycle_kx(zeta, report=True) == (True, None)
+        bad = corrupted(rng, zeta)
+        found = is_two_cocycle_kx(bad, report=True)
+        assert found == is_two_cocycle_kx_by_elements(bad, report=True)
+        assert is_two_cocycle_kx(bad) == found[0]
+        failures.add(found[1])
+    assert len(failures - {None}) > 3, failures
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12])
+def test_center_from_generators_matches_every_element(n):
+    """center_basis, the commutant of theta and of e_g for g in a
+    generating set of Gamma, against the commutant of every e_a: the same
+    kernel basis, hence the same center dimension and the same
+    central_simple, for constant and coboundary-twisted cocycles.  Gamma
+    is not cyclic for n = 8 and n = 12."""
+    field = cyclotomic_field(n)
+    action = GaloisAction.of(field)
+    group = action.group
+    assert (n in (8, 12)) == all(group.element_order(g) < group.order for g in group.elements())
+    rng = random.Random(f"center-{n}")
+    cocycles = [
+        KxCocycle(action, {key: field.from_rational(c) for key in trivial_kx_cocycle(action).values})
+        for c in (1, -2, Fraction(3, 5))
+    ] + [
+        cyclic_cocycle(action, c) * kx_coboundary_of(action, random_primitive(rng, field, action.group))
+        for c in (-1, Fraction(5, 3))
+    ]
+    for zeta in cocycles:
+        alg = CrossedProductAlgebra(action, zeta)
+        reference = center_all_elements(alg)
+        assert [k_coords(z) for z in alg.center_basis()] == reference
+        assert len(reference) == 1 and alg.is_central_simple()

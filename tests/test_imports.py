@@ -2,11 +2,12 @@
 never uses, importing one module loads only what it needs, every public
 name has a caller outside the tests, the CLI reaches the descent module
 through its public functions only, and every name the benchmark's tracer
-patches exists."""
+patches exists, and importing galforms.__main__ runs nothing."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -189,3 +190,13 @@ def test_every_traced_name_exists():
         if owner is None or not callable(vars(owner).get(name)):
             missing.append((module, cls, name))
     assert missing == []
+
+
+def test_importing_main_runs_nothing():
+    """`python -m galforms` runs the CLI; importing galforms.__main__ does
+    not, so it neither reads the importer's argv nor exits it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import galforms.__main__"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "")
