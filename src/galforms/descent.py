@@ -23,6 +23,7 @@ from .cohomology import trivial_kx_cocycle
 from .crossed import CrossedProductAlgebra
 from .exact_linalg import kernel, mat_mul, rank, solve
 from .fields import _scaled_matrix, k_entries, k_matrix
+from .groups import generators
 
 
 def kmat(field, rows):
@@ -59,7 +60,8 @@ def validate_datum(datum):
     """Returns (True, None) or (False, violation description with the
     witnessing group element(s)).  A datum is checked once: the verdict
     is kept on it, with the k-matrix S_a = N_a / D_a of every a_V, which
-    to_module and fixed_space read through _checked_k_matrices."""
+    to_module and fixed_space read through _checked_k_matrices.  Ranks
+    are taken only to name a failure (_verdict)."""
     kept = vars(datum).get("_verdict")
     if kept is None:
         kept = vars(datum)["_verdict"] = _verdict(datum)
@@ -67,7 +69,12 @@ def validate_datum(datum):
 
 
 def _verdict(datum):
-    """(violation or None, [(N_a, D_a) for a in Gamma] or None)."""
+    """(violation or None, [(N_a, D_a) for a in Gamma] or None).  The
+    composition law runs over every pair first.  If it holds and zeta is
+    nowhere 0, S_{a^-1} S_a = S_1 Z(a, a^-1) = Z(a, a^-1) is invertible,
+    so every S_a is bijective and no rank is taken.  Otherwise the ranks
+    run in element order, so a singular component is reported before
+    the first failing pair."""
     action = datum.action
     group = action.group
     n = datum.dim
@@ -82,27 +89,48 @@ def _verdict(datum):
         return f"identity component is not the identity map (witness {group.identity})", None
     if not datum.cocycle.is_normalized():
         return "cocycle is not normalized", None
+    scaled = [
+        _scaled_matrix(k_matrix(action.field, datum.matrices[a], action.elements[group.inv(a)]))
+        for a in group.elements()
+    ]
+    failure = _first_failing_pair(datum, scaled)
+    if failure is None and all(datum.cocycle.values.values()):
+        return None, scaled
     # a_V = M_a o (a^-1 twist) is bijective iff M_a is, iff S_a has full rank
-    scaled = []
-    for a in group.elements():
-        s_a = k_matrix(action.field, datum.matrices[a], action.elements[group.inv(a)])
-        n_a, d_a = _scaled_matrix(s_a)
+    for a, (n_a, _d_a) in enumerate(scaled):
         if rank(n_a) != len(n_a):
             return f"component {a} is not bijective", None
-        scaled.append((n_a, d_a))
-    # b_V o a_V = (ab)_V o zeta(a, b) is S_b S_a = S_ab Z, Z block diagonal
-    for a in group.elements():
-        n_a, d_a = scaled[a]
-        for b in group.elements():
-            n_b, d_b = scaled[b]
+    return failure, None if failure else scaled
+
+
+def _first_failing_pair(datum, scaled):
+    """The violation at the first pair (a, b) where b_V o a_V =
+    (ab)_V o zeta(a, b), that is S_b S_a = S_ab Z, fails, or None.  Z is
+    block diagonal with blocks the integer matrix B / d of multiplication
+    by zeta(a, b), built once per distinct value; at zeta = 1 it is I."""
+    action = datum.action
+    group, field, one = action.group, action.field, action.field.one()
+    blocks = {
+        z: _scaled_matrix(k_matrix(field, [[z]]))
+        for z in set(datum.cocycle.values.values()) if z != one
+    }
+    for a, (n_a, d_a) in enumerate(scaled):
+        for b, (n_b, d_b) in enumerate(scaled):
             n_ab, d_ab = scaled[group.table[a][b]]
-            block, d_z = _scaled_matrix(k_matrix(action.field, [[datum.cocycle.value(a, b)]]))
-            # N_b N_a / (D_b D_a) = N_ab Z' / (D_ab d_z), with Z = Z' / d_z
-            lhs = [[x * d_ab * d_z for x in row] for row in mat_mul(n_b, n_a)]
-            rhs = [[y * d_b * d_a for y in row] for row in _times_blocks(n_ab, block)]
+            z = datum.cocycle.value(a, b)
+            if z == one:
+                rhs, d_z = n_ab, 1
+            else:
+                block, d_z = blocks[z]
+                rhs = _times_blocks(n_ab, block)
+            # N_b N_a / (D_b D_a) = N_ab B / (D_ab d)
+            lhs, l_den, r_den = mat_mul(n_b, n_a), d_b * d_a, d_ab * d_z
+            if l_den != r_den:
+                lhs = [[x * r_den for x in row] for row in lhs]
+                rhs = [[y * l_den for y in row] for row in rhs]
             if lhs != rhs:
-                return f"twisted composition fails at pair ({a}, {b})", None
-    return None, scaled
+                return f"twisted composition fails at pair ({a}, {b})"
+    return None
 
 
 def _times_blocks(n, block):
@@ -267,15 +295,20 @@ def from_module(module):
 
 def fixed_space(datum):
     """k-basis of {v : a_V(v) = v for all a} for an untwisted datum, in
-    flattened k-coordinates: the common kernel of the S_a - I, that is of
-    the integer rows of the N_a - D_a I.  By Speiser's lemma it has
-    dimension datum.dim and K-spans V."""
+    flattened k-coordinates: the common kernel of the S_g - I, that is of
+    the integer rows of the N_g - D_g I, for g in groups.generators(Gamma).
+    A vector fixed by g and h is fixed by gh, as (gh)_V = h_V o g_V on a
+    valid untwisted datum, so this is the kernel over all of Gamma, with
+    the same reduced-echelon basis.  By Speiser's lemma it has dimension
+    datum.dim and K-spans V."""
     if datum.cocycle != trivial_kx_cocycle(datum.action):
         raise ValueError("fixed spaces only exist for untwisted data")
+    scaled = _checked_k_matrices(datum)
     rows = []
-    for n_a, d_a in _checked_k_matrices(datum):
-        for i, row in enumerate(n_a):
-            rows.append([x - d_a * (i == j) for j, x in enumerate(row)])
+    for g in generators(datum.action.group):
+        n_g, d_g = scaled[g]
+        for i, row in enumerate(n_g):
+            rows.append([x - d_g * (i == j) for j, x in enumerate(row)])
     return kernel(rows)
 
 

@@ -8,7 +8,8 @@ group elements, Hom(P, M) from every tuple of generator images, Gauss-Jordan eli
 by a linear solve, the K^x cocycle identity on field elements, the
 center of a crossed product as the commutant of every e_a, the descent
 morphism systems written out in full,
-descent validity checked on K-matrices, the coweight orbits found by
+descent validity checked on K-matrices and with every rank taken first,
+the fixed space from every Galois element, the coweight orbits found by
 closing each point under every matrix, pi_1 from every coroot, Out(G)
 from the inverses of both simple bases over Q, the readings of
 library objects that only the tests take, and the CLI's argument parser
@@ -26,7 +27,8 @@ from galforms.cohomology import (
     module_coboundary,
 )
 from galforms import qlinalg
-from galforms.exact_linalg import IntMatrix, cokernel, kernel
+from galforms.descent import _times_blocks
+from galforms.exact_linalg import IntMatrix, cokernel, kernel, mat_mul, rank
 from galforms.fields import _scaled_matrix, k_matrix
 from galforms.classify import QuasiSplitForm
 from galforms.groups import FiniteGroup, _extend, generators
@@ -765,6 +767,59 @@ def datum_violation(datum):
             if lhs != rhs:
                 return f"twisted composition fails at pair ({a}, {b})"
     return None
+
+
+# The descent verdict and fixed space as galforms computed them before
+# ranks were kept for failures and the fixed space went to Gamma's
+# generators.
+
+def verdict_ranks_first(datum):
+    """descent._verdict's (violation or None, [(N_a, D_a)] or None) with
+    the rank of every S_a taken first, in element order, then the
+    composition law pair by pair, the k-matrix of zeta(a, b) built anew
+    for each pair."""
+    action = datum.action
+    group = action.group
+    n = datum.dim
+    if len(datum.matrices) != group.order:
+        return "one matrix per Galois group element required", None
+    for a in group.elements():
+        m = datum.matrices[a]
+        if len(m) != n or any(len(row) != n for row in m):
+            return f"matrix for element {a} is not {n}x{n}", None
+    unit = datum.matrices[group.identity]
+    if any(x != int(i == j) for i, row in enumerate(unit) for j, x in enumerate(row)):
+        return f"identity component is not the identity map (witness {group.identity})", None
+    if not datum.cocycle.is_normalized():
+        return "cocycle is not normalized", None
+    scaled = []
+    for a in group.elements():
+        s_a = k_matrix(action.field, datum.matrices[a], action.elements[group.inv(a)])
+        n_a, d_a = _scaled_matrix(s_a)
+        if rank(n_a) != len(n_a):
+            return f"component {a} is not bijective", None
+        scaled.append((n_a, d_a))
+    for a in group.elements():
+        n_a, d_a = scaled[a]
+        for b in group.elements():
+            n_b, d_b = scaled[b]
+            n_ab, d_ab = scaled[group.table[a][b]]
+            block, d_z = _scaled_matrix(k_matrix(action.field, [[datum.cocycle.value(a, b)]]))
+            lhs = [[x * d_ab * d_z for x in row] for row in mat_mul(n_b, n_a)]
+            rhs = [[y * d_b * d_a for y in row] for row in _times_blocks(n_ab, block)]
+            if lhs != rhs:
+                return f"twisted composition fails at pair ({a}, {b})", None
+    return None, scaled
+
+
+def fixed_space_all_elements(datum):
+    """The fixed space of a valid untwisted datum as the common kernel of
+    the integer rows N_a - D_a I for every a in Gamma."""
+    rows = []
+    for n_a, d_a in verdict_ranks_first(datum)[1]:
+        for i, row in enumerate(n_a):
+            rows.append([x - d_a * (i == j) for j, x in enumerate(row)])
+    return kernel(rows)
 
 
 # The CLI's argument parser, one hand-written block per command, without

@@ -544,6 +544,20 @@ DESCEND_EDGE_CASES = [
       "matrices": [[], []]},
      1, {"schema": "galforms/error/v1", "kind": "domain-error",
          "error": "cocycle value must be nonzero at pair (1, 1)"}),
+    # the composition law holds at every pair, but zeta(s, s) = 0 lets
+    # the singular [[0]] through it: the ranks are taken and name it
+    ("dim 1, zeta(s, s) = 0, M_s = [[0]]",
+     {"field": {"kind": "quadratic", "d": -1},
+      "cocycle": [[0, 0, ONE], [0, 1, ONE], [1, 0, ONE], [1, 1, ["0", "0"]]],
+      "matrices": [[[ONE]], [[["0", "0"]]]]},
+     0, {"schema": "galforms/descend/v1", "valid": False,
+         "violation": "component 1 is not bijective"}),
+    # the law fails first at (1, 1); the singular component 3 is reported
+    ("Q(zeta5), failing pair before a singular component",
+     {"field": {"kind": "cyclotomic", "n": 5}, "cocycle": "trivial",
+      "matrices": [[[1]], [[2]], [[1]], [[0]]]},
+     0, {"schema": "galforms/descend/v1", "valid": False,
+         "violation": "component 3 is not bijective"}),
     ("dim 1, zeta(s, s) = sqrt 5",
      {"field": {"kind": "quadratic", "d": 5},
       "cocycle": [[0, 0, ONE], [0, 1, ONE], [1, 0, ONE], [1, 1, ["0", "1"]]],
@@ -558,8 +572,10 @@ DESCEND_EDGE_CASES = [
 def test_descend_edge_cases(capsys, tmp_path, job, exit_code, want):
     """Empty data and a non-cocycle twist: the zero module is valid, the
     crossed product refuses a table that is no cocycle or has a zero
-    value, and a datum over an irrational zeta fails the composition law
-    at its witness pair."""
+    value, a singular component is named before a failing pair, also
+    where a zero value lets it satisfy the composition law, and a datum
+    over an irrational zeta fails the composition law at its witness
+    pair."""
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     code, doc = invoke(capsys, "descend", "--job", str(path))

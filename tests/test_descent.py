@@ -10,10 +10,12 @@ import pytest
 
 from galforms.cohomology import (
     GaloisAction,
+    KxCocycle,
     quadratic_cocycle,
     trivial_kx_cocycle,
 )
 from galforms.crossed import CrossedProductAlgebra, find_zero_divisor
+from galforms import descent
 from galforms.descent import (
     AModule,
     datum_morphisms,
@@ -35,7 +37,14 @@ from galforms.cli import (
 )
 from galforms.fields import cyclotomic_field, k_entries, k_matrix, quadratic_field
 from galforms import qlinalg
-from oracles import datum_apply, datum_morphisms_by_rows, datum_violation, module_morphisms_all_basis
+from oracles import (
+    datum_apply,
+    datum_morphisms_by_rows,
+    datum_violation,
+    fixed_space_all_elements,
+    module_morphisms_all_basis,
+    verdict_ranks_first,
+)
 from random_data import conjugate_datum, identity_datum, random_datum, regular_module, transport_datum
 
 
@@ -140,11 +149,12 @@ def test_a_datum_is_checked_once(monkeypatch):
     """validate_datum keeps its verdict and the integer k-matrices
     (N_a, D_a) on the datum: across validate_datum, to_module,
     fixed_space and validate_datum again, S_a (the k_matrix with a twist)
-    is built, and its rank taken, once per group element."""
-    from galforms import descent
-
-    for field in (quadratic_field(-1), cyclotomic_field(5)):
+    is built once per group element.  A valid datum takes no rank; an
+    invalid one takes at most one per group element, to name its
+    failure, and is checked once too."""
+    for field in (quadratic_field(-1), cyclotomic_field(5), cyclotomic_field(8)):
         action = GaloisAction.of(field)
+        order = action.group.order
         datum = random_datum(action, 2, random.Random(5), twisted=False)
         calls = {"semi": 0, "rank": 0}
 
@@ -162,7 +172,14 @@ def test_a_datum_is_checked_once(monkeypatch):
         to_module(datum)
         assert len(fixed_space(datum)) == 2
         assert validate_datum(datum) == (True, None)
-        assert calls == {"semi": action.group.order, "rank": action.group.order}
+        assert calls == {"semi": order, "rank": 0}
+        rng = random.Random(6)
+        for _ in range(6):
+            calls.update(semi=0, rank=0)
+            bad = _corrupted(datum, rng)
+            verdict = validate_datum(bad)
+            assert not verdict[0] and validate_datum(bad) == verdict
+            assert calls["semi"] == order and 0 < calls["rank"] <= order, verdict
         monkeypatch.undo()
 
 
@@ -170,13 +187,17 @@ def _random_element(field, rng):
     return field.element([rng.randint(-2, 2) for _ in range(field.degree)])
 
 
-def _corrupted(datum, rng):
+CORRUPTIONS = ["double", "entry", "singular"]
+
+
+def _corrupted(datum, rng, kind=None):
     """The datum with one non-identity component changed: doubled, one
-    entry moved by 1, or given a row dependent on the first (singular)."""
+    entry moved by 1, or given a row dependent on the first (singular);
+    the kind is drawn when not given."""
     field, n = datum.field, datum.dim
     a = rng.choice([g for g in datum.action.group.elements() if g != datum.action.group.identity])
     m = [list(row) for row in datum.matrices[a]]
-    kind = rng.choice(["double", "entry", "singular"])
+    kind = kind or rng.choice(CORRUPTIONS)
     if kind == "double":
         m = [[2 * x for x in row] for row in m]
     elif kind == "entry":
@@ -217,6 +238,58 @@ def test_verdict_matches_the_k_matrix_oracle_on_corrupted_data():
                 corrupted += 1
     assert corrupted >= 30
     assert {"twisted", "component"} <= seen
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS + [cyclotomic_field(7)], ids=repr)
+def test_verdict_and_fixed_space_match_the_all_ranks_oracles(field):
+    """_verdict, which takes ranks only to name a failure and builds one
+    k-matrix per zeta value, and fixed_space, which stacks the rows of
+    Gamma's generators only, against the forms of tests/oracles.py that
+    rank every component first and stack every element's rows: the same
+    verdict, k-matrices included, and the same fixed-space vectors, on
+    untwisted data, on data twisted by a coboundary (zeta != 1), and on
+    each corruption of both.  Gamma is not cyclic over Q(zeta_8) and
+    Q(zeta_12)."""
+    action = GaloisAction.of(field)
+    group = action.group
+    cyclic = any(group.element_order(g) == group.order for g in group.elements())
+    assert cyclic == (field not in (cyclotomic_field(8), cyclotomic_field(12)))
+    rng = random.Random(f"verdict-{field!r}")
+    seen, fixed = set(), 0
+    for twisted in (False, True):
+        for dim in (1, 2, 3) if field.degree == 2 else (1, 2):
+            (datum,) = _data_over_one_twist(action, [dim], twisted, rng)
+            assert twisted == (datum.cocycle != trivial_kx_cocycle(action))
+            for case in [datum] + [_corrupted(datum, rng, kind) for kind in CORRUPTIONS]:
+                want = verdict_ranks_first(case)
+                assert descent._verdict(case) == want, (dim, twisted)
+                seen.add(want[0] and want[0].split()[0])
+                if want[0] is None and not twisted:
+                    assert fixed_space(case) == fixed_space_all_elements(case), dim
+                    fixed += 1
+    assert seen == {None, "component", "twisted"}
+    assert fixed >= 2
+
+
+def test_a_zero_cocycle_value_is_ranked_before_it_is_trusted():
+    """Over Q(i) with zeta(s, s) = 0, [[0]] satisfies the composition law
+    at every pair, yet is no bijection: the ranks name it.  [[i]] fails
+    the law at (1, 1) with full ranks."""
+    action = gaussian_action()
+    field = action.field
+    values = dict(trivial_kx_cocycle(action).values)
+    values[1, 1] = field.zero()
+    zero = KxCocycle(action, values)
+    for m, want in ((0, "component 1 is not bijective"),
+                    (field.generator(), "twisted composition fails at pair (1, 1)")):
+        datum = make_datum(action, zero, [[[1]], [[m]]])
+        assert verdict_ranks_first(datum) == (want, None)
+        assert validate_datum(datum) == (False, want)
+    # on V = 0 the law holds vacuously and the ranks are full: the verdict
+    # is valid, and the CLI leaves the zero value to the crossed product
+    empty = make_datum(action, zero, [[], []])
+    assert descent._verdict(empty) == verdict_ranks_first(empty)
+    assert validate_datum(empty) == (True, None)
 
 
 GOLDEN_DESCEND = [
